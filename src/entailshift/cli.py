@@ -16,7 +16,14 @@ from .experiment import (
     run_experiment,
     save_result,
 )
-from .methods import MethodSpec, load_predictions, resolve_catalog, run_method, save_predictions
+from .methods import (
+    METHOD_KINDS,
+    MethodSpec,
+    load_predictions,
+    resolve_catalog,
+    run_method,
+    save_predictions,
+)
 from .model import FeaturizerConfig, TrainConfig
 from .reformulate import augment_dataset, export_augmented
 from .stats import confusion_from_predictions, macro_f1, per_class_f1
@@ -86,7 +93,7 @@ def augment(in_path: Path, catalog: str, mode: str, oversample: bool,
 
 
 @main.command("train")
-@click.option("--method", "kind", type=click.Choice(["majority", "pre_shift_only", "finetuned", "finetuned_post_only", "l1l2", "entail"]), required=True)
+@click.option("--method", "kind", type=click.Choice(METHOD_KINDS), required=True)
 @click.option("--train", "train_path", type=_in_file, required=True, help="Post-shift labeled training data (the few-shot budget).")
 @click.option("--pre-train", "pre_train_path", type=_in_file, default=None, help="Pre-shift labeled training data for warm starts; omit to skip.")
 @click.option("--test", "test_path", type=_in_file, required=True, help="Examples to predict.")

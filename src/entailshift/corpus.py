@@ -128,12 +128,6 @@ class Dataset:
     def __iter__(self) -> Iterator[Example]:
         return iter(self.examples)
 
-    def pre_counts(self) -> dict[str, int]:
-        counts = {label: 0 for label in self.pre_labels}
-        for ex in self.examples:
-            counts[ex.pre_label] += 1
-        return counts
-
     def post_counts(self) -> dict[str, int]:
         counts = {label: 0 for label in self.post_labels}
         for ex in self.examples:

@@ -34,6 +34,7 @@ from typing import Mapping
 
 from .corpus import Dataset, Example, LabelSet
 from .model import (
+    SEPARATOR,
     FeatureVector,
     FeaturizerConfig,
     Model,
@@ -119,7 +120,7 @@ def resolve_catalog(catalog_id: str) -> PromptCatalog:
 def _multiclass_text(example: Example) -> str:
     if example.text_b is None:
         return example.text_a
-    return f"{example.text_a} [SEP] {example.text_b}"
+    return f"{example.text_a}{SEPARATOR}{example.text_b}"
 
 
 def _featurize_all(dataset: Dataset, config: FeaturizerConfig) -> list[FeatureVector]:

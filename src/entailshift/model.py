@@ -191,12 +191,6 @@ def _gather(packed: _Packed, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     starts = packed.indptr[rows]
     lengths = packed.indptr[rows + 1] - starts
     total = int(lengths.sum())
-    if total == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.float64),
-        )
     ends = np.cumsum(lengths)
     flat = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
     positions = np.repeat(starts, lengths) + flat
@@ -293,39 +287,63 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=-1, keepdims=True)
 
 
-def _binary_logits(weights: np.ndarray, bias: float, packed: _Packed, rows: np.ndarray) -> np.ndarray:
-    sample_pos, idx, vals = _gather(packed, rows)
-    prods = vals * weights[idx]
-    return np.bincount(sample_pos, weights=prods, minlength=rows.size) + bias
+def _logits(
+    weights: np.ndarray, bias: np.ndarray, packed: _Packed, rows: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(len(rows), R) logits of an (R, dim) weight view, plus the gathered rows.
 
-
-def _multiclass_logits(weights: np.ndarray, bias: np.ndarray, packed: _Packed, rows: np.ndarray) -> np.ndarray:
-    sample_pos, idx, vals = _gather(packed, rows)
-    logits = np.empty((rows.size, weights.shape[0]))
+    The binary head is R=1 over ``np.atleast_2d(weights)``, a view of its
+    1-D weights, so the same forward, dL/dz and scatter serve every head.
+    """
+    gathered = sample_pos, idx, vals = _gather(packed, rows)
+    z = np.empty((rows.size, weights.shape[0]))
     for k in range(weights.shape[0]):
-        prods = vals * weights[k, idx]
-        logits[:, k] = np.bincount(sample_pos, weights=prods, minlength=rows.size)
-    return logits + bias
+        z[:, k] = np.bincount(sample_pos, weights=vals * weights[k][idx], minlength=rows.size)
+    z += bias
+    return z, gathered
 
 
-def _binary_data_loss(weights: np.ndarray, bias: float, packed: _Packed, y: np.ndarray) -> float:
-    rows = np.arange(packed.n_rows, dtype=np.int64)
-    z = _binary_logits(weights, bias, packed, rows)
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
+def _dlogits(z: np.ndarray, targets: Sequence[np.ndarray]) -> np.ndarray:
+    """Per-sample dL/dz of the summed loss over the target columns.
+
+    One column of 0/1 floats is the logistic head: sigmoid(z) - y. Integer
+    columns share one softmax: m*softmax(z) - sum_j onehot(y_j) for m columns.
+    """
+    if z.shape[1] == 1:
+        return _sigmoid(z) - targets[0][:, None]
+    g = len(targets) * _softmax(z)
+    r = np.arange(z.shape[0])
+    for y in targets:
+        g[r, y] -= 1.0
+    return g
 
 
-def _multiclass_data_loss(
-    weights: np.ndarray, bias: np.ndarray, packed: _Packed, targets: Sequence[np.ndarray]
-) -> float:
-    """Mean summed cross-entropy against one or more target columns."""
-    rows = np.arange(packed.n_rows, dtype=np.int64)
-    z = _multiclass_logits(weights, bias, packed, rows)
+def _data_loss(z: np.ndarray, targets: Sequence[np.ndarray]) -> float:
+    """Mean cross-entropy of the logits, summed over the target columns."""
+    if z.shape[1] == 1:
+        return float(np.mean(np.logaddexp(0.0, z[:, 0]) - targets[0] * z[:, 0]))
     zmax = z.max(axis=1)
     lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-    total = 0.0
-    for y in targets:
-        total += float(np.mean(lse - z[np.arange(z.shape[0]), y]))
-    return total
+    r = np.arange(z.shape[0])
+    return sum(float(np.mean(lse - z[r, y])) for y in targets)
+
+
+def _scatter(
+    weights: np.ndarray,
+    gathered: tuple[np.ndarray, np.ndarray, np.ndarray],
+    g: np.ndarray,
+    scale: float,
+) -> None:
+    """weights[k] += scale * sum over samples of g[:, k] * x, in place."""
+    sample_pos, idx, vals = gathered
+    for k in range(weights.shape[0]):
+        np.add.at(weights[k], idx, scale * g[:, k][sample_pos] * vals)
+
+
+def _target_columns(head: str, columns: Iterable[Sequence[int]]) -> list[np.ndarray]:
+    """Label columns as _dlogits reads them: float for binary, int64 otherwise."""
+    cols = [np.asarray(c, dtype=np.int64) for c in columns]
+    return [cols[0].astype(np.float64)] if head == "binary" else cols
 
 
 def _validate_labels(labels: np.ndarray, arity: int, what: str) -> None:
@@ -354,51 +372,49 @@ def _init_params(
     return warm_start.weights.copy(), warm_start.bias.astype(np.float64).copy().reshape(-1)
 
 
-def _run_epochs(
-    packed: _Packed,
+def _fit(
+    features: Sequence[FeatureVector],
+    columns: dict[str, Sequence[int]],
     config: TrainConfig,
-    weights: np.ndarray,
-    bias: np.ndarray,
-    grad_fn,
-    loss_fn,
-) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """Shared mini-batch loop; grad_fn produces per-sample dL/dlogits rows."""
+    head: str,
+    n_classes: int,
+    featurizer: FeaturizerConfig | None,
+) -> Model:
+    """Mini-batch descent on the summed cross-entropy of the named label columns."""
+    if featurizer is None:
+        featurizer = (
+            config.warm_start.featurizer
+            if config.warm_start is not None
+            else FeaturizerConfig(dim=features[0].dim if features else 2**18)
+        )
+    packed = _pack(features)
+    if packed.dim != featurizer.dim:
+        raise ValueError("feature vectors do not match the featurizer dimension")
+    targets = _target_columns(head, columns.values())
+    for what, y in zip(columns, targets):
+        if y.size != packed.n_rows:
+            raise ValueError(f"{packed.n_rows} samples but {y.size} {what} labels")
+        _validate_labels(y, n_classes, what)
+    weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
+
+    weight_rows = np.atleast_2d(weights)
     rng = np.random.default_rng(config.seed)
     n = packed.n_rows
     decay = 1.0 - config.learning_rate * config.l2_penalty
     log: list[float] = []
-    multiclass = weights.ndim == 2
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             rows = order[start : start + config.batch_size]
-            sample_pos, idx, vals = _gather(packed, rows)
-            if multiclass:
-                logits = np.empty((rows.size, weights.shape[0]))
-                for k in range(weights.shape[0]):
-                    logits[:, k] = np.bincount(
-                        sample_pos, weights=vals * weights[k, idx], minlength=rows.size
-                    )
-                logits += bias
-            else:
-                logits = (
-                    np.bincount(sample_pos, weights=vals * weights[idx], minlength=rows.size)
-                    + bias[0]
-                )
-            g = grad_fn(logits, rows) / rows.size   # per-sample dL/dz, batch-mean scaled
+            z, gathered = _logits(weight_rows, bias, packed, rows)
+            g = _dlogits(z, [y[rows] for y in targets]) / rows.size
             if config.l2_penalty:
                 weights *= decay
-            if multiclass:
-                for k in range(weights.shape[0]):
-                    np.subtract.at(
-                        weights[k], idx, config.learning_rate * g[sample_pos, k] * vals
-                    )
-                bias -= config.learning_rate * g.sum(axis=0)
-            else:
-                np.subtract.at(weights, idx, config.learning_rate * g[sample_pos] * vals)
-                bias[0] -= config.learning_rate * g.sum()
-        log.append(loss_fn(weights, bias))
-    return weights, bias, tuple(log)
+            _scatter(weight_rows, gathered, g, -config.learning_rate)
+            bias -= config.learning_rate * g.sum(axis=0)
+        z, _ = _logits(weight_rows, bias, packed, np.arange(n, dtype=np.int64))
+        log.append(_data_loss(z, targets))
+    return Model(head=head, weights=weights, bias=bias, featurizer=featurizer, train_log=tuple(log))
 
 
 def train(
@@ -411,55 +427,22 @@ def train(
 ) -> Model:
     """Mini-batch gradient descent on mean cross-entropy plus L2.
 
-    The L2 penalty enters as per-batch multiplicative weight decay, which is
-    exactly gradient descent on meanCE + (l2/2)*||w||^2; the bias is not
-    decayed. ``train_log`` records the full-dataset mean cross-entropy after
-    each epoch. ``config.warm_start`` initializes from a prior model of the
-    same head and featurizer (fine-tuning); otherwise parameters start at
-    zero.
+    Every head trains through one kernel: ``_logits`` forward, ``_dlogits``
+    for dL/dz and ``_scatter`` into the weights; ``_loss_and_grad`` (and so
+    ``grad_check``) runs the same three. The L2 penalty enters as per-batch
+    multiplicative weight decay, which is exactly gradient descent on
+    meanCE + (l2/2)*||w||^2; the bias is not decayed. ``train_log`` records
+    the full-dataset mean cross-entropy after each epoch.
+    ``config.warm_start`` initializes from a prior model of the same head
+    and featurizer (fine-tuning); otherwise parameters start at zero.
     """
-    if head not in ("binary", "multiclass"):
-        raise ValueError(f"unknown head {head!r}")
-    if featurizer is None:
-        featurizer = (
-            config.warm_start.featurizer
-            if config.warm_start is not None
-            else FeaturizerConfig(dim=features[0].dim if features else 2**18)
-        )
-    packed = _pack(features)
-    if packed.dim != featurizer.dim:
-        raise ValueError("feature vectors do not match the featurizer dimension")
-    y = np.asarray(labels, dtype=np.int64)
-    if y.size != packed.n_rows:
-        raise ValueError(f"{packed.n_rows} samples but {y.size} labels")
-
     if head == "binary":
-        _validate_labels(y, 2, "binary")
-        weights, bias = _init_params(featurizer, head, 2, config.warm_start)
-        yf = y.astype(np.float64)
-
-        def grad(logits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            return _sigmoid(logits) - yf[rows]
-
-        def loss(w: np.ndarray, b: np.ndarray) -> float:
-            return _binary_data_loss(w, b[0], packed, yf)
-
-    else:
-        if n_classes is None:
-            raise ValueError("multiclass training requires explicit n_classes")
-        _validate_labels(y, n_classes, "multiclass")
-        weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
-
-        def grad(logits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-            p = _softmax(logits)
-            p[np.arange(rows.size), y[rows]] -= 1.0
-            return p
-
-        def loss(w: np.ndarray, b: np.ndarray) -> float:
-            return _multiclass_data_loss(w, b, packed, [y])
-
-    weights, bias, log = _run_epochs(packed, config, weights, bias, grad, loss)
-    return Model(head=head, weights=weights, bias=bias, featurizer=featurizer, train_log=log)
+        n_classes = 2
+    elif head != "multiclass":
+        raise ValueError(f"unknown head {head!r}")
+    elif n_classes is None:
+        raise ValueError("multiclass training requires explicit n_classes")
+    return _fit(features, {head: labels}, config, head, n_classes, featurizer)
 
 
 def train_joint(
@@ -476,35 +459,8 @@ def train_joint(
     2*softmax - onehot(pre) - onehot(post). ``train_log`` records the summed
     two-term mean cross-entropy per epoch.
     """
-    if featurizer is None:
-        featurizer = (
-            config.warm_start.featurizer
-            if config.warm_start is not None
-            else FeaturizerConfig(dim=features[0].dim if features else 2**18)
-        )
-    packed = _pack(features)
-    y1 = np.asarray(pre_labels, dtype=np.int64)
-    y2 = np.asarray(post_labels, dtype=np.int64)
-    if y1.size != packed.n_rows or y2.size != packed.n_rows:
-        raise ValueError("pre/post label columns must match the sample count")
-    _validate_labels(y1, n_classes, "pre-shift")
-    _validate_labels(y2, n_classes, "post-shift")
-    weights, bias = _init_params(featurizer, "multiclass", n_classes, config.warm_start)
-
-    def grad(logits: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        p = 2.0 * _softmax(logits)
-        r = np.arange(rows.size)
-        p[r, y1[rows]] -= 1.0
-        p[r, y2[rows]] -= 1.0
-        return p
-
-    def loss(w: np.ndarray, b: np.ndarray) -> float:
-        return _multiclass_data_loss(w, b, packed, [y1, y2])
-
-    weights, bias, log = _run_epochs(packed, config, weights, bias, grad, loss)
-    return Model(
-        head="multiclass", weights=weights, bias=bias, featurizer=featurizer, train_log=log
-    )
+    columns = {"pre-shift": pre_labels, "post-shift": post_labels}
+    return _fit(features, columns, config, "multiclass", n_classes, featurizer)
 
 
 # ---------------------------------------------------------------------------
@@ -553,39 +509,20 @@ def _loss_and_grad(
     """Full-objective value and analytic gradient for any head.
 
     ``labels`` is one column for plain heads and two for the joint loss.
-    The objective is the mean data loss plus (l2/2)*||w||^2.
+    The objective is the mean data loss plus (l2/2)*||w||^2. The gradient
+    is the one a full-batch training step applies: the same forward, dL/dz
+    and scatter, here into zeros with scale 1.
     """
     packed = _pack(features)
+    targets = _target_columns(model.head, labels)
     rows = np.arange(packed.n_rows, dtype=np.int64)
-    cols = [np.asarray(c, dtype=np.int64) for c in labels]
-    sample_pos, idx, vals = _gather(packed, rows)
-    if model.head == "binary":
-        yf = cols[0].astype(np.float64)
-        z = _binary_logits(model.weights, float(model.bias[0]), packed, rows)
-        data_loss = float(np.mean(np.logaddexp(0.0, z) - yf * z))
-        g = (_sigmoid(z) - yf) / packed.n_rows
-        grad_w = np.zeros_like(model.weights)
-        np.add.at(grad_w, idx, g[sample_pos] * vals)
-        grad_b = np.array([g.sum()])
-    else:
-        z = _multiclass_logits(model.weights, model.bias, packed, rows)
-        p = _softmax(z)
-        zmax = z.max(axis=1)
-        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
-        data_loss = 0.0
-        g = len(cols) * p
-        r = np.arange(packed.n_rows)
-        for y in cols:
-            data_loss += float(np.mean(lse - z[r, y]))
-            g[r, y] -= 1.0
-        g /= packed.n_rows
-        grad_w = np.zeros_like(model.weights)
-        for k in range(model.weights.shape[0]):
-            np.add.at(grad_w[k], idx, g[sample_pos, k] * vals)
-        grad_b = g.sum(axis=0)
-    loss = data_loss + 0.5 * l2 * float(np.sum(model.weights**2))
+    z, gathered = _logits(np.atleast_2d(model.weights), model.bias, packed, rows)
+    g = _dlogits(z, targets) / packed.n_rows
+    grad_w = np.zeros_like(model.weights)
+    _scatter(np.atleast_2d(grad_w), gathered, g, 1.0)
     grad_w += l2 * model.weights
-    return loss, grad_w, grad_b
+    loss = _data_loss(z, targets) + 0.5 * l2 * float(np.sum(model.weights**2))
+    return loss, grad_w, g.sum(axis=0)
 
 
 def grad_check(
@@ -599,30 +536,28 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
+    The analytic gradient comes from ``_loss_and_grad``, which runs the
+    training kernel, so this checks the gradient the optimizer applies.
     Coordinates are sampled from the feature support of the given samples
     plus the bias entries, so every checked coordinate carries signal.
     """
     if not 0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
     _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
+    weights, grad_w = np.atleast_2d(model.weights), np.atleast_2d(grad_w)
 
     support = sorted({int(i) for fv in features for i in fv.indices})
     rng = np.random.default_rng(seed)
-    coords: list[tuple[str, tuple[int, ...]]] = []
-    n_rows = 1 if model.head == "binary" else model.weights.shape[0]
+    coords: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = []
     if support:
-        picks = rng.integers(0, len(support), size=max(n_coords, 1))
-        for pick in picks:
-            col = support[int(pick)]
-            row = int(rng.integers(0, n_rows))
-            coords.append(("w", (row, col) if model.head == "multiclass" else (col,)))
-    for b in range(model.bias.size):
-        coords.append(("b", (b,)))
+        for pick in rng.integers(0, len(support), size=max(n_coords, 1)):
+            where = (int(rng.integers(0, weights.shape[0])), support[int(pick)])
+            coords.append((weights, grad_w, where))
+    coords += [(model.bias, grad_b, (b,)) for b in range(model.bias.size)]
 
     max_rel = 0.0
-    for kind, where in coords:
-        array = model.weights if kind == "w" else model.bias
-        analytic = grad_w[where] if kind == "w" else grad_b[where]
+    for array, grad, where in coords:
+        analytic = grad[where]
         original = array[where]
         array[where] = original + epsilon
         up, _, _ = _loss_and_grad(model, features, labels, l2)

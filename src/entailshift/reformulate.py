@@ -25,10 +25,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Dataset, Example, LabelSet
+from .model import SEPARATOR
 from .prompts import PromptCatalog
 from .seeding import derive_seed
-
-SEPARATOR = " [SEP] "
 
 # Maps an input text to the probability that its prompt holds for its text.
 BinaryScorer = Callable[[str], float]
@@ -138,10 +137,6 @@ def augment_example(
     return tuple(samples)
 
 
-def _split_tokens(text: str) -> list[str]:
-    return text.split()
-
-
 def oversample_positive(
     sample: EntailSample,
     source: Example,
@@ -164,7 +159,7 @@ def oversample_positive(
 
     target = source.text_b if mode == "two_segment" else source.text_a
     assert target is not None
-    tokens = _split_tokens(target)
+    tokens = target.split()
     if len(tokens) <= 1:
         return replace(sample, is_oversampled=True)
 
@@ -331,8 +326,13 @@ def export_scores(
 
 
 def import_scores(path: str | Path) -> dict[tuple[str, int], float]:
-    """Per-candidate probabilities keyed by (source_id, candidate_index)."""
+    """Per-candidate probabilities keyed by (source_id, candidate_index).
+
+    A malformed row or a second row for the same key is a ValueError that
+    names the file and the line(s).
+    """
     scores: dict[tuple[str, int], float] = {}
+    first_line: dict[tuple[str, int], int] = {}
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             if not line.strip():
@@ -340,11 +340,16 @@ def import_scores(path: str | Path) -> dict[tuple[str, int], float]:
             try:
                 row = json.loads(line)
                 key = (str(row["source_id"]), int(row["candidate_index"]))
-                scores[key] = _checked_probability(
-                    row["probability"], context=f"line {line_no}"
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                prob = _checked_probability(row["probability"], context=repr(key))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            if key in first_line:
+                raise ValueError(
+                    f"{path}: line {line_no}: duplicate row for {key!r}, "
+                    f"first given on line {first_line[key]}"
+                )
+            scores[key] = prob
+            first_line[key] = line_no
     return scores
 
 

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from entailshift.cli import main
 from entailshift.corpus import ShiftSpec, load_dataset, save_dataset, split
+from entailshift.methods import METHOD_KINDS
 from entailshift.synth import preset_config, synth_generate
 
 
@@ -128,6 +129,10 @@ class TestTrainEval:
         result = runner.invoke(main, ["eval", "--pred", str(pred_path), "--gold", str(test_path)])
         assert result.exit_code != 0
         assert "no prediction for ids" in result.output
+
+    def test_method_choices_are_the_method_kinds(self):
+        method = next(p for p in main.commands["train"].params if p.name == "kind")
+        assert tuple(method.type.choices) == METHOD_KINDS
 
 
 def write_config(tmp_path, **overrides):

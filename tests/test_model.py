@@ -350,6 +350,30 @@ class TestGradCheck:
                              l2=float(rng.choice([0.0, 1e-4])), seed=trial)
             assert err < 1e-4
 
+    @pytest.mark.parametrize("head", ["binary", "multiclass", "joint"])
+    def test_checked_gradient_is_the_applied_gradient(self, head):
+        """One full-batch epoch from a warm start with L2 moves the parameters
+        by -lr times the gradient that grad_check verifies, up to the order
+        in which the shuffled batch is summed."""
+        rng = np.random.default_rng(7)
+        for trial in range(5):
+            model, features, labels = self.random_case(rng, head)
+            lr, l2 = 0.3, 1e-3
+            config = TrainConfig(epochs=1, learning_rate=lr, batch_size=len(features),
+                                 l2_penalty=l2, seed=trial, warm_start=model)
+            if head == "joint":
+                stepped = train_joint(features, *labels, config,
+                                      n_classes=model.weights.shape[0])
+            else:
+                stepped = train(features, labels[0], config, head=model.head,
+                                n_classes=model.n_classes)
+            _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
+            np.testing.assert_allclose(stepped.weights, model.weights - lr * grad_w,
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(stepped.bias, model.bias - lr * grad_b,
+                                       rtol=0, atol=1e-12)
+            assert grad_check(model, features, labels, l2=l2, seed=trial) < 1e-4
+
     def test_epsilon_bounds(self):
         model = zero_model(SMALL, "binary")
         with pytest.raises(ValueError, match="epsilon"):

@@ -321,3 +321,26 @@ class TestFileBridge:
         path.write_text('{"source_id": "a", "candidate_index": 1, "probability": 2.0}\n')
         with pytest.raises(ValueError, match="line 1"):
             import_scores(path)
+
+    def test_import_rejects_non_integer_candidate_index(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"source_id": "a", "candidate_index": 1, "probability": 0.5}\n'
+            '{"source_id": "a", "candidate_index": "x", "probability": 0.5}\n'
+        )
+        with pytest.raises(ValueError, match="line 2") as err:
+            import_scores(path)
+        assert str(path) in str(err.value)
+
+    def test_import_rejects_duplicate_rows(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"source_id": "a", "candidate_index": 1, "probability": 0.2}\n'
+            '{"source_id": "a", "candidate_index": 2, "probability": 0.3}\n'
+            '{"source_id": "a", "candidate_index": 1, "probability": 0.9}\n'
+        )
+        with pytest.raises(ValueError, match="duplicate") as err:
+            import_scores(path)
+        message = str(err.value)
+        assert str(path) in message
+        assert "line 3" in message and "line 1" in message
