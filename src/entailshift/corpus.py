@@ -194,19 +194,19 @@ def _labels_sidecar_path(path: Path) -> Path:
     return Path(str(path) + ".labels.json")
 
 
-def _read_labels_sidecar(path: Path) -> tuple[LabelSet, LabelSet, str]:
-    sidecar = _labels_sidecar_path(path)
-    if not sidecar.exists():
+def _read_labels(labels_file: Path, data_path: Path) -> tuple[LabelSet, LabelSet, str]:
+    """(pre, post, name) from a labels file; a missing file or key is a DatasetError."""
+    if not labels_file.exists():
         raise DatasetError(
-            f"label sets undeclared: expected sidecar file {sidecar} with "
+            f"label sets undeclared: expected labels file {labels_file} with "
             '{"pre_labels": [...], "post_labels": [...]}'
         )
-    with open(sidecar, encoding="utf-8") as f:
+    with open(labels_file, encoding="utf-8") as f:
         raw = json.load(f)
     for key in ("pre_labels", "post_labels"):
         if key not in raw:
-            raise DatasetError(f"{sidecar}: missing key {key!r}")
-    name = raw.get("name") or path.stem
+            raise DatasetError(f"{labels_file}: missing key {key!r}")
+    name = raw.get("name") or data_path.stem
     return LabelSet(tuple(raw["pre_labels"])), LabelSet(tuple(raw["post_labels"])), name
 
 
@@ -261,15 +261,8 @@ def load_dataset(
     if not path.exists():
         raise FileNotFoundError(path)
     fmt = _infer_format(path, format)
-    if labels_path is not None:
-        sidecar = Path(labels_path)
-        with open(sidecar, encoding="utf-8") as f:
-            raw = json.load(f)
-        pre = LabelSet(tuple(raw["pre_labels"]))
-        post = LabelSet(tuple(raw["post_labels"]))
-        name = raw.get("name") or path.stem
-    else:
-        pre, post, name = _read_labels_sidecar(path)
+    labels_file = _labels_sidecar_path(path) if labels_path is None else Path(labels_path)
+    pre, post, name = _read_labels(labels_file, path)
 
     examples: list[Example] = []
     if fmt == "jsonl":
@@ -294,15 +287,6 @@ def load_dataset(
             for line_no, row in enumerate(reader, start=2):
                 examples.append(_record_to_example(row, line_no))
 
-    for line_no, ex in enumerate(examples, start=1):
-        if ex.pre_label not in pre:
-            raise DatasetError(
-                f"pre_label {ex.pre_label!r} (example {ex.id!r}) not in declared set {pre.labels!r}"
-            )
-        if ex.post_label not in post:
-            raise DatasetError(
-                f"post_label {ex.post_label!r} (example {ex.id!r}) not in declared set {post.labels!r}"
-            )
     return Dataset(examples=tuple(examples), pre_labels=pre, post_labels=post, name=name)
 
 

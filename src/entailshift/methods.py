@@ -34,7 +34,6 @@ from typing import Mapping
 
 from .corpus import Dataset, Example, LabelSet
 from .model import (
-    SEPARATOR,
     FeatureVector,
     FeaturizerConfig,
     Model,
@@ -117,14 +116,13 @@ def resolve_catalog(catalog_id: str) -> PromptCatalog:
     )
 
 
-def _multiclass_text(example: Example) -> str:
-    if example.text_b is None:
-        return example.text_a
-    return f"{example.text_a}{SEPARATOR}{example.text_b}"
+def _multiclass_segments(example: Example) -> tuple[str, ...]:
+    """``(text_a,)``, or ``(text_a, text_b)``: text_a is crossed with text_b."""
+    return (example.text_a,) if example.text_b is None else (example.text_a, example.text_b)
 
 
 def _featurize_all(dataset: Dataset, config: FeaturizerConfig) -> list[FeatureVector]:
-    return [featurize(_multiclass_text(ex), config) for ex in dataset]
+    return [featurize(_multiclass_segments(ex), config) for ex in dataset]
 
 
 def _post_label_indices(dataset: Dataset, use_pre: bool) -> list[int]:
@@ -148,7 +146,7 @@ def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
     labels = test.post_labels
     predictions = {}
     for ex in test:
-        probs = score(model, featurize(_multiclass_text(ex), model.featurizer))
+        probs = score(model, featurize(_multiclass_segments(ex), model.featurizer))
         best = int(probs.argmax())
         predictions[ex.id] = labels.labels[best]
     return predictions
@@ -248,7 +246,7 @@ def run_method(
         oversample=spec.oversample,
         seed=derive_seed(cfg.seed, "augment"),
     )
-    features = [featurize(s.input_text, spec.featurizer) for s in aug]
+    features = [featurize(s.segments, spec.featurizer) for s in aug]
     labels = [s.binary_label for s in aug]
     model = train(features, labels, cfg, head="binary", featurizer=spec.featurizer)
     test_mode = spec.concat_mode or infer_concat_mode(test)

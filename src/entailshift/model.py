@@ -1,11 +1,16 @@
 """Deterministic trainable text classifier on hashed n-gram features.
 
-Stands in for a pretrained transformer at desk scale: texts map to sparse
+Stands in for a pretrained transformer at desk scale: inputs map to sparse
 L2-normalized count vectors over a power-of-two hash space (word 1-2 grams,
 character trigrams, and prompt-token x content-token cross features), and a
 logistic or softmax head trains by mini-batch gradient descent. Everything
 is bit-deterministic given the seed, gradients are verifiable by central
 finite differences, and models round-trip through a versioned .npz blob.
+
+An input is a tuple of text segments, the way a PLM tokenizer receives
+``text_a [SEP] prompt [SEP] text_b``: the first segment (the prompt, or
+``text_a`` of a plain pair) is crossed with the rest. A bare string is one
+segment and is never split, so no separator inside user text is special.
 
 Hashing uses BLAKE2b (64-bit digests) with the salt mixed in as the keyed
 hash key, reduced modulo the table size. Cross features exist because a
@@ -23,7 +28,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-SEPARATOR = " [SEP] "
 MODEL_FORMAT_VERSION = "entailshift-model-v1"
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -82,34 +86,18 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _segments(text: str) -> tuple[str | None, list[str]]:
-    """Split on the separator into (prompt, content segments).
+def feature_keys(segments: str | Sequence[str], config: FeaturizerConfig) -> list[str]:
+    """The raw (pre-hash) feature key multiset for a segments tuple.
 
-    One segment means no prompt. Two reads as (prompt, content): that is the
-    prompt-first single-segment layout, and it also gives a plain
-    "text_a [SEP] text_b" pair useful first-segment x second-segment
-    conjunctions. Three or more reads as content [SEP] prompt [SEP] content.
+    Key formats: word n-grams "w:tok1 tok2", char n-grams "c:xyz", and
+    first-segment x later-segment crosses "ptok⊗ctok". Word n-grams never
+    span segment boundaries. A bare string is a single segment.
     """
-    parts = text.split(SEPARATOR)
-    if len(parts) == 1:
-        return None, parts
-    if len(parts) == 2:
-        return parts[0], parts[1:]
-    return parts[1], [parts[0], *parts[2:]]
-
-
-def feature_keys(text: str, config: FeaturizerConfig) -> list[str]:
-    """The raw (pre-hash) feature key multiset for a text.
-
-    Key formats: word n-grams "w:tok1 tok2", char n-grams "c:xyz",
-    prompt-content crosses "ptok⊗ctok". Word n-grams never span segment
-    boundaries.
-    """
-    prompt, contents = _segments(text)
+    if isinstance(segments, str):
+        segments = (segments,)
+    token_lists = [tokenize(part) for part in segments]
     keys: list[str] = []
-    all_parts = ([prompt] if prompt is not None else []) + contents
-    for part in all_parts:
-        tokens = tokenize(part)
+    for tokens in token_lists:
         for n in config.word_ngrams:
             for i in range(len(tokens) - n + 1):
                 keys.append("w:" + " ".join(tokens[i : i + n]))
@@ -117,19 +105,18 @@ def feature_keys(text: str, config: FeaturizerConfig) -> list[str]:
             for tok in tokens:
                 for i in range(len(tok) - n + 1):
                     keys.append("c:" + tok[i : i + n])
-    if config.cross_features and prompt is not None:
-        prompt_tokens = tokenize(prompt)
-        content_tokens = [tok for part in contents for tok in tokenize(part)]
-        for p in prompt_tokens:
+    if config.cross_features and len(token_lists) > 1:
+        content_tokens = [tok for tokens in token_lists[1:] for tok in tokens]
+        for p in token_lists[0]:
             for c in content_tokens:
                 keys.append(f"{p}⊗{c}")
     return keys
 
 
-def featurize(text: str, config: FeaturizerConfig) -> FeatureVector:
+def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> FeatureVector:
     """Hash the key multiset and L2-normalize the counts; empty -> zero vector."""
     counts: dict[int, float] = {}
-    for key in feature_keys(text, config):
+    for key in feature_keys(segments, config):
         idx = hash_feature(key, config.hash_salt, config.dim)
         counts[idx] = counts.get(idx, 0.0) + 1.0
     if not counts:
@@ -479,20 +466,11 @@ def score(model: Model, fv: FeatureVector):
     return _softmax(logits)
 
 
-def score_text(model: Model, text: str):
-    """Featurize with the model's own config, then score."""
-    return score(model, featurize(text, model.featurizer))
-
-
 def make_binary_scorer(model: Model):
-    """Adapt a binary model to the text -> probability scorer interface."""
+    """Adapt a binary model to the candidate -> probability scorer interface."""
     if model.head != "binary":
         raise ValueError("scorer adapter requires a binary head")
-
-    def scorer(text: str) -> float:
-        return score_text(model, text)
-
-    return scorer
+    return lambda candidate: score(model, featurize(candidate.segments, model.featurizer))
 
 
 # ---------------------------------------------------------------------------

@@ -97,10 +97,6 @@ class PromptCatalog:
             prompt = f"{prompt} {self.suffix}"
         return prompt
 
-    def render_all(self, labels: Sequence[str], pre_label: str | None) -> tuple[str, ...]:
-        """Prompts for every candidate label, in the given order."""
-        return tuple(self.render(label, pre_label) for label in labels)
-
 
 def randomize_labels(
     catalog: PromptCatalog,

@@ -1,11 +1,16 @@
 """Reformulation of K-class classification as binary entailment.
 
 Every K-class example becomes K binary samples: for each candidate label,
-the label-transition prompt is concatenated with the example's text, and
-the binary target says whether that candidate is the example's post-shift
+the label-transition prompt is paired with the example's text, and the
+binary target says whether that candidate is the example's post-shift
 label. So each source example yields one positive and K-1 negatives, and
 a K-class dataset of n examples becomes K*n binary samples. Inference runs
-the binary scorer over the same K candidate inputs and takes the argmax.
+the binary scorer over the same K candidates and takes the argmax.
+
+A candidate keeps its input as segments ``(prompt, *contents)``, which go
+to the featurizer unchanged; the " [SEP] " string (``text_a [SEP] prompt
+[SEP] text_b`` or ``prompt [SEP] text_a``) is rendered only for the export
+file and for scorers that read ``Candidate.input_text``.
 
 Optionally, one extra positive per source example is synthesized by
 deleting a short random token span from the text, countering the 1:(K-1)
@@ -18,6 +23,7 @@ argmax evaluation without any in-process model.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -25,36 +31,71 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Dataset, Example, LabelSet
-from .model import SEPARATOR
 from .prompts import PromptCatalog
 from .seeding import derive_seed
 
-# Maps an input text to the probability that its prompt holds for its text.
-BinaryScorer = Callable[[str], float]
+SEPARATOR = " [SEP] "
 
 
 class ScoreCoverageError(ValueError):
-    """A scores file is missing probabilities for some (id, candidate) pairs."""
+    """A scores file does not hold exactly one probability per (id, candidate) pair."""
+
+
+def _render_segments(segments: Sequence[str]) -> str:
+    """The " [SEP] "-joined text of ``(prompt, *contents)``.
+
+    One content segment renders prompt-first, ``prompt [SEP] text_a``; more
+    put the prompt between the first two, ``text_a [SEP] prompt [SEP] text_b``.
+    """
+    prompt, *contents = segments
+    ordered = [contents[0], prompt, *contents[1:]] if len(contents) > 1 else [prompt, *contents]
+    return SEPARATOR.join(ordered)
 
 
 @dataclass(frozen=True)
-class EntailSample:
-    """One binary entailment sample derived from a source example.
+class Candidate:
+    """One (example, candidate label) input to a binary scorer.
 
     ``candidate_index`` is 1-based: k in 1..K identifies the candidate label
-    by its position in the label set. ``binary_label`` is 1 exactly when the
-    candidate is the source's post-shift label.
+    by its position in the label set. ``segments`` is ``(prompt, *contents)``.
     """
 
     source_id: str
     candidate_index: int
-    input_text: str
+    segments: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "segments", tuple(self.segments))
+        if self.candidate_index < 1:
+            raise ValueError(f"candidate_index is 1-based, got {self.candidate_index}")
+        if len(self.segments) < 2 or not all(isinstance(seg, str) for seg in self.segments):
+            raise ValueError(
+                f"segments must be a prompt and at least one content string, got {self.segments!r}"
+            )
+
+    @property
+    def input_text(self) -> str:
+        return _render_segments(self.segments)
+
+
+# Maps a candidate to the probability that its prompt holds for its text.
+# A text scorer plugs in as ``lambda c: f(c.input_text)``.
+BinaryScorer = Callable[[Candidate], float]
+
+
+@dataclass(frozen=True)
+class EntailSample(Candidate):
+    """A candidate with its binary target, derived from a source example.
+
+    ``binary_label`` is 1 exactly when the candidate is the source's
+    post-shift label.
+    """
+
     binary_label: int
     is_oversampled: bool = False
 
     def __post_init__(self) -> None:
-        if self.candidate_index < 1:
-            raise ValueError(f"candidate_index is 1-based, got {self.candidate_index}")
+        super().__post_init__()
         if self.binary_label not in (0, 1):
             raise ValueError(f"binary_label must be 0 or 1, got {self.binary_label!r}")
 
@@ -98,17 +139,36 @@ def infer_concat_mode(examples: Iterable[Example]) -> str:
     )
 
 
-def concat(prompt: str, example: Example, mode: str) -> str:
-    """Join prompt and text segments with the literal " [SEP] " separator."""
+def _candidate_segments(prompt: str, example: Example, mode: str) -> tuple[str, ...]:
+    """``(prompt, text_a, text_b)`` in two_segment mode, ``(prompt, text_a)`` in single."""
     if mode == "two_segment":
         if example.text_b is None:
             raise ValueError(
                 f"example {example.id!r} has no text_b; two_segment concat needs one"
             )
-        return f"{example.text_a}{SEPARATOR}{prompt}{SEPARATOR}{example.text_b}"
+        return (prompt, example.text_a, example.text_b)
     if mode == "single_segment":
-        return f"{prompt}{SEPARATOR}{example.text_a}"
+        return (prompt, example.text_a)
     raise ValueError(f"unknown concat mode {mode!r}")
+
+
+def concat(prompt: str, example: Example, mode: str) -> str:
+    """The rendered " [SEP] " string of one candidate's segments."""
+    return _render_segments(_candidate_segments(prompt, example, mode))
+
+
+def candidates(
+    example: Example, labels: LabelSet, catalog: PromptCatalog, mode: str
+) -> tuple[Candidate, ...]:
+    """The K candidate inputs of one example, in label-set order."""
+    return tuple(
+        Candidate(
+            example.id,
+            k,
+            _candidate_segments(catalog.render(label, pre_label=example.pre_label), example, mode),
+        )
+        for k, label in enumerate(labels, start=1)
+    )
 
 
 def augment_example(
@@ -122,44 +182,30 @@ def augment_example(
     Binary labels are one-hot at the post-shift label's position: K-1
     negatives and exactly 1 positive.
     """
-    post_index = labels.index(example.post_label)
-    samples = []
-    for idx, label in enumerate(labels):
-        prompt = catalog.render(label, pre_label=example.pre_label)
-        samples.append(
-            EntailSample(
-                source_id=example.id,
-                candidate_index=idx + 1,
-                input_text=concat(prompt, example, mode),
-                binary_label=int(idx == post_index),
-            )
-        )
-    return tuple(samples)
+    positive = labels.index(example.post_label) + 1
+    return tuple(
+        EntailSample(c.source_id, c.candidate_index, c.segments,
+                     binary_label=int(c.candidate_index == positive))
+        for c in candidates(example, labels, catalog, mode)
+    )
 
 
 def oversample_positive(
     sample: EntailSample,
-    source: Example,
     deletion_frac: float = 0.05,
     seed: int = 0,
-    mode: str | None = None,
 ) -> EntailSample:
     """A new positive built by deleting a short random token span.
 
-    The deletion applies to the trailing text segment (the second segment
-    when present, otherwise the only one): one contiguous span of
+    The deletion applies to the trailing text segment (``text_b`` when
+    present, otherwise ``text_a``): one contiguous span of
     max(1, round(deletion_frac * token_count)) whitespace tokens, at a
     seeded-uniform start, never removing the whole text. A single-token
     text comes back unmodified apart from the oversample flag.
     """
     if sample.binary_label != 1:
         raise ValueError(f"sample ({sample.source_id!r}, k={sample.candidate_index}) is not a positive")
-    if mode is None:
-        mode = "two_segment" if source.text_b is not None else "single_segment"
-
-    target = source.text_b if mode == "two_segment" else source.text_a
-    assert target is not None
-    tokens = target.split()
+    tokens = sample.segments[-1].split()
     if len(tokens) <= 1:
         return replace(sample, is_oversampled=True)
 
@@ -168,19 +214,7 @@ def oversample_positive(
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, len(tokens) - span + 1))
     kept = " ".join(tokens[:start] + tokens[start + span:])
-
-    # Recover the prompt by peeling the known segments off the input text;
-    # splitting on the separator would misparse texts containing "[SEP]".
-    if mode == "two_segment":
-        prefix = f"{source.text_a}{SEPARATOR}"
-        suffix = f"{SEPARATOR}{source.text_b}"
-        prompt = sample.input_text[len(prefix):len(sample.input_text) - len(suffix)]
-        deleted = concat(prompt, replace(source, text_b=kept), mode)
-    else:
-        suffix = f"{SEPARATOR}{source.text_a}"
-        prompt = sample.input_text[: len(sample.input_text) - len(suffix)]
-        deleted = concat(prompt, replace(source, text_a=kept), mode)
-    return replace(sample, input_text=deleted, is_oversampled=True)
+    return replace(sample, segments=(*sample.segments[:-1], kept), is_oversampled=True)
 
 
 def augment_dataset(
@@ -211,10 +245,8 @@ def augment_dataset(
             out.append(
                 oversample_positive(
                     positive,
-                    example,
                     deletion_frac=deletion_frac,
                     seed=derive_seed(seed, "oversample", example.id),
-                    mode=mode,
                 )
             )
     return AugmentedDataset(
@@ -237,6 +269,15 @@ def _checked_probability(value: float, context: str) -> float:
     return prob
 
 
+def _first_argmax(scores: Iterable[float]) -> int:
+    """Index of the highest score; ties go to the first."""
+    best_index, best_score = 0, -math.inf
+    for idx, value in enumerate(scores):
+        if value > best_score:
+            best_index, best_score = idx, value
+    return best_index
+
+
 def predict_label(
     scorer: BinaryScorer,
     example: Example,
@@ -245,17 +286,11 @@ def predict_label(
     mode: str,
 ) -> str:
     """Argmax over the K per-candidate probabilities; ties take the lowest index."""
-    best_index = 0
-    best_score = -1.0
-    for idx, label in enumerate(labels):
-        prompt = catalog.render(label, pre_label=example.pre_label)
-        score = _checked_probability(
-            scorer(concat(prompt, example, mode)),
-            context=f"example {example.id!r}, candidate {label!r}",
-        )
-        if score > best_score:
-            best_index, best_score = idx, score
-    return labels.labels[best_index]
+    scores = (
+        _checked_probability(scorer(c), context=f"example {example.id!r}, candidate {label!r}")
+        for c, label in zip(candidates(example, labels, catalog, mode), labels)
+    )
+    return labels.labels[_first_argmax(scores)]
 
 
 def predict_dataset(
@@ -279,13 +314,14 @@ def predict_dataset(
 
 
 def export_augmented(aug: AugmentedDataset, path: str | Path) -> None:
-    """One JSONL row per sample, in dataset order."""
+    """One JSONL row per sample, in dataset order, with segments and rendered text."""
     with open(path, "w", encoding="utf-8") as f:
         for s in aug.samples:
             row = {
                 "source_id": s.source_id,
                 "candidate_index": s.candidate_index,
                 "input_text": s.input_text,
+                "segments": list(s.segments),
                 "binary_label": s.binary_label,
                 "is_oversampled": s.is_oversampled,
             }
@@ -293,7 +329,11 @@ def export_augmented(aug: AugmentedDataset, path: str | Path) -> None:
 
 
 def import_augmented(path: str | Path) -> tuple[EntailSample, ...]:
-    """Inverse of export_augmented, minus the dataset-level bookkeeping."""
+    """Inverse of export_augmented, minus the dataset-level bookkeeping.
+
+    Samples are rebuilt from ``segments``; a row whose ``input_text`` is not
+    the rendering of its segments is a ValueError naming the file and line.
+    """
     samples = []
     with open(path, encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -301,17 +341,23 @@ def import_augmented(path: str | Path) -> tuple[EntailSample, ...]:
                 continue
             try:
                 row = json.loads(line)
-                samples.append(
-                    EntailSample(
-                        source_id=str(row["source_id"]),
-                        candidate_index=int(row["candidate_index"]),
-                        input_text=str(row["input_text"]),
-                        binary_label=int(row["binary_label"]),
-                        is_oversampled=bool(row["is_oversampled"]),
-                    )
+                if not isinstance(row["segments"], list):
+                    raise ValueError(f"segments must be a list, got {row['segments']!r}")
+                sample = EntailSample(
+                    source_id=str(row["source_id"]),
+                    candidate_index=int(row["candidate_index"]),
+                    segments=row["segments"],
+                    binary_label=int(row["binary_label"]),
+                    is_oversampled=bool(row["is_oversampled"]),
                 )
+                if row["input_text"] != sample.input_text:
+                    raise ValueError(
+                        f"input_text {row['input_text']!r} is not the rendering "
+                        f"{sample.input_text!r} of its segments"
+                    )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            samples.append(sample)
     return tuple(samples)
 
 
@@ -360,26 +406,23 @@ def predict_from_scores(
 ) -> dict[str, str]:
     """Argmax evaluation from externally produced probabilities.
 
-    Every (example, candidate) pair must be covered; gaps raise
-    :class:`ScoreCoverageError` listing all of them.
+    The keys must be exactly the (example id, candidate index) pairs: gaps,
+    and rows for unknown ids or out-of-range candidate indices, raise
+    :class:`ScoreCoverageError` listing every one of them.
     """
-    gaps = [
-        (ex.id, k)
+    indices = range(1, len(labels) + 1)
+    expected = [(ex.id, k) for ex in examples for k in indices]
+    known = set(expected)
+    gaps = [key for key in expected if key not in scores]
+    unexpected = [key for key in scores if key not in known]
+    if gaps or unexpected:
+        problems = [
+            f"{what}: " + ", ".join(f"({i!r}, k={k})" for i, k in keys)
+            for what, keys in (("scores missing for", gaps), ("unexpected scores for", unexpected))
+            if keys
+        ]
+        raise ScoreCoverageError("; ".join(problems))
+    return {
+        ex.id: labels.labels[_first_argmax(scores[(ex.id, k)] for k in indices)]
         for ex in examples
-        for k in range(1, len(labels) + 1)
-        if (ex.id, k) not in scores
-    ]
-    if gaps:
-        listing = ", ".join(f"({i!r}, k={k})" for i, k in gaps)
-        raise ScoreCoverageError(f"scores missing for: {listing}")
-
-    predictions: dict[str, str] = {}
-    for ex in examples:
-        best_index = 0
-        best_score = -1.0
-        for idx in range(len(labels)):
-            score = scores[(ex.id, idx + 1)]
-            if score > best_score:
-                best_index, best_score = idx, score
-        predictions[ex.id] = labels.labels[best_index]
-    return predictions
+    }

@@ -154,7 +154,8 @@ class TestAcceptance:
                 post_label=catalog.labels[0],
             )
             mode = "two_segment" if two_segment else "single_segment"
-            fast = predict_label(quantized_scorer, example, labels, catalog, mode)
+            fast = predict_label(lambda c: quantized_scorer(c.input_text),
+                                 example, labels, catalog, mode)
             scores = [
                 quantized_scorer(concat(catalog.render(label, pre_label=example.pre_label),
                                         example, mode))
@@ -335,7 +336,7 @@ class TestAcceptance:
         few = fewshot_sample(ds, 100, seed=0)
         aug_train = augment_dataset(few, catalog, seed=0)
         feat = FeaturizerConfig(dim=2**16)
-        features = [featurize(s.input_text, feat) for s in aug_train.samples]
+        features = [featurize(s.segments, feat) for s in aug_train.samples]
         model = train(features, [s.binary_label for s in aug_train.samples],
                       TrainConfig(epochs=10, seed=0), head="binary", featurizer=feat)
         scorer = make_binary_scorer(model)
@@ -346,7 +347,7 @@ class TestAcceptance:
         export_path = tmp_path / "candidates.jsonl"
         export_augmented(candidates, export_path)
         scores = {
-            (s.source_id, s.candidate_index): scorer(s.input_text)
+            (s.source_id, s.candidate_index): scorer(s)
             for s in import_augmented(export_path)
         }
         scores_path = tmp_path / "scores.jsonl"

@@ -127,6 +127,17 @@ class TestLoadSave:
         with pytest.raises(DatasetError, match="labels"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_labels_file_missing_key_names_file_and_key(self, tmp_path, explicit):
+        ds = self.news_fixture()
+        path = tmp_path / "data.jsonl"
+        save_dataset(ds, path)
+        labels_file = tmp_path / ("other.json" if explicit else "data.jsonl.labels.json")
+        labels_file.write_text('{"post_labels": ["relevant", "irrelevant"]}')
+        with pytest.raises(DatasetError, match="pre_labels") as err:
+            load_dataset(path, labels_path=labels_file if explicit else None)
+        assert str(labels_file) in str(err.value)
+
     def test_malformed_record_names_the_line(self, tmp_path):
         ds = self.news_fixture()
         path = tmp_path / "data.jsonl"

@@ -23,12 +23,12 @@ from entailshift.model import (
     make_binary_scorer,
     save_model,
     score,
-    score_text,
     tokenize,
     train,
     train_joint,
     zero_model,
 )
+from entailshift.reformulate import Candidate
 from entailshift.synth import preset_config, synth_generate
 
 SMALL = FeaturizerConfig(dim=2**12)
@@ -54,11 +54,11 @@ class TestFeaturize:
         assert fv.nnz == 0
 
     def test_unit_norm(self):
-        fv = featurize("changed to exact match [SEP] red mixer bowl", SMALL)
+        fv = featurize(("changed to exact match", "red mixer bowl"), SMALL)
         np.testing.assert_allclose(np.linalg.norm(fv.values), 1.0, atol=1e-12)
 
     def test_deterministic(self):
-        text = "remained irrelevant match [SEP] walnut cutting board"
+        text = ("remained irrelevant match", "walnut cutting board")
         a, b = featurize(text, SMALL), featurize(text, SMALL)
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.values, b.values)
@@ -68,7 +68,7 @@ class TestFeaturize:
         documented scheme says: blake2b-64 of "ptok<U+2297>ctok", salt-keyed,
         mod dim."""
         config = FeaturizerConfig(dim=2**14, hash_salt=99)
-        fv = featurize("changed to relevant news [SEP] stocks rally", config)
+        fv = featurize(("changed to relevant news", "stocks rally"), config)
         expected = reference_hash("relevant⊗stocks", 99, config.dim)
         assert expected in fv.indices
 
@@ -76,19 +76,54 @@ class TestFeaturize:
         config = FeaturizerConfig(dim=2**12, word_ngrams=(1,), char_ngrams=())
         keys_plain = feature_keys("stocks rally", config)
         assert not any("⊗" in k for k in keys_plain)
-        keys_prompted = feature_keys("changed to relevant news [SEP] stocks rally", config)
+        keys_prompted = feature_keys(("changed to relevant news", "stocks rally"), config)
         assert any("⊗" in k for k in keys_prompted)
 
     def test_cross_features_flag_off(self):
         config = FeaturizerConfig(dim=2**12, cross_features=False)
-        keys = feature_keys("changed to relevant news [SEP] stocks rally", config)
+        keys = feature_keys(("changed to relevant news", "stocks rally"), config)
         assert not any("⊗" in k for k in keys)
 
     def test_word_bigrams_do_not_span_segments(self):
         config = FeaturizerConfig(dim=2**12, word_ngrams=(2,), char_ngrams=(), cross_features=False)
-        keys = feature_keys("alpha beta [SEP] gamma delta", config)
+        keys = feature_keys(("alpha beta", "gamma delta"), config)
         assert "w:alpha beta" in keys and "w:gamma delta" in keys
         assert "w:beta gamma" not in keys
+
+    def test_bare_string_is_one_segment_never_split(self):
+        config = FeaturizerConfig(dim=2**12, word_ngrams=(1,), char_ngrams=())
+        keys = feature_keys("cables [SEP] adapters", config)
+        assert sorted(keys) == ["w:adapters", "w:cables", "w:sep"]
+        assert feature_keys(("cables [SEP] adapters",), config) == keys
+
+    @pytest.mark.parametrize("mode", ["single_segment", "two_segment"])
+    def test_separator_in_user_text_keeps_the_prompt(self, mode):
+        """User text containing " [SEP] " must not move the prompt: the keys
+        are the per-segment unigrams plus prompt x content crosses."""
+        from entailshift.corpus import Example, LabelSet
+        from entailshift.prompts import builtin_catalog
+        from entailshift.reformulate import candidates
+
+        config = FeaturizerConfig(dim=2**12, word_ngrams=(1,), char_ngrams=())
+        if mode == "single_segment":
+            catalog, labels = builtin_catalog("en-news"), LabelSet(("relevant", "irrelevant"))
+            example = Example(id="n", text_a="cables [SEP] adapters on sale",
+                              pre_label="relevant", post_label="relevant")
+            prompt, content = "remained relevant news", ["cables", "sep", "adapters", "on", "sale"]
+        else:
+            catalog = builtin_catalog("en-retail")
+            labels = LabelSet(("exact", "substitute", "complement", "irrelevant"))
+            example = Example(id="r", text_a="usb [SEP] hub", text_b="dock [SEP] stand",
+                              pre_label="irrelevant", post_label="exact")
+            prompt, content = "changed to exact match", ["usb", "sep", "hub", "dock", "sep", "stand"]
+        first = candidates(example, labels, catalog, mode)[0]
+        prompt_tokens = prompt.split()
+        expected = (
+            [f"w:{t}" for t in prompt_tokens + content]
+            + [f"{p}⊗{c}" for p in prompt_tokens for c in content]
+        )
+        assert first.segments[0] == prompt
+        assert sorted(feature_keys(first.segments, config)) == sorted(expected)
 
     def test_tokenizer_lowercases_and_strips_punctuation(self):
         assert tokenize("Noise-Cancelling (USB-C) Headphones!") == [
@@ -250,7 +285,7 @@ class TestTrainMulticlass:
         config = preset_config("retail_shift", n_per_topic=25, noise_rate=0.0)
         ds = synth_generate(config, seed=0)
         labels = [ds.post_labels.index(ex.post_label) for ex in ds]
-        features = [featurize(f"{ex.text_a} [SEP] {ex.text_b}", SMALL) for ex in ds]
+        features = [featurize((ex.text_a, ex.text_b), SMALL) for ex in ds]
         model = train(features, labels, TrainConfig(), head="multiclass",
                       n_classes=4, featurizer=SMALL)
         hits = sum(
@@ -405,7 +440,8 @@ class TestCrossFeatureDegeneracy:
             " ".join(f"zz{seed}x{i}w{j}" for j in range(6)) for i in range(5)
         ]
         orders = {
-            score_text(model, f"{p_a} [SEP] {c}") > score_text(model, f"{p_b} [SEP] {c}")
+            score(model, featurize((p_a, c), model.featurizer))
+            > score(model, featurize((p_b, c), model.featurizer))
             for p_a, p_b, c in ((prompt_a, prompt_b, c) for c in contents)
         }
         assert len(orders) == 1
@@ -416,11 +452,11 @@ class TestCrossFeatureDegeneracy:
         key_b = hash_feature("substitute⊗gadget", 0, 2**12)
         model.weights[key_a] = 10.0
         model.weights[key_b] = 10.0
-        a = score_text(model, "changed to exact match [SEP] widget thing")
-        b = score_text(model, "changed to substitute match [SEP] widget thing")
+        a = score(model, featurize(("changed to exact match", "widget thing"), model.featurizer))
+        b = score(model, featurize(("changed to substitute match", "widget thing"), model.featurizer))
         assert a > b
-        a2 = score_text(model, "changed to exact match [SEP] gadget thing")
-        b2 = score_text(model, "changed to substitute match [SEP] gadget thing")
+        a2 = score(model, featurize(("changed to exact match", "gadget thing"), model.featurizer))
+        b2 = score(model, featurize(("changed to substitute match", "gadget thing"), model.featurizer))
         assert b2 > a2
 
 
@@ -447,7 +483,9 @@ class TestPersistence:
         features, labels = separable_toy()
         model = train(features, labels, TrainConfig(epochs=5), head="binary", featurizer=SMALL)
         scorer = make_binary_scorer(model)
-        assert 0.0 <= scorer("some text") <= 1.0
+        candidate = Candidate("x", 1, ("changed to exact match", "some text"))
+        assert scorer(candidate) == score(model, featurize(candidate.segments, SMALL))
+        assert 0.0 <= scorer(candidate) <= 1.0
         multi = zero_model(SMALL, "multiclass", n_classes=3)
         with pytest.raises(ValueError, match="binary"):
             make_binary_scorer(multi)

@@ -21,7 +21,10 @@ class TestBuiltinRenders:
 
     def test_en_retail_from_irrelevant(self):
         cat = builtin_catalog("en-retail")
-        got = cat.render_all(("exact", "substitute", "complement", "irrelevant"), "irrelevant")
+        got = tuple(
+            cat.render(label, "irrelevant")
+            for label in ("exact", "substitute", "complement", "irrelevant")
+        )
         assert got == (
             "changed to exact match",
             "changed to substitute match",
@@ -31,7 +34,10 @@ class TestBuiltinRenders:
 
     def test_es_retail_from_irrelevant(self):
         cat = builtin_catalog("es-retail")
-        got = cat.render_all(("exact", "substitute", "complement", "irrelevant"), "irrelevant")
+        got = tuple(
+            cat.render(label, "irrelevant")
+            for label in ("exact", "substitute", "complement", "irrelevant")
+        )
         assert got == (
             "cambiado a coincidencia exacta",
             "cambiado para sustituir el partido",
@@ -72,7 +78,7 @@ class TestRenderSemantics:
         for catalog_id in BUILTIN_CATALOG_IDS:
             cat = builtin_catalog(catalog_id)
             for pre in (*cat.labels, None):
-                prompts = cat.render_all(cat.labels, pre)
+                prompts = [cat.render(label, pre) for label in cat.labels]
                 assert len(set(prompts)) == len(prompts)
 
 

@@ -46,6 +46,11 @@ def pseudo_scorer(text: str) -> float:
     return int.from_bytes(digest[:4], "big") / 2**32
 
 
+def pseudo_candidate_scorer(candidate) -> float:
+    """pseudo_scorer adapted to candidates through their rendered text."""
+    return pseudo_scorer(candidate.input_text)
+
+
 class TestConcat:
     def test_two_segment_layout(self):
         got = concat("changed to substitute match", retail_example(), "two_segment")
@@ -100,6 +105,15 @@ class TestAugmentExample:
         by_label = {s.binary_label: s.input_text for s in samples}
         assert by_label[1] == "remained relevant news [SEP] Stocks to Watch Tuesday"
         assert by_label[0] == "changed to irrelevant news [SEP] Stocks to Watch Tuesday"
+
+    def test_segments_keep_user_separator(self):
+        """Text containing " [SEP] " stays inside its own segment."""
+        cat = builtin_catalog("en-retail")
+        ex = Example(id="s", text_a="usb [SEP] hub", text_b="dock [SEP] stand",
+                     pre_label="irrelevant", post_label="exact")
+        first = augment_example(ex, RETAIL_LABELS, cat, "two_segment")[0]
+        assert first.segments == ("changed to exact match", "usb [SEP] hub", "dock [SEP] stand")
+        assert first.input_text == concat("changed to exact match", ex, "two_segment")
 
     def test_one_hot_over_candidates(self):
         cat = builtin_catalog("en-retail")
@@ -185,7 +199,7 @@ class TestOversamplePositive:
     def test_twenty_token_title_loses_exactly_one(self):
         title = " ".join(f"tok{i}" for i in range(20))
         sample, source = self.positive_sample(title)
-        out = oversample_positive(sample, source, deletion_frac=0.05, seed=3)
+        out = oversample_positive(sample, deletion_frac=0.05, seed=3)
         assert out.is_oversampled
         new_title = out.input_text.split(" [SEP] ")[-1]
         assert len(new_title.split()) == 19
@@ -193,7 +207,7 @@ class TestOversamplePositive:
     def test_deleted_span_is_contiguous(self):
         title = " ".join(f"tok{i}" for i in range(30))
         sample, source = self.positive_sample(title)
-        out = oversample_positive(sample, source, deletion_frac=0.2, seed=8)
+        out = oversample_positive(sample, deletion_frac=0.2, seed=8)
         kept = out.input_text.split(" [SEP] ")[-1].split()
         original = title.split()
         assert len(kept) == 24
@@ -202,14 +216,14 @@ class TestOversamplePositive:
 
     def test_single_token_title_only_flags(self):
         sample, source = self.positive_sample("headphones")
-        out = oversample_positive(sample, source, seed=0)
+        out = oversample_positive(sample, seed=0)
         assert out.is_oversampled
         assert out.input_text == sample.input_text
 
     def test_prompt_segment_untouched(self):
         title = " ".join(f"tok{i}" for i in range(12))
         sample, source = self.positive_sample(title)
-        out = oversample_positive(sample, source, seed=1)
+        out = oversample_positive(sample, seed=1)
         parts = out.input_text.split(" [SEP] ")
         assert parts[0] == source.text_a
         assert parts[1] == "changed to exact match"
@@ -217,17 +231,17 @@ class TestOversamplePositive:
     def test_seed_determinism(self):
         title = " ".join(f"tok{i}" for i in range(25))
         sample, source = self.positive_sample(title)
-        outs = {oversample_positive(sample, source, seed=7).input_text for _ in range(3)}
+        outs = {oversample_positive(sample, seed=7).input_text for _ in range(3)}
         assert len(outs) == 1
 
     def test_rejects_negatives(self):
         sample, source = self.positive_sample("a b c")
         negative = EntailSample(
             source_id=sample.source_id, candidate_index=1,
-            input_text=sample.input_text, binary_label=0,
+            segments=sample.segments, binary_label=0,
         )
         with pytest.raises(ValueError, match="not a positive"):
-            oversample_positive(negative, source)
+            oversample_positive(negative)
 
     def test_single_segment_deletes_from_text_a(self):
         source = Example(
@@ -236,7 +250,7 @@ class TestOversamplePositive:
         )
         cat = builtin_catalog("en-news")
         positive = augment_example(source, NEWS_LABELS, cat, "single_segment")[0]
-        out = oversample_positive(positive, source, deletion_frac=0.1, seed=2)
+        out = oversample_positive(positive, deletion_frac=0.1, seed=2)
         prompt, body = out.input_text.split(" [SEP] ")
         assert prompt == "remained relevant news"
         assert len(body.split()) == 9
@@ -245,7 +259,7 @@ class TestOversamplePositive:
 class TestPredictLabel:
     def test_keyword_indicator_scorer(self):
         cat = builtin_catalog("en-retail")
-        scorer = lambda text: 1.0 if "substitute" in text else 0.0
+        scorer = lambda c: 1.0 if "substitute" in c.input_text else 0.0
         got = predict_label(scorer, retail_example(), RETAIL_LABELS, cat, "two_segment")
         assert got == "substitute"
 
@@ -269,14 +283,19 @@ class TestPredictLabel:
                 prompt = cat.render(label, pre_label=ex.pre_label)
                 scored.append(pseudo_scorer(concat(prompt, ex, "two_segment")))
             expected = RETAIL_LABELS.labels[scored.index(max(scored))]
-            got = predict_label(pseudo_scorer, ex, RETAIL_LABELS, cat, "two_segment")
+            got = predict_label(pseudo_candidate_scorer, ex, RETAIL_LABELS, cat, "two_segment")
             assert got == expected
+
+    def test_unadapted_text_scorer_fails_loudly(self):
+        cat = builtin_catalog("en-retail")
+        with pytest.raises(AttributeError):
+            predict_label(pseudo_scorer, retail_example(), RETAIL_LABELS, cat, "two_segment")
 
     def test_monotone_transform_invariance(self):
         cat = builtin_catalog("en-retail")
-        squeezed = lambda text: pseudo_scorer(text) ** 0.5
+        squeezed = lambda c: pseudo_candidate_scorer(c) ** 0.5
         for ex in retail_dataset(20):
-            a = predict_label(pseudo_scorer, ex, RETAIL_LABELS, cat, "two_segment")
+            a = predict_label(pseudo_candidate_scorer, ex, RETAIL_LABELS, cat, "two_segment")
             b = predict_label(squeezed, ex, RETAIL_LABELS, cat, "two_segment")
             assert a == b
 
@@ -294,7 +313,7 @@ class TestFileBridge:
         ds = retail_dataset(30)
         cat = builtin_catalog("en-retail")
         direct = {
-            ex.id: predict_label(pseudo_scorer, ex, RETAIL_LABELS, cat, "two_segment")
+            ex.id: predict_label(pseudo_candidate_scorer, ex, RETAIL_LABELS, cat, "two_segment")
             for ex in ds
         }
         scores = {}
@@ -315,6 +334,44 @@ class TestFileBridge:
             predict_from_scores(scores, ds.examples, RETAIL_LABELS)
         assert "'q1', k=3" in str(err.value)
         assert "'q0', k=1" in str(err.value)
+
+    def test_unexpected_rows_are_named(self):
+        """Rows for an unknown id or an out-of-range candidate index mean the
+        scores belong to another dataset or label set."""
+        labels = LabelSet(("a", "b"))
+        examples = [Example(id="x", text_a="t", pre_label="a", post_label="a")]
+        scores = {("x", 1): 0.2, ("x", 2): 0.9, ("ghost", 1): 0.5, ("x", 7): 0.99}
+        with pytest.raises(ScoreCoverageError) as err:
+            predict_from_scores(scores, examples, labels)
+        assert "'ghost', k=1" in str(err.value)
+        assert "'x', k=7" in str(err.value)
+        assert "'x', k=2" not in str(err.value)
+
+    @pytest.mark.parametrize("two_segment", [False, True])
+    def test_separator_in_user_text_round_trips(self, tmp_path, two_segment):
+        text_b = "dock [SEP] stand [SEP] black" if two_segment else None
+        ds = Dataset(
+            examples=(Example(id="s0", text_a="cables [SEP] adapters on sale", text_b=text_b,
+                              pre_label="relevant", post_label="irrelevant"),),
+            pre_labels=NEWS_LABELS, post_labels=NEWS_LABELS,
+        )
+        aug = augment_dataset(ds, builtin_catalog("en-news"), oversample=True)
+        path = tmp_path / "aug.jsonl"
+        export_augmented(aug, path)
+        imported = import_augmented(path)
+        assert imported == aug.samples
+        assert len(imported) == 3 and imported[2].is_oversampled
+        assert all(s.segments[1] == "cables [SEP] adapters on sale" for s in imported[:2])
+
+    def test_import_rejects_text_that_is_not_its_segments(self, tmp_path):
+        path = tmp_path / "aug.jsonl"
+        path.write_text(
+            '{"source_id": "a", "candidate_index": 1, "input_text": "p [SEP] x", '
+            '"segments": ["p", "y"], "binary_label": 1, "is_oversampled": false}\n'
+        )
+        with pytest.raises(ValueError, match="line 1") as err:
+            import_augmented(path)
+        assert str(path) in str(err.value)
 
     def test_import_rejects_out_of_range_probability(self, tmp_path):
         path = tmp_path / "scores.jsonl"
