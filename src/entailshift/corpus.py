@@ -195,19 +195,37 @@ def _labels_sidecar_path(path: Path) -> Path:
 
 
 def _read_labels(labels_file: Path, data_path: Path) -> tuple[LabelSet, LabelSet, str]:
-    """(pre, post, name) from a labels file; a missing file or key is a DatasetError."""
+    """(pre, post, name) from a labels file.
+
+    A missing file, invalid JSON, a value that is not an object, a missing
+    key or a key that is not a valid label list is a DatasetError naming
+    the file.
+    """
     if not labels_file.exists():
         raise DatasetError(
             f"label sets undeclared: expected labels file {labels_file} with "
             '{"pre_labels": [...], "post_labels": [...]}'
         )
     with open(labels_file, encoding="utf-8") as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DatasetError(f"{labels_file}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DatasetError(f"{labels_file}: expected a JSON object, got {type(raw).__name__}")
+    label_sets = []
     for key in ("pre_labels", "post_labels"):
         if key not in raw:
             raise DatasetError(f"{labels_file}: missing key {key!r}")
+        value = raw[key]
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise DatasetError(f"{labels_file}: {key!r} must be a list of label strings")
+        try:
+            label_sets.append(LabelSet(tuple(value)))
+        except ValueError as exc:
+            raise DatasetError(f"{labels_file}: {key!r}: {exc}") from exc
     name = raw.get("name") or data_path.stem
-    return LabelSet(tuple(raw["pre_labels"])), LabelSet(tuple(raw["post_labels"])), name
+    return label_sets[0], label_sets[1], name
 
 
 def _record_to_example(record: Mapping[str, object], line: int) -> Example:

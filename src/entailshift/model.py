@@ -13,7 +13,11 @@ An input is a tuple of text segments, the way a PLM tokenizer receives
 segment and is never split, so no separator inside user text is special.
 
 Hashing uses BLAKE2b (64-bit digests) with the salt mixed in as the keyed
-hash key, reduced modulo the table size. Cross features exist because a
+hash key, reduced modulo the table size; ``hash_feature`` is its only
+definition. ``featurize`` hashes each distinct key once: bounded memos map
+keys to indices per (salt, dim) and tokens to the indices of their unigram
+and character n-gram keys per config, so its vectors equal hashing every
+key of ``feature_keys`` bit for bit. Cross features exist because a
 purely additive linear model scores candidate prompts independently of the
 text they are paired with; the conjunction features are what let the binary
 head read prompts in context.
@@ -23,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -86,49 +91,118 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def _token_lists(segments: str | Sequence[str]) -> list[list[str]]:
+    if isinstance(segments, str):
+        segments = (segments,)
+    return [tokenize(part) for part in segments]
+
+
+def _token_keys(token: str, config: FeaturizerConfig) -> list[str]:
+    """Keys a token yields wherever it occurs: "w:tok" and its char n-grams."""
+    keys = ["w:" + token for n in config.word_ngrams if n == 1]
+    for n in config.char_ngrams:
+        keys.extend("c:" + token[i : i + n] for i in range(len(token) - n + 1))
+    return keys
+
+
+def _word_ngram_keys(tokens: list[str], config: FeaturizerConfig) -> list[str]:
+    """Word n-grams with n > 1 of one segment: "w:tok1 tok2"."""
+    return [
+        "w:" + " ".join(tokens[i : i + n])
+        for n in config.word_ngrams
+        if n > 1
+        for i in range(len(tokens) - n + 1)
+    ]
+
+
+def _cross_keys(token_lists: list[list[str]], config: FeaturizerConfig) -> list[str]:
+    """First-segment x later-segment token conjunctions: "ptok⊗ctok"."""
+    if not config.cross_features or len(token_lists) < 2:
+        return []
+    content_tokens = [tok for tokens in token_lists[1:] for tok in tokens]
+    return [f"{p}⊗{c}" for p in token_lists[0] for c in content_tokens]
+
+
 def feature_keys(segments: str | Sequence[str], config: FeaturizerConfig) -> list[str]:
     """The raw (pre-hash) feature key multiset for a segments tuple.
 
     Key formats: word n-grams "w:tok1 tok2", char n-grams "c:xyz", and
     first-segment x later-segment crosses "ptok⊗ctok". Word n-grams never
-    span segment boundaries. A bare string is a single segment.
+    span segment boundaries. A bare string is a single segment. This is the
+    string-level statement of what ``featurize`` hashes; the order of the
+    keys carries no meaning.
     """
-    if isinstance(segments, str):
-        segments = (segments,)
-    token_lists = [tokenize(part) for part in segments]
+    token_lists = _token_lists(segments)
     keys: list[str] = []
     for tokens in token_lists:
-        for n in config.word_ngrams:
-            for i in range(len(tokens) - n + 1):
-                keys.append("w:" + " ".join(tokens[i : i + n]))
-        for n in config.char_ngrams:
-            for tok in tokens:
-                for i in range(len(tok) - n + 1):
-                    keys.append("c:" + tok[i : i + n])
-    if config.cross_features and len(token_lists) > 1:
-        content_tokens = [tok for tokens in token_lists[1:] for tok in tokens]
-        for p in token_lists[0]:
-            for c in content_tokens:
-                keys.append(f"{p}⊗{c}")
+        for tok in tokens:
+            keys.extend(_token_keys(tok, config))
+        keys.extend(_word_ngram_keys(tokens, config))
+    keys.extend(_cross_keys(token_lists, config))
     return keys
 
 
+# Memos that make ``featurize`` hash each distinct key once. They hold only
+# values ``hash_feature`` defines, so they change no result. A memo is cleared
+# when it reaches _MEMO_ENTRIES entries, and all memos of a kind are dropped
+# when one more would exceed _MEMO_TABLES.
+_MEMO_ENTRIES = 2**16
+_MEMO_TABLES = 8
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry with ``compute(key)``."""
+
+    def __init__(self, compute) -> None:
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, key):
+        if len(self) >= _MEMO_ENTRIES:
+            self.clear()
+        value = self[key] = self.compute(key)
+        return value
+
+
+_key_memos: dict[tuple[int, int], _Memo] = {}  # key -> index, per (salt, dim)
+_token_memos: dict[FeaturizerConfig, _Memo] = {}  # token -> its keys' indices
+
+
+def _memo(memos: dict, space, compute) -> _Memo:
+    memo = memos.get(space)
+    if memo is None:
+        if len(memos) >= _MEMO_TABLES:
+            memos.clear()
+        memo = memos[space] = _Memo(compute)
+    return memo
+
+
 def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> FeatureVector:
-    """Hash the key multiset and L2-normalize the counts; empty -> zero vector."""
-    counts: dict[int, float] = {}
-    for key in feature_keys(segments, config):
-        idx = hash_feature(key, config.hash_salt, config.dim)
-        counts[idx] = counts.get(idx, 0.0) + 1.0
-    if not counts:
+    """Hash the key multiset and L2-normalize the counts; empty -> zero vector.
+
+    Equal to hashing every key of ``feature_keys`` with ``hash_feature``;
+    keys are looked up in bounded memos so each distinct key is hashed once.
+    """
+    salt, dim = config.hash_salt, config.dim
+    keys = _memo(_key_memos, (salt, dim), lambda key: hash_feature(key, salt, dim))
+    tokens_index = _memo(_token_memos, config, lambda token: tuple(
+        hash_feature(key, salt, dim) for key in _token_keys(token, config)))
+    token_lists = _token_lists(segments)
+    idx: list[int] = []
+    for tokens in token_lists:
+        idx.extend(chain.from_iterable(map(tokens_index.__getitem__, tokens)))
+        idx.extend(map(keys.__getitem__, _word_ngram_keys(tokens, config)))
+    idx.extend(map(keys.__getitem__, _cross_keys(token_lists, config)))
+    if not idx:
         return FeatureVector(
             indices=np.empty(0, dtype=np.int64),
             values=np.empty(0, dtype=np.float64),
-            dim=config.dim,
+            dim=dim,
         )
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
+    indices, counts = np.unique(np.array(idx, dtype=np.int64), return_counts=True)
+    values = counts.astype(np.float64)
     values /= np.linalg.norm(values)
-    return FeatureVector(indices=indices, values=values, dim=config.dim)
+    return FeatureVector(indices=indices, values=values, dim=dim)
 
 
 # ---------------------------------------------------------------------------

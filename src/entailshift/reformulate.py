@@ -408,7 +408,9 @@ def predict_from_scores(
 
     The keys must be exactly the (example id, candidate index) pairs: gaps,
     and rows for unknown ids or out-of-range candidate indices, raise
-    :class:`ScoreCoverageError` listing every one of them.
+    :class:`ScoreCoverageError` listing every one of them. A value that is
+    not a probability in [0, 1] (NaN included) raises ValueError naming its
+    pair.
     """
     indices = range(1, len(labels) + 1)
     expected = [(ex.id, k) for ex in examples for k in indices]
@@ -423,6 +425,9 @@ def predict_from_scores(
         ]
         raise ScoreCoverageError("; ".join(problems))
     return {
-        ex.id: labels.labels[_first_argmax(scores[(ex.id, k)] for k in indices)]
+        ex.id: labels.labels[_first_argmax(
+            _checked_probability(scores[(ex.id, k)], context=f"({ex.id!r}, k={k})")
+            for k in indices
+        )]
         for ex in examples
     }

@@ -138,6 +138,24 @@ class TestLoadSave:
             load_dataset(path, labels_path=labels_file if explicit else None)
         assert str(labels_file) in str(err.value)
 
+    @pytest.mark.parametrize("content", [
+        b'{"pre_labels": ["relevant", "irrelevant"], "post_labels": ["rel',
+        b"5",
+        b'[["relevant", "irrelevant"], ["relevant", "irrelevant"]]',
+        b'\xff\xfe{}',
+        b'{"pre_labels": 5, "post_labels": ["relevant", "irrelevant"]}',
+        b'{"pre_labels": ["relevant"], "post_labels": ["relevant", "irrelevant"]}',
+    ], ids=["truncated", "bare_number", "list", "not_utf8", "labels_not_a_list", "one_label"])
+    def test_malformed_labels_file_names_the_file(self, tmp_path, content):
+        ds = self.news_fixture()
+        path = tmp_path / "data.jsonl"
+        save_dataset(ds, path)
+        labels_file = tmp_path / "data.jsonl.labels.json"
+        labels_file.write_bytes(content)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(path)
+        assert str(labels_file) in str(err.value)
+
     def test_malformed_record_names_the_line(self, tmp_path):
         ds = self.news_fixture()
         path = tmp_path / "data.jsonl"

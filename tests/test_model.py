@@ -3,12 +3,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entailshift import model as model_module
 from entailshift.model import (
     FeatureVector,
     FeaturizerConfig,
@@ -90,6 +92,18 @@ class TestFeaturize:
         assert "w:alpha beta" in keys and "w:gamma delta" in keys
         assert "w:beta gamma" not in keys
 
+    def test_key_multiset_spelled_out(self):
+        """Every key format, written out by hand; a repeated n-gram order
+        counts its keys once per occurrence."""
+        config = FeaturizerConfig(dim=2**12, word_ngrams=(1, 2, 1), char_ngrams=(2,))
+        keys = feature_keys(("to abc", "de"), config)
+        expected = (
+            ["w:to", "w:to", "c:to", "w:abc", "w:abc", "c:ab", "c:bc", "w:to abc"]
+            + ["w:de", "w:de", "c:de"]
+            + ["to⊗de", "abc⊗de"]
+        )
+        assert sorted(keys) == sorted(expected)
+
     def test_bare_string_is_one_segment_never_split(self):
         config = FeaturizerConfig(dim=2**12, word_ngrams=(1,), char_ngrams=())
         keys = feature_keys("cables [SEP] adapters", config)
@@ -150,6 +164,84 @@ class TestFeaturize:
         assert np.all(fv.indices >= 0) and np.all(fv.indices < SMALL.dim)
         norm = np.linalg.norm(fv.values)
         assert fv.nnz == 0 or abs(norm - 1.0) < 1e-9
+
+
+def reference_featurize(segments, config: FeaturizerConfig) -> FeatureVector:
+    """featurize restated without memos: count the hashed key multiset."""
+    counts = Counter(
+        hash_feature(key, config.hash_salt, config.dim) for key in feature_keys(segments, config)
+    )
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([float(counts[i]) for i in indices], dtype=np.float64)
+    if counts:
+        values /= np.linalg.norm(values)
+    return FeatureVector(indices=indices, values=values, dim=config.dim)
+
+
+def assert_bitwise_equal(a: FeatureVector, b: FeatureVector) -> None:
+    assert a.dim == b.dim
+    assert a.indices.dtype == b.indices.dtype and a.values.dtype == b.values.dtype
+    assert a.indices.tobytes() == b.indices.tobytes()
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+def clear_memos() -> None:
+    model_module._key_memos.clear()
+    model_module._token_memos.clear()
+
+
+_WORDS = ["stocks", "rally", "usb", "hub", "café", "naïve", "Ünïcödé", "[SEP]", " [SEP] ",
+          "a", "a", "mixer-bowl", "x9", "", "  ", "!", "changed to exact match"]
+_texts = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join) | st.text(max_size=30)
+_segments = _texts | st.lists(_texts, min_size=1, max_size=3).map(tuple)
+_configs = st.tuples(
+    st.sampled_from([2, 2**4, 2**12, 2**18]),                # dim
+    st.lists(st.integers(1, 3), max_size=3).map(tuple),     # word_ngrams
+    st.lists(st.integers(1, 4), max_size=3).map(tuple),     # char_ngrams
+    st.booleans(),                                          # cross_features
+    st.integers(0, 2**70),                                  # hash_salt
+).filter(lambda t: t[1] or t[2] or t[3]).map(lambda t: FeaturizerConfig(*t))
+
+
+class TestFeaturizeMemo:
+    """featurize hashes through bounded memos; it must equal hashing every
+    key of feature_keys with hash_feature, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(segments=_segments, config=_configs, cold=st.booleans())
+    def test_equals_counted_feature_keys(self, segments, config, cold):
+        if cold:
+            clear_memos()
+        expected = reference_featurize(segments, config)
+        assert_bitwise_equal(featurize(segments, config), expected)
+        assert_bitwise_equal(featurize(segments, config), expected)
+
+    def test_memos_stay_bounded_past_their_limit(self):
+        clear_memos()
+        config = FeaturizerConfig(dim=2**18, word_ngrams=(1, 2), char_ngrams=(), hash_salt=5)
+        text = " ".join(f"t{i}" for i in range(model_module._MEMO_ENTRIES + 100))
+        assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
+        assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
+        small = ("changed to exact match", "t1 t2 t3")
+        assert_bitwise_equal(featurize(small, config), reference_featurize(small, config))
+        for memos in (model_module._key_memos, model_module._token_memos):
+            assert memos and all(len(m) <= model_module._MEMO_ENTRIES for m in memos.values())
+
+    def test_memo_count_stays_bounded(self):
+        clear_memos()
+        for salt in range(3 * model_module._MEMO_TABLES):
+            config = FeaturizerConfig(dim=2**12, hash_salt=salt)
+            text = ("remained relevant news", "stocks rally")
+            assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
+        assert len(model_module._key_memos) <= model_module._MEMO_TABLES
+        assert len(model_module._token_memos) <= model_module._MEMO_TABLES
+
+    def test_mutating_a_result_does_not_change_later_results(self):
+        text = ("changed to exact match", "red mixer bowl mixer")
+        first = featurize(text, SMALL)
+        first.indices[:] = 0
+        first.values[:] = 9.0
+        assert_bitwise_equal(featurize(text, SMALL), reference_featurize(text, SMALL))
 
 
 class TestScore:

@@ -347,6 +347,15 @@ class TestFileBridge:
         assert "'x', k=7" in str(err.value)
         assert "'x', k=2" not in str(err.value)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 7.0, -0.1])
+    def test_mapping_values_must_be_probabilities(self, bad):
+        """A NaN can never win an argmax and an out-of-range value always
+        does, so mapping values are checked like scores read from a file."""
+        labels = LabelSet(("a", "b"))
+        examples = [Example(id="x", text_a="t", pre_label="a", post_label="a")]
+        with pytest.raises(ValueError, match=r"\('x', k=1\)"):
+            predict_from_scores({("x", 1): bad, ("x", 2): 0.1}, examples, labels)
+
     @pytest.mark.parametrize("two_segment", [False, True])
     def test_separator_in_user_text_round_trips(self, tmp_path, two_segment):
         text_b = "dock [SEP] stand [SEP] black" if two_segment else None
