@@ -10,7 +10,6 @@ from . import __version__
 from .corpus import Dataset, ShiftSpec, apply_shift, load_dataset, save_dataset
 from .experiment import (
     ExperimentConfig,
-    default_workers,
     emit_report,
     load_result,
     run_experiment,
@@ -100,12 +99,12 @@ def augment(in_path: Path, catalog: str, mode: str, oversample: bool,
 @click.option("--out", "out_path", type=_out_file, required=True, help="Where to write predictions (JSONL).")
 @click.option("--catalog", default="", help="Prompt catalog id or path (entail only).")
 @click.option("--variant", type=click.Choice(["informative", "random"]), default="informative", show_default=True, help="Prompt wording (entail only).")
-@click.option("--epochs", default=30, show_default=True)
-@click.option("--learning-rate", default=0.2, show_default=True)
-@click.option("--batch-size", default=16, show_default=True)
-@click.option("--l2", "l2_penalty", default=1e-6, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--dim", default=2**18, show_default=True, help="Hashed feature space size (power of two).")
+@click.option("--epochs", default=TrainConfig.epochs, show_default=True)
+@click.option("--learning-rate", default=TrainConfig.learning_rate, show_default=True)
+@click.option("--batch-size", default=TrainConfig.batch_size, show_default=True)
+@click.option("--l2", "l2_penalty", default=TrainConfig.l2_penalty, show_default=True)
+@click.option("--seed", default=TrainConfig.seed, show_default=True)
+@click.option("--dim", default=FeaturizerConfig.dim, show_default=True, help="Hashed feature space size (power of two).")
 @click.option("--oversample/--no-oversample", default=True, show_default=True, help="Oversample positives (entail only).")
 @click.option("--mode", type=click.Choice(["single", "two", "auto"]), default="auto", show_default=True, help="Concatenation layout (entail only).")
 @_friendly_errors
@@ -165,7 +164,7 @@ def eval_predictions(pred_path: Path, gold_path: Path) -> None:
 def experiment(config_path: Path, workers: int | None) -> None:
     """Run the full (method, budget, seed) grid and write all reports."""
     config = ExperimentConfig.from_file(config_path)
-    result = run_experiment(config, workers=workers if workers is not None else default_workers())
+    result = run_experiment(config, workers=workers)
     save_result(result, config.output_dir)
     written = emit_report(result, config.output_dir, formats=("md", "csv"))
     click.echo(

@@ -35,7 +35,7 @@ _REQUIRED_FIELDS = ("id", "text_a", "pre_label", "post_label")
 
 
 class DatasetError(ValueError):
-    """Malformed dataset file, record, or label declaration."""
+    """Malformed dataset file, record, label declaration or shift rule file."""
 
 
 class ShiftCoverageError(ValueError):
@@ -167,12 +167,19 @@ class ShiftSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ShiftSpec":
+        """A rule file; invalid JSON or a malformed rule is a DatasetError naming the file."""
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
-        rules = {}
-        for rule in raw.get("rules", []):
-            rules[(rule.get("topic"), rule["pre_label"])] = rule["post_label"]
-        return cls(rules=rules, default=raw.get("default"))
+            try:
+                raw = json.load(f)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
+        try:
+            rules = {}
+            for rule in raw.get("rules", []):
+                rules[(rule.get("topic"), rule["pre_label"])] = rule["post_label"]
+            return cls(rules=rules, default=raw.get("default"))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise DatasetError(f"{path}: malformed shift rules ({exc!r})") from exc
 
     def to_file(self, path: str | Path) -> None:
         rows = [

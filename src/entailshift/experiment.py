@@ -36,8 +36,7 @@ REPORT_FILENAME = "report.md"
 _TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "seed", "l2_penalty")
 _FEATURIZER_KEYS = ("dim", "word_ngrams", "char_ngrams", "cross_features", "hash_salt")
 _METHOD_KEYS = (
-    "kind", "prompt_variant", "catalog_id", "train", "pre_train",
-    "featurizer", "oversample", "concat_mode",
+    "kind", "prompt_variant", "catalog_id", "train", "featurizer", "oversample", "concat_mode",
 )
 
 
@@ -60,16 +59,15 @@ def _tupled(value: Any) -> Any:
     return value
 
 
-def _train_config(template: Mapping[str, Any], overrides: Mapping[str, Any], where: str) -> TrainConfig:
+def _section_config(cls: type, keys: Sequence[str], template: Mapping[str, Any],
+                    overrides: Mapping[str, Any], where: str) -> Any:
+    """``cls`` from the template merged with overrides; a bad value is a ConfigError at ``where``."""
     merged = {**template, **overrides}
-    _check_keys(merged, _TRAIN_KEYS, where)
-    return TrainConfig(**merged)
-
-
-def _featurizer_config(template: Mapping[str, Any], overrides: Mapping[str, Any], where: str) -> FeaturizerConfig:
-    merged = {**template, **overrides}
-    _check_keys(merged, _FEATURIZER_KEYS, where)
-    return FeaturizerConfig(**{k: _tupled(v) for k, v in merged.items()})
+    _check_keys(merged, keys, where)
+    try:
+        return cls(**{k: _tupled(v) for k, v in merged.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -167,13 +165,11 @@ class ExperimentConfig:
                 kwargs["oversample"] = bool(entry["oversample"])
             if "concat_mode" in entry:
                 kwargs["concat_mode"] = entry["concat_mode"]
-            kwargs["train_config"] = _train_config(
-                train_template, entry.get("train", {}), f"{where}.train")
-            if "pre_train" in entry:
-                kwargs["pre_train_config"] = _train_config(
-                    train_template, entry["pre_train"], f"{where}.pre_train")
-            kwargs["featurizer"] = _featurizer_config(
-                feat_template, entry.get("featurizer", {}), f"{where}.featurizer")
+            kwargs["train_config"] = _section_config(
+                TrainConfig, _TRAIN_KEYS, train_template, entry.get("train", {}), f"{where}.train")
+            kwargs["featurizer"] = _section_config(
+                FeaturizerConfig, _FEATURIZER_KEYS, feat_template, entry.get("featurizer", {}),
+                f"{where}.featurizer")
             try:
                 specs.append(MethodSpec(**kwargs))
             except ValueError as exc:

@@ -19,11 +19,13 @@ post-shift label per test id:
   prompt variant swaps every label surface for a semantics-free decoy
   word, isolating how much the label wording contributes.
 
-Multiclass heads always span the post-shift label set; pre-shift target
-labels are mapped into it, which is what lets a pre-shift head be
-fine-tuned on post-shift classes without surgery. An empty pre-shift set
-simply skips the pre-shift stage of ``finetuned``, reducing it to
-``finetuned_post_only``.
+The four multiclass kinds are one softmax head trained by one helper on
+different rows and label columns (the ``_MULTICLASS`` table). Their heads
+always span the post-shift label set; pre-shift target labels are mapped
+into it, which is what lets a pre-shift head be fine-tuned on post-shift
+classes without surgery. ``finetuned``'s pre-shift stage is the
+``pre_shift_only`` model, trained with the same ``train_config``; an empty
+pre-shift set skips it, reducing ``finetuned`` to ``finetuned_post_only``.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from typing import Mapping
 
 from .corpus import Dataset, Example, LabelSet
 from .model import (
-    FeatureVector,
     FeaturizerConfig,
     Model,
     TrainConfig,
@@ -72,7 +73,6 @@ class MethodSpec:
     prompt_variant: str = "informative"        # entail only
     catalog_id: str = ""                       # entail only
     train_config: TrainConfig = field(default_factory=TrainConfig)
-    pre_train_config: TrainConfig | None = None  # finetuned pre-stage; None = train_config
     featurizer: FeaturizerConfig = field(default_factory=FeaturizerConfig)
     oversample: bool = True                    # entail only
     concat_mode: str | None = None             # None = infer from the data
@@ -94,13 +94,8 @@ class MethodSpec:
         return self.kind
 
     def with_seed(self, seed: int) -> "MethodSpec":
-        """The same method with all its training seeds replaced."""
-        updated = replace(self, train_config=replace(self.train_config, seed=seed))
-        if self.pre_train_config is not None:
-            updated = replace(
-                updated, pre_train_config=replace(self.pre_train_config, seed=seed)
-            )
-        return updated
+        """The same method with its training seed replaced."""
+        return replace(self, train_config=replace(self.train_config, seed=seed))
 
 
 def resolve_catalog(catalog_id: str) -> PromptCatalog:
@@ -121,16 +116,12 @@ def _multiclass_segments(example: Example) -> tuple[str, ...]:
     return (example.text_a,) if example.text_b is None else (example.text_a, example.text_b)
 
 
-def _featurize_all(dataset: Dataset, config: FeaturizerConfig) -> list[FeatureVector]:
-    return [featurize(_multiclass_segments(ex), config) for ex in dataset]
-
-
-def _post_label_indices(dataset: Dataset, use_pre: bool) -> list[int]:
-    """Targets as indices into the post label set; pre-shift targets must map."""
+def _post_label_indices(dataset: Dataset, column: str) -> list[int]:
+    """``column`` ("pre" or "post") targets as indices into the post label set."""
     labels = dataset.post_labels
     out = []
     for ex in dataset:
-        target = ex.pre_label if use_pre else ex.post_label
+        target = getattr(ex, f"{column}_label")
         if target not in labels:
             raise ValueError(
                 f"pre-shift label {target!r} (example {ex.id!r}) is not in the "
@@ -140,8 +131,43 @@ def _post_label_indices(dataset: Dataset, use_pre: bool) -> list[int]:
     return out
 
 
+def _fit_multiclass(
+    dataset: Dataset, columns: tuple[str, ...], config: TrainConfig, featurizer: FeaturizerConfig
+) -> Model:
+    """A post-label-set softmax head on one label column, or jointly on two."""
+    features = [featurize(_multiclass_segments(ex), featurizer) for ex in dataset]
+    targets = [_post_label_indices(dataset, column) for column in columns]
+    n_classes = len(dataset.post_labels)
+    if len(columns) == 2:
+        return train_joint(features, *targets, config, n_classes=n_classes, featurizer=featurizer)
+    return train(
+        features, targets[0], config, head="multiclass", n_classes=n_classes, featurizer=featurizer
+    )
+
+
+# Multiclass kind -> (training set, label columns).
+_MULTICLASS = {
+    "pre_shift_only": ("pre", ("pre",)),
+    "finetuned": ("post", ("post",)),
+    "finetuned_post_only": ("post", ("post",)),
+    "l1l2": ("post", ("pre", "post")),
+}
+
+
+def _multiclass_model(kind: str, spec: MethodSpec, pre_train: Dataset, post_train: Dataset) -> Model:
+    """The trained head of a ``_MULTICLASS`` kind; finetuned warm-starts from pre_shift_only's."""
+    source, columns = _MULTICLASS[kind]
+    dataset = pre_train if source == "pre" else post_train
+    _require_nonempty(dataset, kind, f"{source}-shift training")
+    config = spec.train_config
+    if kind == "finetuned":
+        warm = _multiclass_model("pre_shift_only", spec, pre_train, post_train) if len(pre_train) else None
+        config = replace(config, warm_start=warm)
+    return _fit_multiclass(dataset, columns, config, spec.featurizer)
+
+
 def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
-    from .model import score
+    from .model import score  # looked up per call: the benchmark tracer wraps model.score
 
     labels = test.post_labels
     predictions = {}
@@ -170,63 +196,8 @@ def run_method(
         best = max(post_train.post_labels, key=lambda l: (counts[l], -post_train.post_labels.index(l)))
         return {ex.id: best for ex in test}
 
-    if kind == "pre_shift_only":
-        _require_nonempty(pre_train, kind, "pre-shift training")
-        model = train(
-            _featurize_all(pre_train, spec.featurizer),
-            _post_label_indices(pre_train, use_pre=True),
-            cfg if spec.pre_train_config is None else spec.pre_train_config,
-            head="multiclass",
-            n_classes=len(pre_train.post_labels),
-            featurizer=spec.featurizer,
-        )
-        return _predict_multiclass(model, test)
-
-    if kind == "finetuned":
-        _require_nonempty(post_train, kind, "post-shift training")
-        warm = None
-        if len(pre_train) > 0:
-            warm = train(
-                _featurize_all(pre_train, spec.featurizer),
-                _post_label_indices(pre_train, use_pre=True),
-                spec.pre_train_config or cfg,
-                head="multiclass",
-                n_classes=len(pre_train.post_labels),
-                featurizer=spec.featurizer,
-            )
-        model = train(
-            _featurize_all(post_train, spec.featurizer),
-            _post_label_indices(post_train, use_pre=False),
-            replace(cfg, warm_start=warm),
-            head="multiclass",
-            n_classes=len(post_train.post_labels),
-            featurizer=spec.featurizer,
-        )
-        return _predict_multiclass(model, test)
-
-    if kind == "finetuned_post_only":
-        _require_nonempty(post_train, kind, "post-shift training")
-        model = train(
-            _featurize_all(post_train, spec.featurizer),
-            _post_label_indices(post_train, use_pre=False),
-            cfg,
-            head="multiclass",
-            n_classes=len(post_train.post_labels),
-            featurizer=spec.featurizer,
-        )
-        return _predict_multiclass(model, test)
-
-    if kind == "l1l2":
-        _require_nonempty(post_train, kind, "post-shift training")
-        model = train_joint(
-            _featurize_all(post_train, spec.featurizer),
-            _post_label_indices(post_train, use_pre=True),
-            _post_label_indices(post_train, use_pre=False),
-            cfg,
-            n_classes=len(post_train.post_labels),
-            featurizer=spec.featurizer,
-        )
-        return _predict_multiclass(model, test)
+    if kind in _MULTICLASS:
+        return _predict_multiclass(_multiclass_model(kind, spec, pre_train, post_train), test)
 
     # kind == "entail"
     _require_nonempty(post_train, kind, "post-shift training")
@@ -276,6 +247,6 @@ def load_predictions(path: str | Path) -> dict[str, str]:
             try:
                 row = json.loads(line)
                 predictions[str(row["id"])] = str(row["predicted_label"])
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return predictions

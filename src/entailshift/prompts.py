@@ -151,7 +151,10 @@ def load_catalog(path: str | Path, catalog_id: str | None = None) -> PromptCatal
     """Load a catalog JSON file; the id defaults to the file stem."""
     path = Path(path)
     with open(path, encoding="utf-8") as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise CatalogError(f"{path}: not valid JSON: {exc}") from exc
     return _catalog_from_payload(raw, catalog_id or path.stem)
 
 

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from entailshift.cli import main
 from entailshift.corpus import ShiftSpec, load_dataset, save_dataset, split
 from entailshift.methods import METHOD_KINDS
+from entailshift.model import FeaturizerConfig, TrainConfig
 from entailshift.synth import preset_config, synth_generate
 
 
@@ -133,6 +134,19 @@ class TestTrainEval:
     def test_method_choices_are_the_method_kinds(self):
         method = next(p for p in main.commands["train"].params if p.name == "kind")
         assert tuple(method.type.choices) == METHOD_KINDS
+
+    @pytest.mark.parametrize("option, default", [
+        ("epochs", TrainConfig.epochs),
+        ("learning_rate", TrainConfig.learning_rate),
+        ("batch_size", TrainConfig.batch_size),
+        ("l2_penalty", TrainConfig.l2_penalty),
+        ("seed", TrainConfig.seed),
+        ("dim", FeaturizerConfig.dim),
+    ])
+    def test_option_defaults_are_the_config_defaults(self, option, default):
+        param = next(p for p in main.commands["train"].params if p.name == option)
+        assert param.default == default
+        assert type(param.default) is type(default)
 
 
 def write_config(tmp_path, **overrides):

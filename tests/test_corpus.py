@@ -233,6 +233,17 @@ class TestApplyShift:
         spec.to_file(path)
         assert ShiftSpec.from_file(path) == spec
 
+    @pytest.mark.parametrize("text", [
+        '{"rules": [{"topic": "world", "pre_label": "relevant"}]}',
+        '[{"pre_label": "relevant", "post_label": "irrelevant"}]',
+        '{"rules": [',
+    ], ids=["rule_without_post_label", "top_level_list", "invalid_json"])
+    def test_malformed_spec_file_names_the_file(self, tmp_path, text):
+        path = tmp_path / "broken-shift.json"
+        path.write_text(text)
+        with pytest.raises(DatasetError, match="broken-shift.json"):
+            ShiftSpec.from_file(path)
+
 
 class TestFewshotSample:
     def test_balanced_ten_over_four_classes(self):

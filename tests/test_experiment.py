@@ -76,6 +76,11 @@ class TestConfigParsing:
         ({"methods": [{"kind": "majority", "bogus": 1}]}, "unknown keys"),
         ({"data": {}}, "exactly one source"),
         ({"train": {"epochs": 2, "momentum": 0.9}}, "unknown keys"),
+        ({"train": {"epochs": "3"}}, r"methods\[0\]\.train: "),
+        ({"train": {"epochs": 0}}, r"methods\[0\]\.train: epochs"),
+        ({"featurizer": {"word_ngrams": 2}}, r"methods\[0\]\.featurizer: "),
+        ({"featurizer": {"dim": 1000}}, r"methods\[0\]\.featurizer: dim"),
+        ({"methods": [{"kind": "finetuned", "pre_train": {}}]}, "unknown keys"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):

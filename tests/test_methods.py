@@ -1,6 +1,8 @@
 """Comparison methods behind the uniform run_method interface."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,12 +10,13 @@ from entailshift.corpus import Dataset, Example, LabelSet, fewshot_sample, split
 from entailshift.methods import (
     METHOD_KINDS,
     MethodSpec,
+    _multiclass_segments,
     load_predictions,
     resolve_catalog,
     run_method,
     save_predictions,
 )
-from entailshift.model import FeaturizerConfig, TrainConfig
+from entailshift.model import FeaturizerConfig, TrainConfig, featurize, score, train, train_joint
 from entailshift.stats import confusion_from_predictions, macro_f1
 from entailshift.synth import preset_config, synth_generate
 
@@ -208,10 +211,9 @@ class TestSpecValidation:
         assert spec_for("entail", prompt_variant="random").method_id == "entail_random"
 
     def test_with_seed_replaces_training_seeds(self):
-        spec = spec_for("finetuned", pre_train_config=TrainConfig(epochs=5, seed=1))
+        spec = spec_for("finetuned")
         out = spec.with_seed(99)
         assert out.train_config.seed == 99
-        assert out.pre_train_config.seed == 99
 
 
 class TestUniformContract:
@@ -230,6 +232,48 @@ class TestUniformContract:
         assert a == b
 
 
+def reference_multiclass(kind: str, pre_train: Dataset, post_train: Dataset, test: Dataset,
+                         cfg: TrainConfig, feat: FeaturizerConfig) -> dict[str, str]:
+    """Each multiclass kind spelled out as its own featurize/train calls."""
+    def features(ds):
+        return [featurize(_multiclass_segments(ex), feat) for ex in ds]
+
+    def targets(ds, column):
+        return [ds.post_labels.index(getattr(ex, f"{column}_label")) for ex in ds]
+
+    k = len(post_train.post_labels)
+    if kind == "pre_shift_only":
+        model = train(features(pre_train), targets(pre_train, "pre"), cfg,
+                      head="multiclass", n_classes=k, featurizer=feat)
+    elif kind == "finetuned":
+        warm = train(features(pre_train), targets(pre_train, "pre"), cfg,
+                     head="multiclass", n_classes=k, featurizer=feat)
+        model = train(features(post_train), targets(post_train, "post"),
+                      replace(cfg, warm_start=warm), head="multiclass", n_classes=k,
+                      featurizer=feat)
+    elif kind == "finetuned_post_only":
+        model = train(features(post_train), targets(post_train, "post"), cfg,
+                      head="multiclass", n_classes=k, featurizer=feat)
+    else:
+        model = train_joint(features(post_train), targets(post_train, "pre"),
+                            targets(post_train, "post"), cfg, n_classes=k, featurizer=feat)
+    return {
+        ex.id: test.post_labels.labels[int(score(model, featurize(_multiclass_segments(ex), feat)).argmax())]
+        for ex in test
+    }
+
+
+@pytest.mark.parametrize("kind", ["pre_shift_only", "finetuned", "finetuned_post_only", "l1l2"])
+def test_multiclass_kind_matches_its_reference(kind):
+    cfg = TrainConfig(epochs=5, seed=4)
+    for preset in ("retail_shift", "news_shift"):
+        train_ds, test_ds = split(
+            synth_generate(preset_config(preset, n_per_topic=12), seed=1), test_fraction=0.25, seed=0)
+        post_train = fewshot_sample(train_ds, 10, seed=5)
+        got = run_method(spec_for(kind, train_config=cfg), train_ds, post_train, test_ds)
+        assert got == reference_multiclass(kind, train_ds, post_train, test_ds, cfg, FAST_FEAT)
+
+
 class TestPredictionsFile:
     def test_round_trip(self, tmp_path):
         predictions = {"a": "exact", "b": "substitute"}
@@ -242,3 +286,11 @@ class TestPredictionsFile:
         path.write_text('{"id": "a", "predicted_label": "x"}\n{"id": "b"}\n')
         with pytest.raises(ValueError, match="line 2"):
             load_predictions(path)
+
+    @pytest.mark.parametrize("row", ["[1, 2]", '"abc"'], ids=["list", "string"])
+    def test_row_that_is_not_an_object_located(self, tmp_path, row):
+        path = tmp_path / "predictions.jsonl"
+        path.write_text('{"id": "a", "predicted_label": "x"}\n' + row + "\n")
+        with pytest.raises(ValueError, match="line 2") as info:
+            load_predictions(path)
+        assert str(path) in str(info.value)

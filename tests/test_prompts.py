@@ -165,3 +165,11 @@ class TestSerialization:
         path.write_text('{"language": "en"}')
         with pytest.raises(CatalogError, match="broken"):
             load_catalog(path)
+
+    @pytest.mark.parametrize("text", ['{"language": "en",', "", "\u00e9"],
+                             ids=["truncated", "empty", "not_utf8"])
+    def test_invalid_json_names_the_file(self, tmp_path, text):
+        path = tmp_path / "broken.json"
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(CatalogError, match="broken.json"):
+            load_catalog(path)
