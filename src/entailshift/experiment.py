@@ -162,7 +162,10 @@ class ExperimentConfig:
             if "catalog_id" in entry:
                 kwargs["catalog_id"] = entry["catalog_id"]
             if "oversample" in entry:
-                kwargs["oversample"] = bool(entry["oversample"])
+                if not isinstance(entry["oversample"], bool):
+                    raise ConfigError(f"{where}: oversample must be true or false, "
+                                      f"got {entry['oversample']!r}")
+                kwargs["oversample"] = entry["oversample"]
             if "concat_mode" in entry:
                 kwargs["concat_mode"] = entry["concat_mode"]
             kwargs["train_config"] = _section_config(
@@ -210,7 +213,13 @@ def budget_label(budget: int | str) -> str:
 
 
 def config_hash(raw: Mapping[str, Any]) -> str:
-    payload = json.dumps(raw, sort_keys=True, separators=(",", ":"), default=str)
+    """SHA-256 of the raw config without ``output_dir``.
+
+    Where results are written does not change them, so one grid saved to two
+    directories gets byte-equal ``result.json`` files.
+    """
+    kept = {key: value for key, value in raw.items() if key != "output_dir"}
+    payload = json.dumps(kept, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

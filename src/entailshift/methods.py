@@ -169,13 +169,9 @@ def _multiclass_model(kind: str, spec: MethodSpec, pre_train: Dataset, post_trai
 def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
     from .model import score  # looked up per call: the benchmark tracer wraps model.score
 
-    labels = test.post_labels
-    predictions = {}
-    for ex in test:
-        probs = score(model, featurize(_multiclass_segments(ex), model.featurizer))
-        best = int(probs.argmax())
-        predictions[ex.id] = labels.labels[best]
-    return predictions
+    probs = score(model, [featurize(_multiclass_segments(ex), model.featurizer) for ex in test])
+    labels = test.post_labels.labels
+    return {ex.id: labels[k] for ex, k in zip(test, probs.argmax(axis=1))}
 
 
 def _require_nonempty(dataset: Dataset, kind: str, which: str) -> None:

@@ -17,7 +17,9 @@ hash key, reduced modulo the table size; ``hash_feature`` is its only
 definition. ``featurize`` hashes each distinct key once: bounded memos map
 keys to indices per (salt, dim) and tokens to the indices of their unigram
 and character n-gram keys per config, so its vectors equal hashing every
-key of ``feature_keys`` bit for bit. Cross features exist because a
+key of ``feature_keys`` bit for bit. Training and ``score`` run one forward,
+``_logits`` over packed rows, so a row scores the same alone or in a batch.
+Cross features exist because a
 purely additive linear model scores candidate prompts independently of the
 text they are paired with; the conjunction features are what let the binary
 head read prompts in context.
@@ -57,6 +59,11 @@ class FeaturizerConfig:
             raise ValueError("at least one feature family must be enabled")
         if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
             raise ValueError("n-gram orders must be positive")
+        for what, orders in (("word_ngrams", self.word_ngrams), ("char_ngrams", self.char_ngrams)):
+            if len(set(orders)) != len(orders):
+                raise ValueError(f"{what} orders must be distinct, got {orders}")
+        if not isinstance(self.cross_features, bool):
+            raise ValueError(f"cross_features must be a bool, got {self.cross_features!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,34 +224,23 @@ class _Packed:
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
-    dim: int
 
     @property
     def n_rows(self) -> int:
         return int(self.indptr.size - 1)
 
 
-def _pack(features: Sequence[FeatureVector]) -> _Packed:
-    if not features:
-        raise ValueError("no samples to train on")
-    dim = features[0].dim
+def _pack(features: Sequence[FeatureVector], dim: int) -> _Packed:
+    """Pack the rows, all of hash dimension ``dim``; zero rows pack too."""
     for fv in features:
         if fv.dim != dim:
-            raise ValueError("all feature vectors must share one hash dimension")
+            raise ValueError("feature vectors do not match the featurizer dimension")
     lengths = np.array([fv.nnz for fv in features], dtype=np.int64)
     indptr = np.zeros(len(features) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    indices = (
-        np.concatenate([fv.indices for fv in features])
-        if indptr[-1]
-        else np.empty(0, dtype=np.int64)
-    )
-    values = (
-        np.concatenate([fv.values for fv in features])
-        if indptr[-1]
-        else np.empty(0, dtype=np.float64)
-    )
-    return _Packed(indptr=indptr, indices=indices, values=values, dim=dim)
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *(fv.indices for fv in features)])
+    values = np.concatenate([np.empty(0, dtype=np.float64), *(fv.values for fv in features)])
+    return _Packed(indptr=indptr, indices=indices, values=values)
 
 
 def _gather(packed: _Packed, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -276,6 +272,10 @@ class TrainConfig:
     warm_start: "Model | None" = None
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
@@ -442,15 +442,15 @@ def _fit(
     featurizer: FeaturizerConfig | None,
 ) -> Model:
     """Mini-batch descent on the summed cross-entropy of the named label columns."""
+    if not features:
+        raise ValueError("no samples to train on")
     if featurizer is None:
         featurizer = (
             config.warm_start.featurizer
             if config.warm_start is not None
-            else FeaturizerConfig(dim=features[0].dim if features else 2**18)
+            else FeaturizerConfig(dim=features[0].dim)
         )
-    packed = _pack(features)
-    if packed.dim != featurizer.dim:
-        raise ValueError("feature vectors do not match the featurizer dimension")
+    packed = _pack(features, featurizer.dim)
     targets = _target_columns(head, columns.values())
     for what, y in zip(columns, targets):
         if y.size != packed.n_rows:
@@ -529,22 +529,23 @@ def train_joint(
 # ---------------------------------------------------------------------------
 
 
-def score(model: Model, fv: FeatureVector):
-    """Probability (binary) or probability vector summing to 1 (multiclass)."""
-    if fv.dim != model.featurizer.dim:
-        raise ValueError("feature vector does not match the model's featurizer")
-    if model.head == "binary":
-        z = float(np.dot(model.weights[fv.indices], fv.values)) + float(model.bias[0])
-        return float(_sigmoid(np.array([z]))[0])
-    logits = model.weights[:, fv.indices] @ fv.values + model.bias
-    return _softmax(logits)
+def score(model: Model, features: Sequence[FeatureVector]) -> np.ndarray:
+    """Probabilities of the rows: (n,) for the binary head, (n, K) rows summing to 1 otherwise.
+
+    The rows are packed and run through the training forward ``_logits``;
+    a row's probability does not depend on the other rows of the call.
+    """
+    packed = _pack(features, model.featurizer.dim)
+    rows = np.arange(packed.n_rows, dtype=np.int64)
+    z, _ = _logits(np.atleast_2d(model.weights), model.bias, packed, rows)
+    return _sigmoid(z[:, 0]) if model.head == "binary" else _softmax(z)
 
 
 def make_binary_scorer(model: Model):
-    """Adapt a binary model to the candidate -> probability scorer interface."""
+    """Adapt a binary model to the scorer interface: candidate batch -> probabilities."""
     if model.head != "binary":
         raise ValueError("scorer adapter requires a binary head")
-    return lambda candidate: score(model, featurize(candidate.segments, model.featurizer))
+    return lambda batch: score(model, [featurize(c.segments, model.featurizer) for c in batch])
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +566,9 @@ def _loss_and_grad(
     is the one a full-batch training step applies: the same forward, dL/dz
     and scatter, here into zeros with scale 1.
     """
-    packed = _pack(features)
+    if not features:
+        raise ValueError("no samples to check")
+    packed = _pack(features, model.featurizer.dim)
     targets = _target_columns(model.head, labels)
     rows = np.arange(packed.n_rows, dtype=np.int64)
     z, gathered = _logits(np.atleast_2d(model.weights), model.bias, packed, rows)

@@ -31,15 +31,14 @@ from entailshift.model import (
 )
 from entailshift.prompts import PromptCatalog, builtin_catalog
 from entailshift.reformulate import (
+    Candidate,
     augment_dataset,
-    concat,
     export_augmented,
     export_scores,
     import_augmented,
     import_scores,
     predict_dataset,
     predict_from_scores,
-    predict_label,
 )
 from entailshift.stats import aggregate, confusion_from_predictions, macro_f1, mann_whitney_u
 from entailshift.synth import preset_config, synth_generate
@@ -154,12 +153,14 @@ class TestAcceptance:
                 post_label=catalog.labels[0],
             )
             mode = "two_segment" if two_segment else "single_segment"
-            fast = predict_label(lambda c: quantized_scorer(c.input_text),
-                                 example, labels, catalog, mode)
+            one = Dataset(examples=(example,), pre_labels=labels, post_labels=labels)
+            fast = predict_dataset(lambda cs: [quantized_scorer(c.input_text) for c in cs],
+                                   one, catalog, mode)[example.id]
+            contents = (example.text_a,) + ((example.text_b,) if two_segment else ())
             scores = [
-                quantized_scorer(concat(catalog.render(label, pre_label=example.pre_label),
-                                        example, mode))
-                for label in labels
+                quantized_scorer(Candidate(example.id, k, (
+                    catalog.render(label, pre_label=example.pre_label), *contents)).input_text)
+                for k, label in enumerate(labels, start=1)
             ]
             best = max(scores)
             if sum(score == best for score in scores) > 1:
@@ -346,10 +347,8 @@ class TestAcceptance:
         candidates = augment_dataset(ds, catalog, mode="two_segment", oversample=False)
         export_path = tmp_path / "candidates.jsonl"
         export_augmented(candidates, export_path)
-        scores = {
-            (s.source_id, s.candidate_index): scorer(s)
-            for s in import_augmented(export_path)
-        }
+        imported = import_augmented(export_path)
+        scores = dict(zip(((s.source_id, s.candidate_index) for s in imported), scorer(imported)))
         scores_path = tmp_path / "scores.jsonl"
         export_scores(scores, scores_path)
         bridged = predict_from_scores(import_scores(scores_path), ds.examples, ds.post_labels)

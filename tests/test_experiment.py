@@ -81,6 +81,13 @@ class TestConfigParsing:
         ({"featurizer": {"word_ngrams": 2}}, r"methods\[0\]\.featurizer: "),
         ({"featurizer": {"dim": 1000}}, r"methods\[0\]\.featurizer: dim"),
         ({"methods": [{"kind": "finetuned", "pre_train": {}}]}, "unknown keys"),
+        ({"train": {"epochs": 2.5}}, r"methods\[0\]\.train: epochs must be an integer"),
+        ({"train": {"epochs": True}}, r"methods\[0\]\.train: epochs must be an integer"),
+        ({"train": {"batch_size": 4.5}}, r"methods\[0\]\.train: batch_size must be an integer"),
+        ({"methods": [{"kind": "entail", "catalog_id": "en-retail", "oversample": "false"}]},
+         r"methods\[0\]: oversample must be true or false"),
+        ({"featurizer": {"cross_features": "no"}}, r"methods\[0\]\.featurizer: cross_features"),
+        ({"featurizer": {"word_ngrams": [1, 2, 1]}}, r"methods\[0\]\.featurizer: word_ngrams"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
@@ -91,6 +98,16 @@ class TestConfigParsing:
         b = {"beta": {"x": [1, 2]}, "alpha": 1}
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash({"alpha": 2, "beta": {"x": [1, 2]}})
+
+    def test_same_grid_saved_to_two_directories_gives_equal_results(self, tmp_path):
+        """output_dir says where results go, not what they are."""
+        methods = [{"kind": "majority"}]
+        for name in ("a", "b"):
+            config = base_config(methods=methods, budgets=[8], seeds=1,
+                                 output_dir=str(tmp_path / name))
+            save_result(run_experiment(config), config.output_dir)
+        first, second = ((tmp_path / name / "result.json").read_bytes() for name in ("a", "b"))
+        assert first == second
 
 
 class TestDataPreparation:

@@ -231,6 +231,14 @@ class TestUniformContract:
         b = run_method(spec_for(kind), train_ds, post_train, test_ds)
         assert a == b
 
+    @pytest.mark.parametrize("kind", ["finetuned_post_only", "entail"])
+    def test_empty_test_set_predicts_nothing(self, kind):
+        """Zero test rows score as zero rows; they are not a training error."""
+        train_ds, post_train, test_ds = retail_splits(per_topic=8, n_shot=8)
+        empty = Dataset(examples=(), pre_labels=test_ds.pre_labels, post_labels=test_ds.post_labels)
+        spec = spec_for(kind, concat_mode="two_segment" if kind == "entail" else None)
+        assert run_method(spec, train_ds, post_train, empty) == {}
+
 
 def reference_multiclass(kind: str, pre_train: Dataset, post_train: Dataset, test: Dataset,
                          cfg: TrainConfig, feat: FeaturizerConfig) -> dict[str, str]:
@@ -258,7 +266,7 @@ def reference_multiclass(kind: str, pre_train: Dataset, post_train: Dataset, tes
         model = train_joint(features(post_train), targets(post_train, "pre"),
                             targets(post_train, "post"), cfg, n_classes=k, featurizer=feat)
     return {
-        ex.id: test.post_labels.labels[int(score(model, featurize(_multiclass_segments(ex), feat)).argmax())]
+        ex.id: test.post_labels.labels[int(score(model, [featurize(_multiclass_segments(ex), feat)])[0].argmax())]
         for ex in test
     }
 

@@ -93,16 +93,18 @@ class TestFeaturize:
         assert "w:beta gamma" not in keys
 
     def test_key_multiset_spelled_out(self):
-        """Every key format, written out by hand; a repeated n-gram order
-        counts its keys once per occurrence."""
-        config = FeaturizerConfig(dim=2**12, word_ngrams=(1, 2, 1), char_ngrams=(2,))
+        """Every key format, written out by hand; a repeated n-gram order,
+        which would count its keys twice, is rejected."""
+        config = FeaturizerConfig(dim=2**12, word_ngrams=(1, 2), char_ngrams=(2,))
         keys = feature_keys(("to abc", "de"), config)
         expected = (
-            ["w:to", "w:to", "c:to", "w:abc", "w:abc", "c:ab", "c:bc", "w:to abc"]
-            + ["w:de", "w:de", "c:de"]
+            ["w:to", "c:to", "w:abc", "c:ab", "c:bc", "w:to abc"]
+            + ["w:de", "c:de"]
             + ["to⊗de", "abc⊗de"]
         )
         assert sorted(keys) == sorted(expected)
+        with pytest.raises(ValueError, match="distinct"):
+            FeaturizerConfig(dim=2**12, word_ngrams=(1, 2, 1), char_ngrams=(2,))
 
     def test_bare_string_is_one_segment_never_split(self):
         config = FeaturizerConfig(dim=2**12, word_ngrams=(1,), char_ngrams=())
@@ -157,6 +159,15 @@ class TestFeaturize:
         with pytest.raises(ValueError, match="family"):
             FeaturizerConfig(word_ngrams=(), char_ngrams=(), cross_features=False)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"char_ngrams": (3, 3)}, "char_ngrams orders must be distinct"),
+        ({"cross_features": "no"}, "cross_features must be a bool"),
+        ({"cross_features": 0}, "cross_features must be a bool"),
+    ])
+    def test_misreadable_values_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            FeaturizerConfig(**kwargs)
+
     @settings(max_examples=30, deadline=None)
     @given(st.text(max_size=80))
     def test_hashes_in_range_and_norm_is_unit_or_zero(self, text):
@@ -196,8 +207,8 @@ _texts = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join) | st.text(
 _segments = _texts | st.lists(_texts, min_size=1, max_size=3).map(tuple)
 _configs = st.tuples(
     st.sampled_from([2, 2**4, 2**12, 2**18]),                # dim
-    st.lists(st.integers(1, 3), max_size=3).map(tuple),     # word_ngrams
-    st.lists(st.integers(1, 4), max_size=3).map(tuple),     # char_ngrams
+    st.lists(st.integers(1, 3), max_size=3, unique=True).map(tuple),  # word_ngrams
+    st.lists(st.integers(1, 4), max_size=3, unique=True).map(tuple),  # char_ngrams
     st.booleans(),                                          # cross_features
     st.integers(0, 2**70),                                  # hash_salt
 ).filter(lambda t: t[1] or t[2] or t[3]).map(lambda t: FeaturizerConfig(*t))
@@ -247,11 +258,11 @@ class TestFeaturizeMemo:
 class TestScore:
     def test_zero_binary_model_scores_half(self):
         model = zero_model(SMALL, "binary")
-        assert score(model, featurize("anything at all", SMALL)) == 0.5
+        assert score(model, [featurize("anything at all", SMALL)])[0] == 0.5
 
     def test_zero_multiclass_model_is_uniform(self):
         model = zero_model(SMALL, "multiclass", n_classes=4)
-        probs = score(model, featurize("anything", SMALL))
+        probs = score(model, [featurize("anything", SMALL)])[0]
         np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-12)
 
     def test_multiclass_sums_to_one(self):
@@ -262,7 +273,7 @@ class TestScore:
             bias=rng.normal(size=5),
             featurizer=SMALL,
         )
-        probs = score(model, featurize("a b c d", SMALL))
+        probs = score(model, [featurize("a b c d", SMALL)])[0]
         assert abs(probs.sum() - 1.0) < 1e-9
         assert np.all(probs > 0)
 
@@ -272,7 +283,7 @@ class TestScore:
         fv = featurize("x y z", SMALL)
         base = Model(head="multiclass", weights=weights, bias=np.zeros(3), featurizer=SMALL)
         lifted = Model(head="multiclass", weights=weights, bias=np.full(3, 7.5), featurizer=SMALL)
-        np.testing.assert_allclose(score(base, fv), score(lifted, fv), atol=1e-12)
+        np.testing.assert_allclose(score(base, [fv])[0], score(lifted, [fv])[0], atol=1e-12)
 
     def test_sigmoid_stays_inside_open_interval(self):
         model = Model(
@@ -281,9 +292,51 @@ class TestScore:
             bias=np.array([0.0]),
             featurizer=SMALL,
         )
-        p = score(model, featurize("word", SMALL))
+        p = score(model, [featurize("word", SMALL)])[0]
         assert 0.0 < p < 1.0
         assert p > 0.999
+
+
+class TestScoreBatch:
+    """score runs packed rows through the training forward: a row's
+    probability is the same alone or in a batch, and matches a dot product."""
+
+    def models(self):
+        rng = np.random.default_rng(3)
+        yield Model(head="binary", weights=rng.normal(size=SMALL.dim),
+                    bias=np.array([0.3]), featurizer=SMALL)
+        yield Model(head="multiclass", weights=rng.normal(size=(4, SMALL.dim)),
+                    bias=rng.normal(size=4), featurizer=SMALL)
+
+    def rows(self):
+        texts = ["stocks rally", "", "usb hub dock", "changed to exact match", "a b c d e"]
+        return [featurize(("remained relevant news", t), SMALL) for t in texts] + [
+            featurize("", SMALL)]
+
+    def test_batch_rows_equal_single_rows_and_a_dot_product(self):
+        fvs = self.rows()
+        for model in self.models():
+            batch = score(model, fvs)
+            weights = np.atleast_2d(model.weights)
+            for i, fv in enumerate(fvs):
+                single = score(model, [fv])[0]
+                assert np.asarray(batch[i]).tobytes() == np.asarray(single).tobytes()
+                z = weights[:, fv.indices] @ fv.values + model.bias
+                if model.head == "binary":
+                    reference = 1.0 / (1.0 + np.exp(-z[0]))
+                else:
+                    reference = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+                np.testing.assert_allclose(batch[i], reference, rtol=0, atol=1e-15)
+
+    def test_zero_rows(self):
+        binary, multiclass = self.models()
+        assert score(binary, []).shape == (0,)
+        assert score(multiclass, []).shape == (0, 4)
+
+    def test_dimension_mismatch_rejected(self):
+        binary, _ = self.models()
+        with pytest.raises(ValueError, match="dimension"):
+            score(binary, [featurize("x", FeaturizerConfig(dim=2**13))])
 
 
 def separable_toy() -> tuple[list[FeatureVector], list[int]]:
@@ -301,8 +354,8 @@ class TestTrainBinary:
         features, labels = separable_toy()
         config = TrainConfig(epochs=200, learning_rate=0.5, batch_size=2, l2_penalty=0.0)
         model = train(features, labels, config, head="binary", featurizer=SMALL)
-        assert score(model, features[0]) > 0.9
-        assert score(model, features[1]) < 0.1
+        assert score(model, [features[0]])[0] > 0.9
+        assert score(model, [features[1]])[0] < 0.1
 
     def test_loss_log_non_increasing_on_separable_toy(self):
         features, labels = separable_toy()
@@ -323,6 +376,14 @@ class TestTrainBinary:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.5), ("epochs", True), ("epochs", "3"), ("batch_size", 4.5),
+        ("batch_size", False), ("seed", 1.0), ("seed", True),
+    ])
+    def test_non_integer_counts_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            TrainConfig(**{name: value})
 
     def test_binary_labels_validated(self):
         features, _ = separable_toy()
@@ -381,7 +442,7 @@ class TestTrainMulticlass:
         model = train(features, labels, TrainConfig(), head="multiclass",
                       n_classes=4, featurizer=SMALL)
         hits = sum(
-            int(np.argmax(score(model, fv))) == y for fv, y in zip(features, labels)
+            int(np.argmax(score(model, [fv])[0])) == y for fv, y in zip(features, labels)
         )
         assert hits / len(labels) >= 0.99
 
@@ -532,8 +593,8 @@ class TestCrossFeatureDegeneracy:
             " ".join(f"zz{seed}x{i}w{j}" for j in range(6)) for i in range(5)
         ]
         orders = {
-            score(model, featurize((p_a, c), model.featurizer))
-            > score(model, featurize((p_b, c), model.featurizer))
+            score(model, [featurize((p_a, c), model.featurizer)])[0]
+            > score(model, [featurize((p_b, c), model.featurizer)])[0]
             for p_a, p_b, c in ((prompt_a, prompt_b, c) for c in contents)
         }
         assert len(orders) == 1
@@ -544,11 +605,11 @@ class TestCrossFeatureDegeneracy:
         key_b = hash_feature("substitute⊗gadget", 0, 2**12)
         model.weights[key_a] = 10.0
         model.weights[key_b] = 10.0
-        a = score(model, featurize(("changed to exact match", "widget thing"), model.featurizer))
-        b = score(model, featurize(("changed to substitute match", "widget thing"), model.featurizer))
+        a = score(model, [featurize(("changed to exact match", "widget thing"), model.featurizer)])[0]
+        b = score(model, [featurize(("changed to substitute match", "widget thing"), model.featurizer)])[0]
         assert a > b
-        a2 = score(model, featurize(("changed to exact match", "gadget thing"), model.featurizer))
-        b2 = score(model, featurize(("changed to substitute match", "gadget thing"), model.featurizer))
+        a2 = score(model, [featurize(("changed to exact match", "gadget thing"), model.featurizer)])[0]
+        b2 = score(model, [featurize(("changed to substitute match", "gadget thing"), model.featurizer)])[0]
         assert b2 > a2
 
 
@@ -576,8 +637,8 @@ class TestPersistence:
         model = train(features, labels, TrainConfig(epochs=5), head="binary", featurizer=SMALL)
         scorer = make_binary_scorer(model)
         candidate = Candidate("x", 1, ("changed to exact match", "some text"))
-        assert scorer(candidate) == score(model, featurize(candidate.segments, SMALL))
-        assert 0.0 <= scorer(candidate) <= 1.0
+        assert scorer([candidate])[0] == score(model, [featurize(candidate.segments, SMALL)])[0]
+        assert 0.0 <= scorer([candidate])[0] <= 1.0
         multi = zero_model(SMALL, "multiclass", n_classes=3)
         with pytest.raises(ValueError, match="binary"):
             make_binary_scorer(multi)

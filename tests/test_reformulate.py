@@ -11,19 +11,20 @@ from entailshift.corpus import Dataset, Example, LabelSet
 from entailshift.prompts import PromptCatalog, builtin_catalog
 from entailshift.reformulate import (
     AugmentedDataset,
+    Candidate,
     EntailSample,
     ScoreCoverageError,
     augment_dataset,
     augment_example,
-    concat,
+    candidates,
     export_augmented,
     export_scores,
     import_augmented,
     import_scores,
     infer_concat_mode,
     oversample_positive,
+    predict_dataset,
     predict_from_scores,
-    predict_label,
 )
 
 RETAIL_LABELS = LabelSet(("exact", "substitute", "complement", "irrelevant"))
@@ -51,9 +52,20 @@ def pseudo_candidate_scorer(candidate) -> float:
     return pseudo_scorer(candidate.input_text)
 
 
+def batched(per_candidate):
+    """A batch scorer that applies a per-candidate scorer to each candidate."""
+    return lambda batch: [per_candidate(c) for c in batch]
+
+
+def rendered(prompt: str, ex: Example, k: int = 1) -> str:
+    """The input text of one two-segment candidate, built by hand."""
+    return Candidate(ex.id, k, (prompt, ex.text_a, ex.text_b)).input_text
+
+
 class TestConcat:
     def test_two_segment_layout(self):
-        got = concat("changed to substitute match", retail_example(), "two_segment")
+        cat = builtin_catalog("en-retail")
+        got = candidates(retail_example(), RETAIL_LABELS, cat, "two_segment")[1].input_text
         assert got == "iphone [SEP] changed to substitute match [SEP] samsung galaxy"
 
     def test_single_segment_layout(self):
@@ -61,13 +73,13 @@ class TestConcat:
             id="n1", text_a="Stocks to Watch Tuesday",
             pre_label="relevant", post_label="relevant",
         )
-        got = concat("remained relevant news", ex, "single_segment")
+        got = candidates(ex, NEWS_LABELS, builtin_catalog("en-news"), "single_segment")[0].input_text
         assert got == "remained relevant news [SEP] Stocks to Watch Tuesday"
 
     def test_two_segment_without_text_b(self):
         ex = Example(id="x", text_a="only one", pre_label="a", post_label="a")
         with pytest.raises(ValueError, match="text_b"):
-            concat("p", ex, "two_segment")
+            candidates(ex, NEWS_LABELS, builtin_catalog("en-news"), "two_segment")
 
     def test_mode_inference(self):
         two = [retail_example(0), retail_example(1)]
@@ -113,7 +125,7 @@ class TestAugmentExample:
                      pre_label="irrelevant", post_label="exact")
         first = augment_example(ex, RETAIL_LABELS, cat, "two_segment")[0]
         assert first.segments == ("changed to exact match", "usb [SEP] hub", "dock [SEP] stand")
-        assert first.input_text == concat("changed to exact match", ex, "two_segment")
+        assert first.input_text == rendered("changed to exact match", ex)
 
     def test_one_hot_over_candidates(self):
         cat = builtin_catalog("en-retail")
@@ -256,22 +268,30 @@ class TestOversamplePositive:
         assert len(body.split()) == 9
 
 
+def one_example(ex: Example) -> Dataset:
+    return Dataset(examples=(ex,), pre_labels=LabelSet(("relevant", "irrelevant")),
+                   post_labels=RETAIL_LABELS)
+
+
+def predict_one(scorer, ex: Example) -> str:
+    """The prediction for one example, through predict_dataset."""
+    cat = builtin_catalog("en-retail")
+    return predict_dataset(scorer, one_example(ex), cat, "two_segment")[ex.id]
+
+
 class TestPredictLabel:
     def test_keyword_indicator_scorer(self):
-        cat = builtin_catalog("en-retail")
-        scorer = lambda c: 1.0 if "substitute" in c.input_text else 0.0
-        got = predict_label(scorer, retail_example(), RETAIL_LABELS, cat, "two_segment")
+        scorer = batched(lambda c: 1.0 if "substitute" in c.input_text else 0.0)
+        got = predict_one(scorer, retail_example())
         assert got == "substitute"
 
     def test_constant_scorer_breaks_ties_to_first_label(self):
-        cat = builtin_catalog("en-retail")
-        got = predict_label(lambda _: 0.5, retail_example(), RETAIL_LABELS, cat, "two_segment")
+        got = predict_one(batched(lambda _: 0.5), retail_example())
         assert got == "exact"
 
     def test_out_of_range_probability_rejected(self):
-        cat = builtin_catalog("en-retail")
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            predict_label(lambda _: 1.5, retail_example(), RETAIL_LABELS, cat, "two_segment")
+            predict_one(batched(lambda _: 1.5), retail_example())
 
     def test_matches_brute_force_candidate_loop(self):
         """The prediction must equal an independent pass that materializes
@@ -281,22 +301,46 @@ class TestPredictLabel:
             scored = []
             for label in RETAIL_LABELS:
                 prompt = cat.render(label, pre_label=ex.pre_label)
-                scored.append(pseudo_scorer(concat(prompt, ex, "two_segment")))
+                scored.append(pseudo_scorer(rendered(prompt, ex)))
             expected = RETAIL_LABELS.labels[scored.index(max(scored))]
-            got = predict_label(pseudo_candidate_scorer, ex, RETAIL_LABELS, cat, "two_segment")
+            got = predict_one(batched(pseudo_candidate_scorer), ex)
             assert got == expected
 
     def test_unadapted_text_scorer_fails_loudly(self):
-        cat = builtin_catalog("en-retail")
         with pytest.raises(AttributeError):
-            predict_label(pseudo_scorer, retail_example(), RETAIL_LABELS, cat, "two_segment")
+            predict_one(pseudo_scorer, retail_example())
+
+    def test_unadapted_candidate_scorer_fails_loudly(self):
+        """A per-candidate scorer handed a batch must not yield predictions."""
+        with pytest.raises(AttributeError):
+            predict_one(pseudo_candidate_scorer, retail_example())
+        with pytest.raises(ValueError, match="1 scores for 4 candidates"):
+            predict_one(lambda _: 0.5, retail_example())
+
+    def test_wrong_length_result_rejected(self):
+        with pytest.raises(ValueError, match="3 scores for 4 candidates"):
+            predict_one(lambda batch: [0.5] * (len(batch) - 1), retail_example())
+
+    def test_batches_cover_every_candidate_once_in_order(self):
+        ds = retail_dataset(50)
+        cat = builtin_catalog("en-retail")
+        calls = []
+
+        def recording(batch):
+            calls.append(list(batch))
+            return [pseudo_candidate_scorer(c) for c in batch]
+
+        got = predict_dataset(recording, ds, cat, "two_segment")
+        seen = [c for batch in calls for c in batch]
+        assert seen == [c for ex in ds for c in candidates(ex, RETAIL_LABELS, cat, "two_segment")]
+        assert len(calls) > 1 and all(1 <= len(batch) <= 64 for batch in calls)
+        assert got == {ex.id: predict_one(batched(pseudo_candidate_scorer), ex) for ex in ds}
 
     def test_monotone_transform_invariance(self):
-        cat = builtin_catalog("en-retail")
-        squeezed = lambda c: pseudo_candidate_scorer(c) ** 0.5
+        squeezed = batched(lambda c: pseudo_candidate_scorer(c) ** 0.5)
         for ex in retail_dataset(20):
-            a = predict_label(pseudo_candidate_scorer, ex, RETAIL_LABELS, cat, "two_segment")
-            b = predict_label(squeezed, ex, RETAIL_LABELS, cat, "two_segment")
+            a = predict_one(batched(pseudo_candidate_scorer), ex)
+            b = predict_one(squeezed, ex)
             assert a == b
 
 
@@ -312,15 +356,12 @@ class TestFileBridge:
     def test_scores_round_trip_reproduces_predictions(self, tmp_path):
         ds = retail_dataset(30)
         cat = builtin_catalog("en-retail")
-        direct = {
-            ex.id: predict_label(pseudo_candidate_scorer, ex, RETAIL_LABELS, cat, "two_segment")
-            for ex in ds
-        }
+        direct = {ex.id: predict_one(batched(pseudo_candidate_scorer), ex) for ex in ds}
         scores = {}
         for ex in ds:
             for idx, label in enumerate(RETAIL_LABELS):
                 prompt = cat.render(label, pre_label=ex.pre_label)
-                scores[(ex.id, idx + 1)] = pseudo_scorer(concat(prompt, ex, "two_segment"))
+                scores[(ex.id, idx + 1)] = pseudo_scorer(rendered(prompt, ex, idx + 1))
         path = tmp_path / "scores.jsonl"
         export_scores(scores, path)
         assert predict_from_scores(import_scores(path), ds.examples, RETAIL_LABELS) == direct
