@@ -7,7 +7,7 @@ in the toolkit (candidate ordering, tie-breaking, report columns).
 
 File formats
 ------------
-JSONL, one record per line::
+UTF-8 JSONL, one record object per line (blank lines skipped)::
 
     {"id": str, "text_a": str, "text_b": str|null, "pre_label": str,
      "post_label": str, "lang": str, "topic": str|null}
@@ -16,18 +16,22 @@ CSV with the same column names (empty cell = null). Either format is
 accompanied by a sidecar labels file (``<data file>.labels.json``)::
 
     {"pre_labels": [...], "post_labels": [...], "name": "..."}
+
+A malformed file is a :class:`DatasetError` reading ``"<path>: line N: ..."``.
 """
 from __future__ import annotations
 
 import csv
-import json
+import io
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .jsonfiles import read_json, read_jsonl, read_text, write_json, write_jsonl
 from .seeding import derive_seed
 
 RECORD_FIELDS = ("id", "text_a", "text_b", "pre_label", "post_label", "lang", "topic")
@@ -168,28 +172,24 @@ class ShiftSpec:
     @classmethod
     def from_file(cls, path: str | Path) -> "ShiftSpec":
         """A rule file; invalid JSON or a malformed rule is a DatasetError naming the file."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                raw = json.load(f)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise DatasetError(f"{path}: not valid JSON: {exc}") from exc
+        raw = read_json(path, DatasetError)
         try:
-            rules = {}
-            for rule in raw.get("rules", []):
-                rules[(rule.get("topic"), rule["pre_label"])] = rule["post_label"]
+            rules = {(rule.get("topic"), rule["pre_label"]): rule["post_label"]
+                     for rule in raw.get("rules", [])}
             return cls(rules=rules, default=raw.get("default"))
         except (AttributeError, KeyError, TypeError) as exc:
             raise DatasetError(f"{path}: malformed shift rules ({exc!r})") from exc
 
     def to_file(self, path: str | Path) -> None:
-        rows = [
-            {"topic": topic, "pre_label": pre, "post_label": post}
-            for (topic, pre), post in self.rules.items()
-        ]
-        payload = {"rules": rows, "default": self.default}
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, ensure_ascii=False, indent=2)
-            f.write("\n")
+        rows = [{"topic": t, "pre_label": pre, "post_label": post} for (t, pre), post in self.rules.items()]
+        write_json(path, {"rules": rows, "default": self.default})
+
+
+def require_unique_ids(examples: Sequence[Example]) -> None:
+    """Raise DatasetError naming an id that two examples share."""
+    counts = Counter(ex.id for ex in examples)
+    if len(counts) != len(examples):
+        raise DatasetError(f"duplicate example id {next(i for i, n in counts.items() if n > 1)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +213,7 @@ def _read_labels(labels_file: Path, data_path: Path) -> tuple[LabelSet, LabelSet
             f"label sets undeclared: expected labels file {labels_file} with "
             '{"pre_labels": [...], "post_labels": [...]}'
         )
-    with open(labels_file, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DatasetError(f"{labels_file}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise DatasetError(f"{labels_file}: expected a JSON object, got {type(raw).__name__}")
+    raw = read_json(labels_file, DatasetError)
     label_sets = []
     for key in ("pre_labels", "post_labels"):
         if key not in raw:
@@ -235,26 +229,23 @@ def _read_labels(labels_file: Path, data_path: Path) -> tuple[LabelSet, LabelSet
     return label_sets[0], label_sets[1], name
 
 
-def _record_to_example(record: Mapping[str, object], line: int) -> Example:
+def _record_to_example(record: Mapping[str, object]) -> Example:
     for fname in _REQUIRED_FIELDS:
         value = record.get(fname)
         if value is None or value == "":
-            raise DatasetError(f"line {line}: missing or empty field {fname!r}")
+            raise DatasetError(f"missing or empty field {fname!r}")
     text_b = record.get("text_b") or None
     topic = record.get("topic") or None
     lang = record.get("lang") or "en"
-    try:
-        return Example(
-            id=str(record["id"]),
-            text_a=str(record["text_a"]),
-            text_b=None if text_b is None else str(text_b),
-            pre_label=str(record["pre_label"]),
-            post_label=str(record["post_label"]),
-            lang=str(lang),
-            topic=None if topic is None else str(topic),
-        )
-    except ValueError as exc:
-        raise DatasetError(f"line {line}: {exc}") from exc
+    return Example(
+        id=str(record["id"]),
+        text_a=str(record["text_a"]),
+        text_b=None if text_b is None else str(text_b),
+        pre_label=str(record["pre_label"]),
+        post_label=str(record["post_label"]),
+        lang=str(lang),
+        topic=None if topic is None else str(topic),
+    )
 
 
 def _infer_format(path: Path, fmt: str | None) -> str:
@@ -279,8 +270,8 @@ def load_dataset(
 
     Label sets come from the sidecar labels file (``labels_path`` or
     ``<path>.labels.json``). Unknown record fields are ignored. Malformed
-    records raise :class:`DatasetError` naming the line number and field;
-    a label outside the declared sets raises naming the label.
+    records raise :class:`DatasetError` naming the file, line and field;
+    a label outside the declared sets raises naming the file and label.
     """
     path = Path(path)
     if not path.exists():
@@ -289,66 +280,41 @@ def load_dataset(
     labels_file = _labels_sidecar_path(path) if labels_path is None else Path(labels_path)
     pre, post, name = _read_labels(labels_file, path)
 
-    examples: list[Example] = []
     if fmt == "jsonl":
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DatasetError(f"line {line_no}: invalid JSON: {exc.msg}") from exc
-                if not isinstance(record, dict):
-                    raise DatasetError(f"line {line_no}: record is not a JSON object")
-                examples.append(_record_to_example(record, line_no))
+        examples = [ex for _, ex in read_jsonl(path, _record_to_example, DatasetError)]
     else:
-        with open(path, encoding="utf-8", newline="") as f:
-            reader = csv.DictReader(f)
-            header = reader.fieldnames or []
+        reader = csv.DictReader(io.StringIO(read_text(path, DatasetError), newline=""))
+        try:
             for fname in _REQUIRED_FIELDS:
-                if fname not in header:
-                    raise DatasetError(f"line 1: missing column {fname!r}")
-            for line_no, row in enumerate(reader, start=2):
-                examples.append(_record_to_example(row, line_no))
-
-    return Dataset(examples=tuple(examples), pre_labels=pre, post_labels=post, name=name)
+                if fname not in (reader.fieldnames or []):
+                    raise DatasetError(f"missing column {fname!r}")
+            examples = [_record_to_example(row) for row in reader]
+        except (csv.Error, ValueError) as exc:
+            raise DatasetError(f"{path}: line {max(reader.line_num, 1)}: {exc}") from exc
+    try:
+        return Dataset(examples=tuple(examples), pre_labels=pre, post_labels=post, name=name)
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def save_dataset(dataset: Dataset, path: str | Path, format: str | None = None) -> None:
     """Write a dataset plus its sidecar labels file."""
     path = Path(path)
     fmt = _infer_format(path, format)
-    rows = [
-        {
-            "id": ex.id,
-            "text_a": ex.text_a,
-            "text_b": ex.text_b,
-            "pre_label": ex.pre_label,
-            "post_label": ex.post_label,
-            "lang": ex.lang,
-            "topic": ex.topic,
-        }
-        for ex in dataset
-    ]
+    rows = [{name: getattr(ex, name) for name in RECORD_FIELDS} for ex in dataset]
     if fmt == "jsonl":
-        with open(path, "w", encoding="utf-8") as f:
-            for row in rows:
-                f.write(json.dumps(row, ensure_ascii=False) + "\n")
+        write_jsonl(path, rows)
     else:
         with open(path, "w", encoding="utf-8", newline="") as f:
             writer = csv.DictWriter(f, fieldnames=list(RECORD_FIELDS))
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-    sidecar = {
+    write_json(_labels_sidecar_path(path), {
         "pre_labels": list(dataset.pre_labels),
         "post_labels": list(dataset.post_labels),
         "name": dataset.name,
-    }
-    with open(_labels_sidecar_path(path), "w", encoding="utf-8") as f:
-        json.dump(sidecar, f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import Dataset, ShiftSpec, apply_shift, fewshot_sample, load_dataset, rebalance, split
+from .jsonfiles import read_json
 from .methods import MethodSpec, run_method
 from .model import FeaturizerConfig, TrainConfig
 from .seeding import derive_seed
@@ -198,14 +199,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, Mapping):
-            raise ConfigError(f"{path} must contain a JSON object")
-        return cls.from_dict(raw)
+        """A config file; any problem is a ConfigError naming the file."""
+        raw = read_json(path, ConfigError)
+        try:
+            return cls.from_dict(raw)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
 
 
 def budget_label(budget: int | str) -> str:
@@ -482,41 +481,45 @@ def save_result(result: ExperimentResult, output_dir: str | Path) -> Path:
 
 
 def load_result(output_dir: str | Path) -> ExperimentResult:
+    """The result saved in ``output_dir``; a malformed file is a ValueError naming it."""
     path = Path(output_dir) / RESULT_FILENAME
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run the experiment first")
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    return ExperimentResult(
-        name=payload["name"],
-        method_ids=tuple(payload["method_ids"]),
-        budget_labels=tuple(payload["budget_labels"]),
-        seed_indices=tuple(payload["seed_indices"]),
-        class_labels=tuple(payload["class_labels"]),
-        scores=tuple(
-            RunScore(
-                method=s["method"], budget=s["budget"], seed=s["seed"],
-                macro_f1=s["macro_f1"], per_class_f1=tuple(s["per_class_f1"]),
-            )
-            for s in payload["scores"]
-        ),
-        failures=tuple(
-            CellFailure(method=f["method"], budget=f["budget"], seed=f["seed"], error=f["error"])
-            for f in payload["failures"]
-        ),
-        aggregates={
-            (a["method"], a["budget"]): Aggregate(mean=a["mean"], std=a["std"], count=a["count"])
-            for a in payload["aggregates"]
-        },
-        significance=tuple(
-            BudgetSignificance(
-                budget=s["budget"], best_method=s["best_method"],
-                p_values=tuple((m, p) for m, p in s["p_values"]),
-                all_significant=s["all_significant"],
-            )
-            for s in payload["significance"]
-        ),
-        provenance=payload["provenance"],
-    )
+    payload = read_json(path, ValueError)
+    try:
+        return ExperimentResult(
+            name=payload["name"],
+            method_ids=tuple(payload["method_ids"]),
+            budget_labels=tuple(payload["budget_labels"]),
+            seed_indices=tuple(payload["seed_indices"]),
+            class_labels=tuple(payload["class_labels"]),
+            scores=tuple(
+                RunScore(
+                    method=s["method"], budget=s["budget"], seed=s["seed"],
+                    macro_f1=s["macro_f1"], per_class_f1=tuple(s["per_class_f1"]),
+                )
+                for s in payload["scores"]
+            ),
+            failures=tuple(
+                CellFailure(method=f["method"], budget=f["budget"], seed=f["seed"], error=f["error"])
+                for f in payload["failures"]
+            ),
+            aggregates={
+                (a["method"], a["budget"]): Aggregate(mean=a["mean"], std=a["std"], count=a["count"])
+                for a in payload["aggregates"]
+            },
+            significance=tuple(
+                BudgetSignificance(
+                    budget=s["budget"], best_method=s["best_method"],
+                    p_values=tuple((m, p) for m, p in s["p_values"]),
+                    all_significant=s["all_significant"],
+                )
+                for s in payload["significance"]
+            ),
+            provenance=payload["provenance"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed result ({exc!r})") from exc
 
 
 # ---------------------------------------------------------------------------

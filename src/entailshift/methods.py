@@ -29,12 +29,12 @@ pre-shift set skips it, reducing ``finetuned`` to ``finetuned_post_only``.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Dataset, Example, LabelSet
+from .corpus import Dataset, Example, LabelSet, require_unique_ids
+from .jsonfiles import read_keyed_jsonl, write_jsonl
 from .model import (
     FeaturizerConfig,
     Model,
@@ -182,7 +182,8 @@ def _require_nonempty(dataset: Dataset, kind: str, which: str) -> None:
 def run_method(
     spec: MethodSpec, pre_train: Dataset, post_train: Dataset, test: Dataset
 ) -> dict[str, str]:
-    """Predictions (id -> post-shift label) for every test example."""
+    """Predictions (id -> post-shift label) for every test example; test ids must be unique."""
+    require_unique_ids(test)
     kind = spec.kind
     cfg = spec.train_config
 
@@ -216,8 +217,7 @@ def run_method(
     features = [featurize(s.segments, spec.featurizer) for s in aug]
     labels = [s.binary_label for s in aug]
     model = train(features, labels, cfg, head="binary", featurizer=spec.featurizer)
-    test_mode = spec.concat_mode or infer_concat_mode(test)
-    return predict_dataset(make_binary_scorer(model), test, catalog, mode=test_mode)
+    return predict_dataset(make_binary_scorer(model), test, catalog, mode=spec.concat_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +226,10 @@ def run_method(
 
 
 def save_predictions(predictions: Mapping[str, str], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for example_id, label in predictions.items():
-            f.write(
-                json.dumps({"id": example_id, "predicted_label": label}, ensure_ascii=False)
-                + "\n"
-            )
+    write_jsonl(path, ({"id": i, "predicted_label": label} for i, label in predictions.items()))
 
 
 def load_predictions(path: str | Path) -> dict[str, str]:
-    predictions = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                predictions[str(row["id"])] = str(row["predicted_label"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-    return predictions
+    """id -> label; a malformed row or a second row for one id is a ValueError naming the line(s)."""
+    return read_keyed_jsonl(
+        path, lambda row: (str(row["id"]), str(row["predicted_label"])), ValueError)

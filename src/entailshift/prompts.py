@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .jsonfiles import read_json, write_json
 from .seeding import derive_seed
 
 BUILTIN_CATALOG_IDS = ("en-retail", "es-retail", "en-news")
@@ -148,18 +149,17 @@ def _catalog_from_payload(raw: Mapping[str, object], catalog_id: str) -> PromptC
 
 
 def load_catalog(path: str | Path, catalog_id: str | None = None) -> PromptCatalog:
-    """Load a catalog JSON file; the id defaults to the file stem."""
+    """Load a catalog JSON file; the id defaults to the file stem. Errors name the file."""
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        try:
-            raw = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CatalogError(f"{path}: not valid JSON: {exc}") from exc
-    return _catalog_from_payload(raw, catalog_id or path.stem)
+    raw = read_json(path, CatalogError)
+    try:
+        return _catalog_from_payload(raw, catalog_id or path.stem)
+    except CatalogError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
 
 
 def save_catalog(catalog: PromptCatalog, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "language": catalog.language,
         "templates": {
             "remained": catalog.remained_template,
@@ -167,10 +167,7 @@ def save_catalog(catalog: PromptCatalog, path: str | Path) -> None:
         },
         "label_surface": dict(catalog.label_surface),
         "suffix": catalog.suffix,
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(payload, f, ensure_ascii=False, indent=2)
-        f.write("\n")
+    })
 
 
 def builtin_catalog(catalog_id: str) -> PromptCatalog:

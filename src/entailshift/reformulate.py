@@ -20,18 +20,19 @@ class imbalance of the construction.
 
 The module also bridges to external scorers through flat files: augmented
 samples export to JSONL, and per-candidate probabilities import back for
-argmax evaluation without any in-process model.
+argmax evaluation without any in-process model. A malformed, mistyped or
+repeated row is a ValueError naming its file and line.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, Example, LabelSet
+from .corpus import Dataset, Example, LabelSet, require_unique_ids
+from .jsonfiles import read_jsonl, read_keyed_jsonl, typed_field, write_jsonl
 from .prompts import PromptCatalog
 from .seeding import derive_seed
 
@@ -281,9 +282,9 @@ def predict_dataset(
 
     The scorer sees every candidate once, in order, in batches of at most
     ``_SCORE_BATCH``; its probabilities go through ``predict_from_scores``,
-    so ties take the lowest candidate index.
+    so ties take the lowest candidate index; an empty dataset predicts nothing.
     """
-    if mode is None:
+    if mode is None and len(dataset):
         mode = infer_concat_mode(dataset)
     labels = dataset.post_labels
     pending = [c for ex in dataset for c in candidates(ex, labels, catalog, mode)]
@@ -305,62 +306,52 @@ def predict_dataset(
 # ---------------------------------------------------------------------------
 
 
+_SAMPLE_FIELDS = ("source_id", "candidate_index", "input_text", "segments", "binary_label", "is_oversampled")
+
+
 def export_augmented(aug: AugmentedDataset, path: str | Path) -> None:
     """One JSONL row per sample, in dataset order, with segments and rendered text."""
-    with open(path, "w", encoding="utf-8") as f:
-        for s in aug.samples:
-            row = {
-                "source_id": s.source_id,
-                "candidate_index": s.candidate_index,
-                "input_text": s.input_text,
-                "segments": list(s.segments),
-                "binary_label": s.binary_label,
-                "is_oversampled": s.is_oversampled,
-            }
-            f.write(json.dumps(row, ensure_ascii=False) + "\n")
+    write_jsonl(path, ({name: getattr(s, name) for name in _SAMPLE_FIELDS} for s in aug.samples))
+
+
+def _sample_from_row(row: dict[str, Any]) -> EntailSample:
+    sample = EntailSample(
+        source_id=str(row["source_id"]),
+        candidate_index=typed_field(row, "candidate_index", int),
+        segments=typed_field(row, "segments", list),
+        binary_label=typed_field(row, "binary_label", int),
+        is_oversampled=typed_field(row, "is_oversampled", bool),
+    )
+    if row["input_text"] != sample.input_text:
+        raise ValueError(
+            f"input_text {row['input_text']!r} is not the rendering "
+            f"{sample.input_text!r} of its segments"
+        )
+    return sample
 
 
 def import_augmented(path: str | Path) -> tuple[EntailSample, ...]:
     """Inverse of export_augmented, minus the dataset-level bookkeeping.
 
     Samples are rebuilt from ``segments``; a row whose ``input_text`` is not
-    the rendering of its segments is a ValueError naming the file and line.
+    their rendering, or with a mistyped field, is a ValueError at its line.
     """
-    samples = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not isinstance(row["segments"], list):
-                    raise ValueError(f"segments must be a list, got {row['segments']!r}")
-                sample = EntailSample(
-                    source_id=str(row["source_id"]),
-                    candidate_index=int(row["candidate_index"]),
-                    segments=row["segments"],
-                    binary_label=int(row["binary_label"]),
-                    is_oversampled=bool(row["is_oversampled"]),
-                )
-                if row["input_text"] != sample.input_text:
-                    raise ValueError(
-                        f"input_text {row['input_text']!r} is not the rendering "
-                        f"{sample.input_text!r} of its segments"
-                    )
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-            samples.append(sample)
-    return tuple(samples)
+    return tuple(sample for _, sample in read_jsonl(path, _sample_from_row, ValueError))
 
 
 def export_scores(
     scores: Mapping[tuple[str, int], float], path: str | Path
 ) -> None:
     """One JSONL row per (source_id, candidate_index) probability."""
-    with open(path, "w", encoding="utf-8") as f:
-        for (source_id, k), prob in scores.items():
-            row = {"source_id": source_id, "candidate_index": k, "probability": prob}
-            f.write(json.dumps(row, ensure_ascii=False) + "\n")
+    write_jsonl(path, (
+        {"source_id": source_id, "candidate_index": k, "probability": prob}
+        for (source_id, k), prob in scores.items()
+    ))
+
+
+def _score_from_row(row: dict[str, Any]) -> tuple[tuple[str, int], float]:
+    key = (str(row["source_id"]), typed_field(row, "candidate_index", int))
+    return key, _checked_probability(row["probability"], context=repr(key))
 
 
 def import_scores(path: str | Path) -> dict[tuple[str, int], float]:
@@ -369,26 +360,7 @@ def import_scores(path: str | Path) -> dict[tuple[str, int], float]:
     A malformed row or a second row for the same key is a ValueError that
     names the file and the line(s).
     """
-    scores: dict[tuple[str, int], float] = {}
-    first_line: dict[tuple[str, int], int] = {}
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                key = (str(row["source_id"]), int(row["candidate_index"]))
-                prob = _checked_probability(row["probability"], context=repr(key))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-            if key in first_line:
-                raise ValueError(
-                    f"{path}: line {line_no}: duplicate row for {key!r}, "
-                    f"first given on line {first_line[key]}"
-                )
-            scores[key] = prob
-            first_line[key] = line_no
-    return scores
+    return read_keyed_jsonl(path, _score_from_row, ValueError)
 
 
 def predict_from_scores(
@@ -402,11 +374,13 @@ def predict_from_scores(
     and rows for unknown ids or out-of-range candidate indices, raise
     :class:`ScoreCoverageError` listing every one of them. A value that is
     not a probability in [0, 1] (NaN included) raises ValueError naming its
-    pair.
+    pair, and two examples that share an id raise one naming the id.
     """
     indices = range(1, len(labels) + 1)
     expected = [(ex.id, k) for ex in examples for k in indices]
     known = set(expected)
+    if len(known) != len(expected):
+        require_unique_ids(examples)
     gaps = [key for key in expected if key not in scores]
     unexpected = [key for key in scores if key not in known]
     if gaps or unexpected:

@@ -274,6 +274,7 @@ class TestAcceptance:
                  f"finetuned full >90 (worst {worst_tuned:.1f})",
               ok, time.perf_counter() - started, 120.0)
 
+    @pytest.mark.slow
     def test_criterion_07_fewshot_advantage_trend(self):
         started = time.perf_counter()
         config = ExperimentConfig.from_dict({
@@ -302,6 +303,7 @@ class TestAcceptance:
                  f"{violations} non-monotone step(s)",
               ok, time.perf_counter() - started, 600.0)
 
+    @pytest.mark.slow
     def test_criterion_08_random_prompt_variance(self):
         started = time.perf_counter()
         wins = 0
@@ -356,6 +358,7 @@ class TestAcceptance:
         check(9, "export -> self-score -> import reproduces 500 predictions", ok,
               time.perf_counter() - started, 10.0)
 
+    @pytest.mark.slow
     def test_criterion_10_full_matrix_determinism(self, tmp_path):
         started = time.perf_counter()
         import json

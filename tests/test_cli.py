@@ -213,6 +213,17 @@ class TestReportCommand:
         assert result.exit_code == 0, result.output
         assert (out / "report.md").read_bytes() == original
 
+    @pytest.mark.parametrize("content", ['{"name": "x"}', "[1, 2]", b"\xff{}"],
+                             ids=["missing_key", "not_an_object", "not_utf8"])
+    def test_malformed_result_is_clean_error(self, runner, tmp_path, content):
+        path = tmp_path / "result.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        result = runner.invoke(main, ["report", "--result", str(tmp_path)])
+        assert result.exit_code == 1
+        assert f"Error: {path}" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
     def test_bad_format_rejected(self, runner, tmp_path):
         config_path = write_config(tmp_path)
         assert runner.invoke(main, ["experiment", "--config", str(config_path)]).exit_code == 0

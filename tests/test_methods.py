@@ -231,13 +231,24 @@ class TestUniformContract:
         b = run_method(spec_for(kind), train_ds, post_train, test_ds)
         assert a == b
 
-    @pytest.mark.parametrize("kind", ["finetuned_post_only", "entail"])
-    def test_empty_test_set_predicts_nothing(self, kind):
+    @pytest.mark.parametrize("kind, concat_mode", [
+        ("finetuned_post_only", None), ("entail", "two_segment"), ("entail", None),
+    ], ids=["finetuned_post_only", "entail", "entail-inferred-mode"])
+    def test_empty_test_set_predicts_nothing(self, kind, concat_mode):
         """Zero test rows score as zero rows; they are not a training error."""
         train_ds, post_train, test_ds = retail_splits(per_topic=8, n_shot=8)
         empty = Dataset(examples=(), pre_labels=test_ds.pre_labels, post_labels=test_ds.post_labels)
-        spec = spec_for(kind, concat_mode="two_segment" if kind == "entail" else None)
+        spec = spec_for(kind, concat_mode=concat_mode)
         assert run_method(spec, train_ds, post_train, empty) == {}
+
+    @pytest.mark.parametrize("kind", METHOD_KINDS)
+    def test_duplicate_test_ids_rejected(self, kind):
+        """One prediction per id cannot label two examples, so the input is refused."""
+        train_ds, post_train, test_ds = retail_splits(per_topic=8, n_shot=8)
+        first, second = test_ds.examples[:2]
+        test = replace(test_ds, examples=(first, replace(second, id=first.id)))
+        with pytest.raises(ValueError, match=f"duplicate example id {first.id!r}"):
+            run_method(spec_for(kind), train_ds, post_train, test)
 
 
 def reference_multiclass(kind: str, pre_train: Dataset, post_train: Dataset, test: Dataset,
@@ -289,9 +300,11 @@ class TestPredictionsFile:
         save_predictions(predictions, path)
         assert load_predictions(path) == predictions
 
-    def test_malformed_line_located(self, tmp_path):
+    @pytest.mark.parametrize("second", ['{"id": "b"}', '{"id": "a", "predicted_label": "y"}'],
+                             ids=["missing_key", "duplicate_id"])
+    def test_malformed_line_located(self, tmp_path, second):
         path = tmp_path / "predictions.jsonl"
-        path.write_text('{"id": "a", "predicted_label": "x"}\n{"id": "b"}\n')
+        path.write_text('{"id": "a", "predicted_label": "x"}\n' + second + "\n")
         with pytest.raises(ValueError, match="line 2"):
             load_predictions(path)
 

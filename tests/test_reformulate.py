@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -388,6 +389,15 @@ class TestFileBridge:
         assert "'x', k=7" in str(err.value)
         assert "'x', k=2" not in str(err.value)
 
+    def test_duplicate_example_ids_rejected(self):
+        """Two examples with one id share their score rows, so one argmax would label both."""
+        labels = LabelSet(("a", "b"))
+        examples = [Example(id=i, text_a=t, pre_label="a", post_label="a")
+                    for i, t in (("x", "t"), ("dup", "u"), ("dup", "v"))]
+        scores = {(i, k): 0.5 for i in ("x", "dup") for k in (1, 2)}
+        with pytest.raises(ValueError, match="duplicate example id 'dup'"):
+            predict_from_scores(scores, examples, labels)
+
     @pytest.mark.parametrize("bad", [float("nan"), 7.0, -0.1])
     def test_mapping_values_must_be_probabilities(self, bad):
         """A NaN can never win an argmax and an out-of-range value always
@@ -429,15 +439,29 @@ class TestFileBridge:
         with pytest.raises(ValueError, match="line 1"):
             import_scores(path)
 
-    def test_import_rejects_non_integer_candidate_index(self, tmp_path):
-        path = tmp_path / "scores.jsonl"
-        path.write_text(
-            '{"source_id": "a", "candidate_index": 1, "probability": 0.5}\n'
-            '{"source_id": "a", "candidate_index": "x", "probability": 0.5}\n'
-        )
+    @pytest.mark.parametrize("loader, field, value", [
+        (import_scores, "candidate_index", "x"),
+        (import_scores, "candidate_index", 1.7),
+        (import_scores, "candidate_index", True),
+        (import_augmented, "candidate_index", 1.7),
+        (import_augmented, "binary_label", 1.0),
+        (import_augmented, "binary_label", True),
+        (import_augmented, "is_oversampled", "false"),
+        (import_augmented, "is_oversampled", 0),
+    ], ids=["scores-index-string", "scores-index-float", "scores-index-bool", "sample-index-float",
+            "sample-label-float", "sample-label-bool", "sample-flag-string", "sample-flag-int"])
+    def test_import_rejects_mistyped_field(self, tmp_path, loader, field, value):
+        """A JSON int field takes no float or bool, and a bool field no string or int."""
+        valid = ({"source_id": "a", "candidate_index": 1, "probability": 0.5}
+                 if loader is import_scores else
+                 {"source_id": "a", "candidate_index": 1, "input_text": "p [SEP] x",
+                  "segments": ["p", "x"], "binary_label": 1, "is_oversampled": False})
+        path = tmp_path / "rows.jsonl"
+        path.write_text(json.dumps(valid) + "\n" + json.dumps({**valid, field: value}) + "\n")
         with pytest.raises(ValueError, match="line 2") as err:
-            import_scores(path)
+            loader(path)
         assert str(path) in str(err.value)
+        assert field in str(err.value)
 
     def test_import_rejects_duplicate_rows(self, tmp_path):
         path = tmp_path / "scores.jsonl"
