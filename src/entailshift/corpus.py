@@ -87,7 +87,8 @@ class Example:
 
     ``text_b`` is the second segment for two-segment tasks (e.g. a product
     title paired with a query) and is absent for single-segment tasks.
-    ``topic`` records the source topic used by synthetic shift rules.
+    ``topic`` records the source topic used by synthetic shift rules. An
+    empty ``text_b``, ``lang`` or ``topic`` is rejected: files store it as absent.
     """
 
     id: str
@@ -101,6 +102,9 @@ class Example:
     def __post_init__(self) -> None:
         if not self.text_a:
             raise ValueError(f"example {self.id!r}: text_a must be non-empty")
+        for name in ("text_b", "lang", "topic"):
+            if getattr(self, name) == "":
+                raise ValueError(f"example {self.id!r}: {name} must be non-empty when given")
 
 
 @dataclass(frozen=True)

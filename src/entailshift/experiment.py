@@ -63,6 +63,8 @@ def _tupled(value: Any) -> Any:
 def _section_config(cls: type, keys: Sequence[str], template: Mapping[str, Any],
                     overrides: Mapping[str, Any], where: str) -> Any:
     """``cls`` from the template merged with overrides; a bad value is a ConfigError at ``where``."""
+    if not isinstance(overrides, Mapping):
+        raise ConfigError(f"{where} must be an object, got {overrides!r}")
     merged = {**template, **overrides}
     _check_keys(merged, keys, where)
     try:

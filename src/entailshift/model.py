@@ -17,17 +17,18 @@ hash key, reduced modulo the table size; ``hash_feature`` is its only
 definition. ``featurize`` hashes each distinct key once: bounded memos map
 keys to indices per (salt, dim) and tokens to the indices of their unigram
 and character n-gram keys per config, so its vectors equal hashing every
-key of ``feature_keys`` bit for bit. Training and ``score`` run one forward,
-``_logits`` over packed rows, so a row scores the same alone or in a batch.
-Cross features exist because a
-purely additive linear model scores candidate prompts independently of the
-text they are paired with; the conjunction features are what let the binary
-head read prompts in context.
+key of the input's key multiset bit for bit. Training and ``score`` run one
+forward, ``_logits`` over packed rows, so a row scores the same alone or in
+a batch. Cross features exist because a purely additive linear model scores
+candidate prompts independently of the text they are paired with; the
+conjunction features are what let the binary head read prompts in context.
 """
 from __future__ import annotations
 
 import hashlib
 import re
+import zipfile
+import zlib
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -130,25 +131,6 @@ def _cross_keys(token_lists: list[list[str]], config: FeaturizerConfig) -> list[
     return [f"{p}⊗{c}" for p in token_lists[0] for c in content_tokens]
 
 
-def feature_keys(segments: str | Sequence[str], config: FeaturizerConfig) -> list[str]:
-    """The raw (pre-hash) feature key multiset for a segments tuple.
-
-    Key formats: word n-grams "w:tok1 tok2", char n-grams "c:xyz", and
-    first-segment x later-segment crosses "ptok⊗ctok". Word n-grams never
-    span segment boundaries. A bare string is a single segment. This is the
-    string-level statement of what ``featurize`` hashes; the order of the
-    keys carries no meaning.
-    """
-    token_lists = _token_lists(segments)
-    keys: list[str] = []
-    for tokens in token_lists:
-        for tok in tokens:
-            keys.extend(_token_keys(tok, config))
-        keys.extend(_word_ngram_keys(tokens, config))
-    keys.extend(_cross_keys(token_lists, config))
-    return keys
-
-
 # Memos that make ``featurize`` hash each distinct key once. They hold only
 # values ``hash_feature`` defines, so they change no result. A memo is cleared
 # when it reaches _MEMO_ENTRIES entries, and all memos of a kind are dropped
@@ -187,8 +169,8 @@ def _memo(memos: dict, space, compute) -> _Memo:
 def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> FeatureVector:
     """Hash the key multiset and L2-normalize the counts; empty -> zero vector.
 
-    Equal to hashing every key of ``feature_keys`` with ``hash_feature``;
-    keys are looked up in bounded memos so each distinct key is hashed once.
+    Equal to hashing every key the ``_*_keys`` helpers spell out with
+    ``hash_feature``; bounded memos hash each distinct key once.
     """
     salt, dim = config.hash_salt, config.dim
     keys = _memo(_key_memos, (salt, dim), lambda key: hash_feature(key, salt, dim))
@@ -243,8 +225,13 @@ def _pack(features: Sequence[FeatureVector], dim: int) -> _Packed:
     return _Packed(indptr=indptr, indices=indices, values=values)
 
 
-def _gather(packed: _Packed, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat (sample_pos, indices, values) arrays for a row subset, in order."""
+def _gather(
+    packed: _Packed, rows: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (sample_pos, indices, values) of a row subset in order; None: all rows, uncopied."""
+    if rows is None:
+        sample_pos = np.repeat(np.arange(packed.n_rows, dtype=np.int64), np.diff(packed.indptr))
+        return sample_pos, packed.indices, packed.values
     starts = packed.indptr[rows]
     lengths = packed.indptr[rows + 1] - starts
     total = int(lengths.sum())
@@ -349,17 +336,18 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _logits(
-    weights: np.ndarray, bias: np.ndarray, packed: _Packed, rows: np.ndarray
+    weights: np.ndarray, bias: np.ndarray, packed: _Packed, rows: np.ndarray | None
 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(len(rows), R) logits of an (R, dim) weight view, plus the gathered rows.
+    """(n, R) logits of an (R, dim) weight view over ``_gather(packed, rows)``.
 
     The binary head is R=1 over ``np.atleast_2d(weights)``, a view of its
     1-D weights, so the same forward, dL/dz and scatter serve every head.
     """
+    n = packed.n_rows if rows is None else rows.size
     gathered = sample_pos, idx, vals = _gather(packed, rows)
-    z = np.empty((rows.size, weights.shape[0]))
+    z = np.empty((n, weights.shape[0]))
     for k in range(weights.shape[0]):
-        z[:, k] = np.bincount(sample_pos, weights=vals * weights[k][idx], minlength=rows.size)
+        z[:, k] = np.bincount(sample_pos, weights=vals * weights[k][idx], minlength=n)
     z += bias
     return z, gathered
 
@@ -458,7 +446,13 @@ def _fit(
         _validate_labels(y, n_classes, what)
     weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
 
-    weight_rows = np.atleast_2d(weights)
+    # Train only the touched columns (see ``train``); ``packed`` is this call's own copy.
+    full_rows = np.atleast_2d(weights)
+    used = full_rows.any(axis=0)
+    used[packed.indices] = True
+    active = np.flatnonzero(used)
+    packed.indices[:] = np.searchsorted(active, packed.indices)
+    weight_rows = np.ascontiguousarray(full_rows[:, active])
     rng = np.random.default_rng(config.seed)
     n = packed.n_rows
     decay = 1.0 - config.learning_rate * config.l2_penalty
@@ -470,11 +464,12 @@ def _fit(
             z, gathered = _logits(weight_rows, bias, packed, rows)
             g = _dlogits(z, [y[rows] for y in targets]) / rows.size
             if config.l2_penalty:
-                weights *= decay
+                weight_rows *= decay
             _scatter(weight_rows, gathered, g, -config.learning_rate)
             bias -= config.learning_rate * g.sum(axis=0)
-        z, _ = _logits(weight_rows, bias, packed, np.arange(n, dtype=np.int64))
+        z, _ = _logits(weight_rows, bias, packed, None)
         log.append(_data_loss(z, targets))
+    full_rows[:, active] = weight_rows
     return Model(head=head, weights=weights, bias=bias, featurizer=featurizer, train_log=tuple(log))
 
 
@@ -492,8 +487,10 @@ def train(
     for dL/dz and ``_scatter`` into the weights; ``_loss_and_grad`` (and so
     ``grad_check``) runs the same three. The L2 penalty enters as per-batch
     multiplicative weight decay, which is exactly gradient descent on
-    meanCE + (l2/2)*||w||^2; the bias is not decayed. ``train_log`` records
-    the full-dataset mean cross-entropy after each epoch.
+    meanCE + (l2/2)*||w||^2; the bias is not decayed. Descent and decay run
+    on the active columns only, those the samples touch or the warm start
+    holds non-zero; every all-zero column stays exactly zero, as under full
+    decay. ``train_log`` records the full-dataset mean cross-entropy per epoch.
     ``config.warm_start`` initializes from a prior model of the same head
     and featurizer (fine-tuning); otherwise parameters start at zero.
     """
@@ -536,8 +533,7 @@ def score(model: Model, features: Sequence[FeatureVector]) -> np.ndarray:
     a row's probability does not depend on the other rows of the call.
     """
     packed = _pack(features, model.featurizer.dim)
-    rows = np.arange(packed.n_rows, dtype=np.int64)
-    z, _ = _logits(np.atleast_2d(model.weights), model.bias, packed, rows)
+    z, _ = _logits(np.atleast_2d(model.weights), model.bias, packed, None)
     return _sigmoid(z[:, 0]) if model.head == "binary" else _softmax(z)
 
 
@@ -570,8 +566,7 @@ def _loss_and_grad(
         raise ValueError("no samples to check")
     packed = _pack(features, model.featurizer.dim)
     targets = _target_columns(model.head, labels)
-    rows = np.arange(packed.n_rows, dtype=np.int64)
-    z, gathered = _logits(np.atleast_2d(model.weights), model.bias, packed, rows)
+    z, gathered = _logits(np.atleast_2d(model.weights), model.bias, packed, None)
     g = _dlogits(z, targets) / packed.n_rows
     grad_w = np.zeros_like(model.weights)
     _scatter(np.atleast_2d(grad_w), gathered, g, 1.0)
@@ -647,23 +642,29 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Model:
-    with np.load(path, allow_pickle=False) as blob:
-        version = str(blob["format_version"])
-        if version != MODEL_FORMAT_VERSION:
-            raise ValueError(
-                f"cannot load model format {version!r}; this build reads {MODEL_FORMAT_VERSION!r}"
-            )
-        featurizer = FeaturizerConfig(
-            dim=int(blob["dim"]),
-            word_ngrams=tuple(int(n) for n in blob["word_ngrams"]),
-            char_ngrams=tuple(int(n) for n in blob["char_ngrams"]),
-            cross_features=bool(blob["cross_features"]),
-            hash_salt=int(blob["hash_salt"]),
-        )
-        return Model(
-            head=str(blob["head"]),
-            weights=blob["weights"].astype(np.float64),
-            bias=blob["bias"].astype(np.float64),
-            featurizer=featurizer,
-            train_log=tuple(float(x) for x in blob["train_log"]),
-        )
+    """A model saved by ``save_model``; a file that is not one is a ValueError naming it."""
+    with open(path, "rb") as fh:
+        try:
+            with np.load(fh, allow_pickle=False) as blob:
+                version = str(blob["format_version"])
+                if version != MODEL_FORMAT_VERSION:
+                    raise ValueError(f"cannot load model format {version!r}; "
+                                     f"this build reads {MODEL_FORMAT_VERSION!r}")
+                featurizer = FeaturizerConfig(
+                    dim=int(blob["dim"]),
+                    word_ngrams=tuple(int(n) for n in blob["word_ngrams"]),
+                    char_ngrams=tuple(int(n) for n in blob["char_ngrams"]),
+                    cross_features=bool(blob["cross_features"]),
+                    hash_salt=int(blob["hash_salt"]),
+                )
+                return Model(
+                    head=str(blob["head"]),
+                    weights=blob["weights"].astype(np.float64),
+                    bias=blob["bias"].astype(np.float64),
+                    featurizer=featurizer,
+                    train_log=tuple(float(x) for x in blob["train_log"]),
+                )
+        # What numpy and zipfile raise on damaged or foreign bytes.
+        except (ValueError, TypeError, KeyError, EOFError, OSError, RuntimeError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            raise ValueError(f"{path}: not a readable entailshift model: {exc}") from exc

@@ -19,6 +19,7 @@ English news relevance.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -57,8 +58,13 @@ class PromptCatalog:
             ("remained", self.remained_template),
             ("changed_to", self.changed_to_template),
         ):
-            if "{label}" not in template:
-                raise CatalogError(f"{name} template must contain a {{label}} slot: {template!r}")
+            try:
+                fields = {f[1:] for f in string.Formatter().parse(template) if f[1] is not None}
+            except ValueError as exc:
+                raise CatalogError(f"{name} template {template!r} is malformed: {exc}") from None
+            if fields != {("label", "", None)}:
+                raise CatalogError(
+                    f"{name} template must contain a {{label}} slot and no other field: {template!r}")
         if not self.label_surface:
             raise CatalogError("label_surface must not be empty")
         for label, surface in self.label_surface.items():

@@ -194,6 +194,14 @@ class TestExperimentCommand:
         assert result.exit_code == 1
         assert "FAILED" in result.output
 
+    def test_non_object_method_section_is_clean_error(self, runner, tmp_path):
+        config_path = write_config(tmp_path, methods=[{"kind": "majority", "train": "x"}])
+        result = runner.invoke(main, ["experiment", "--config", str(config_path)])
+        assert result.exit_code == 1
+        assert "methods[0].train must be an object" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
     def test_workers_flag(self, runner, tmp_path):
         config_path = write_config(tmp_path)
         result = runner.invoke(main, [

@@ -66,6 +66,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             Example(id="x", text_a="", pre_label="a", post_label="b")
 
+    @pytest.mark.parametrize("field", ["text_b", "lang", "topic"])
+    def test_example_rejects_empty_optional_field(self, field):
+        """Files store an empty optional field as absent, so it could not round-trip."""
+        with pytest.raises(ValueError, match=f"example 'x': {field} must be non-empty when given"):
+            Example(id="x", text_a="t", pre_label="a", post_label="b", **{field: ""})
+
     def test_dataset_rejects_undeclared_labels(self):
         ex = make_example(0, post="mystery")
         with pytest.raises(DatasetError, match="mystery"):

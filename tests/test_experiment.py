@@ -88,6 +88,10 @@ class TestConfigParsing:
          r"methods\[0\]: oversample must be true or false"),
         ({"featurizer": {"cross_features": "no"}}, r"methods\[0\]\.featurizer: cross_features"),
         ({"featurizer": {"word_ngrams": [1, 2, 1]}}, r"methods\[0\]\.featurizer: word_ngrams"),
+        ({"methods": [{"kind": "majority", "train": "x"}]},
+         r"methods\[0\]\.train must be an object, got 'x'"),
+        ({"methods": [{"kind": "majority", "featurizer": [1]}]},
+         r"methods\[0\]\.featurizer must be an object, got \[1\]"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):

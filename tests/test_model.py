@@ -16,9 +16,15 @@ from entailshift.model import (
     FeaturizerConfig,
     Model,
     TrainConfig,
+    _data_loss,
+    _dlogits,
+    _init_params,
+    _logits,
     _loss_and_grad,
+    _pack,
+    _scatter,
+    _target_columns,
     featurize,
-    feature_keys,
     grad_check,
     hash_feature,
     load_model,
@@ -40,6 +46,30 @@ def reference_hash(key: str, salt: int, dim: int) -> int:
     """Independent restatement of the documented hashing scheme."""
     h = hashlib.blake2b(key.encode("utf-8"), digest_size=8, key=salt.to_bytes(8, "little"))
     return int.from_bytes(h.digest(), "little") % dim
+
+
+def feature_keys(segments, config: FeaturizerConfig) -> list[str]:
+    """The raw (pre-hash) feature key multiset of a segments tuple, the
+    string-level statement of what ``featurize`` hashes.
+
+    Word n-grams "w:tok1 tok2" never span segment boundaries, char n-grams
+    "c:xyz" come from each token, and first-segment x later-segment crosses
+    read "ptok⊗ctok". A bare string is a single segment. The order of the
+    keys carries no meaning.
+    """
+    if isinstance(segments, str):
+        segments = (segments,)
+    token_lists = [tokenize(part) for part in segments]
+    keys: list[str] = []
+    for tokens in token_lists:
+        for n in config.word_ngrams:
+            keys += ["w:" + " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
+        for n in config.char_ngrams:
+            keys += ["c:" + tok[i : i + n] for tok in tokens for i in range(len(tok) - n + 1)]
+    if config.cross_features and len(token_lists) > 1:
+        content = [tok for tokens in token_lists[1:] for tok in tokens]
+        keys += [f"{p}⊗{c}" for p in token_lists[0] for c in content]
+    return keys
 
 
 def unit_vector(index: int, dim: int = SMALL.dim, value: float = 1.0) -> FeatureVector:
@@ -496,6 +526,80 @@ class TestTrainJoint:
         _, gw_joint, gb_joint = _loss_and_grad(model, features, [pre, post], l2=0.0)
         np.testing.assert_allclose(gw_joint, gw_pre + gw_post, atol=1e-12)
         np.testing.assert_allclose(gb_joint, gb_pre + gb_post, atol=1e-12)
+
+
+def dense_reference_fit(features, columns, config: TrainConfig, head, n_classes, featurizer):
+    """Training over the full weight width: decay every weight each batch,
+    gather the batch rows and scatter into all dim columns. ``_fit`` trains
+    only the active columns and must equal this bit for bit."""
+    packed = _pack(features, featurizer.dim)
+    targets = _target_columns(head, columns)
+    weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
+    weight_rows = np.atleast_2d(weights)
+    rng = np.random.default_rng(config.seed)
+    n = packed.n_rows
+    decay = 1.0 - config.learning_rate * config.l2_penalty
+    log = []
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            rows = order[start : start + config.batch_size]
+            z, gathered = _logits(weight_rows, bias, packed, rows)
+            g = _dlogits(z, [y[rows] for y in targets]) / rows.size
+            if config.l2_penalty:
+                weights *= decay
+            _scatter(weight_rows, gathered, g, -config.learning_rate)
+            bias -= config.learning_rate * g.sum(axis=0)
+        z, _ = _logits(weight_rows, bias, packed, np.arange(n, dtype=np.int64))
+        log.append(_data_loss(z, targets))
+    return weights, bias, tuple(log)
+
+
+class TestActiveColumnTraining:
+    """``_fit`` trains a compact copy of the touched columns; the dense
+    reference loop is the oracle."""
+
+    FEAT = FeaturizerConfig(dim=2**14)
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass", "joint"])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_equals_dense_reference(self, head, l2, warm):
+        ds = synth_generate(preset_config("retail_shift", n_per_topic=6), seed=4)
+        features = [featurize((ex.text_a, ex.text_b), self.FEAT) for ex in ds]
+        before = [fv.indices.copy() for fv in features]
+        pre = [ds.pre_labels.index(ex.pre_label) for ex in ds]
+        post = [ds.post_labels.index(ex.post_label) for ex in ds]
+        kind, k = ("binary", 2) if head == "binary" else ("multiclass", 4)
+        columns = {"binary": [[int(p == 0) for p in post]], "multiclass": [post],
+                   "joint": [pre, post]}[head]
+        warm_model, off_support = None, np.empty(0, dtype=np.int64)
+        if warm:
+            # Non-zero warm columns both inside and outside the data's
+            # support: the outside ones only decay.
+            support = np.unique(np.concatenate([fv.indices for fv in features]))
+            rng = np.random.default_rng(0)
+            outside = np.setdiff1d(np.arange(self.FEAT.dim), support)
+            off_support = rng.choice(outside, 40, replace=False)
+            warm_model = zero_model(self.FEAT, kind, k if kind == "multiclass" else None)
+            hot = np.concatenate([off_support, support[::3]])
+            warm_model.weights[..., hot] = rng.normal(size=warm_model.weights[..., hot].shape)
+            warm_model.bias[:] = rng.normal(size=warm_model.bias.shape)
+        config = TrainConfig(epochs=3, batch_size=5, seed=9, l2_penalty=l2, warm_start=warm_model)
+        if head == "joint":
+            trained = train_joint(features, pre, post, config, n_classes=k, featurizer=self.FEAT)
+        else:
+            trained = train(features, columns[0], config, head=kind,
+                            n_classes=k if kind == "multiclass" else None, featurizer=self.FEAT)
+        weights, bias, log = dense_reference_fit(features, columns, config, kind, k, self.FEAT)
+        assert np.array_equal(trained.weights, weights)
+        assert np.array_equal(trained.bias, bias)
+        assert trained.train_log == log
+        if warm and l2:
+            off, start = trained.weights[..., off_support], warm_model.weights[..., off_support]
+            assert np.all(off != 0) and not np.array_equal(off, start)
+        for fv, indices in zip(features, before):
+            assert np.array_equal(fv.indices, indices)
 
 
 class TestGradCheck:

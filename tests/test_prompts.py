@@ -173,3 +173,16 @@ class TestSerialization:
         path.write_text(text, encoding="latin-1")
         with pytest.raises(CatalogError, match="broken.json"):
             load_catalog(path)
+
+    @pytest.mark.parametrize("template, message", [
+        ("changed to {label} {0}", "no other field"),
+        ("changed to {label} {x}", "no other field"),
+        ("changed to {label:{x}}", "no other field"),
+        ("changed to {label} {", "malformed: Single '{'"),
+    ])
+    def test_stray_template_field_names_the_file(self, tmp_path, template, message):
+        path = tmp_path / "stray.json"
+        save_catalog(builtin_catalog("en-news"), path)
+        path.write_text(path.read_text().replace("changed to {label}", template))
+        with pytest.raises(CatalogError, match=f"stray.json: changed_to template .*{message}"):
+            load_catalog(path)
