@@ -27,8 +27,6 @@ from .model import FeaturizerConfig, TrainConfig
 from .reformulate import augment_dataset, export_augmented
 from .stats import confusion_from_predictions, macro_f1, per_class_f1
 
-_MODE_BY_FLAG = {"single": "single_segment", "two": "two_segment", "auto": None}
-
 _in_file = click.Path(exists=True, dir_okay=False, path_type=Path)
 _out_file = click.Path(dir_okay=False, writable=True, path_type=Path)
 
@@ -69,26 +67,22 @@ def simulate_shift(in_path: Path, spec_path: Path, out_path: Path) -> None:
 @main.command("augment")
 @click.option("--in", "in_path", type=_in_file, required=True, help="Post-shift labeled dataset to reformulate.")
 @click.option("--catalog", required=True, help="Prompt catalog: builtin id (en-retail, es-retail, en-news) or a JSON file path.")
-@click.option("--mode", type=click.Choice(["single", "two", "auto"]), default="auto", show_default=True, help="Concatenation layout; auto infers from text_b presence.")
 @click.option("--oversample/--no-oversample", default=True, show_default=True, help="Add one span-deleted positive per example.")
 @click.option("--deletion-frac", default=0.05, show_default=True, help="Fraction of tokens deleted from oversampled positives.")
 @click.option("--seed", default=0, show_default=True, help="Seed for oversampling span positions.")
 @click.option("--out", "out_path", type=_out_file, required=True, help="Where to write the binary samples (JSONL).")
 @_friendly_errors
-def augment(in_path: Path, catalog: str, mode: str, oversample: bool,
-            deletion_frac: float, seed: int, out_path: Path) -> None:
+def augment(in_path: Path, catalog: str, oversample: bool, deletion_frac: float, seed: int,
+            out_path: Path) -> None:
     """Expand each example into one binary entailment sample per candidate label."""
     dataset = load_dataset(in_path)
     prompt_catalog = resolve_catalog(catalog)
-    augmented = augment_dataset(
-        dataset, prompt_catalog, mode=_MODE_BY_FLAG[mode],
-        oversample=oversample, deletion_frac=deletion_frac, seed=seed,
+    samples = augment_dataset(
+        dataset, prompt_catalog, oversample=oversample, deletion_frac=deletion_frac, seed=seed,
     )
-    export_augmented(augmented, out_path)
-    click.echo(
-        f"wrote {len(augmented.samples)} samples "
-        f"({augmented.n_positive} positive) to {out_path}"
-    )
+    export_augmented(samples, out_path)
+    n_positive = sum(s.binary_label for s in samples)
+    click.echo(f"wrote {len(samples)} samples ({n_positive} positive) to {out_path}")
 
 
 @main.command("train")
@@ -106,12 +100,10 @@ def augment(in_path: Path, catalog: str, mode: str, oversample: bool,
 @click.option("--seed", default=TrainConfig.seed, show_default=True)
 @click.option("--dim", default=FeaturizerConfig.dim, show_default=True, help="Hashed feature space size (power of two).")
 @click.option("--oversample/--no-oversample", default=True, show_default=True, help="Oversample positives (entail only).")
-@click.option("--mode", type=click.Choice(["single", "two", "auto"]), default="auto", show_default=True, help="Concatenation layout (entail only).")
 @_friendly_errors
 def train(kind: str, train_path: Path, pre_train_path: Path | None, test_path: Path,
           out_path: Path, catalog: str, variant: str, epochs: int, learning_rate: float,
-          batch_size: int, l2_penalty: float, seed: int, dim: int, oversample: bool,
-          mode: str) -> None:
+          batch_size: int, l2_penalty: float, seed: int, dim: int, oversample: bool) -> None:
     """Fit one method and write its test-set predictions."""
     post_train = load_dataset(train_path)
     test = load_dataset(test_path)
@@ -129,7 +121,6 @@ def train(kind: str, train_path: Path, pre_train_path: Path | None, test_path: P
             seed=seed, l2_penalty=l2_penalty),
         featurizer=FeaturizerConfig(dim=dim),
         oversample=oversample,
-        concat_mode=_MODE_BY_FLAG[mode],
     )
     predictions = run_method(spec, pre_train, post_train, test)
     save_predictions(predictions, out_path)

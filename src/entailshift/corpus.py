@@ -106,6 +106,11 @@ class Example:
             if getattr(self, name) == "":
                 raise ValueError(f"example {self.id!r}: {name} must be non-empty when given")
 
+    @property
+    def segments(self) -> tuple[str, ...]:
+        """The content a model reads: ``(text_a,)``, or ``(text_a, text_b)``."""
+        return (self.text_a,) if self.text_b is None else (self.text_a, self.text_b)
+
 
 @dataclass(frozen=True)
 class Dataset:

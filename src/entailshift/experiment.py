@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .corpus import Dataset, ShiftSpec, apply_shift, fewshot_sample, load_dataset, rebalance, split
 from .jsonfiles import read_json
-from .methods import MethodSpec, run_method
+from .methods import MethodSpec, resolve_catalog, run_method
 from .model import FeaturizerConfig, TrainConfig
 from .seeding import derive_seed
 from .stats import Aggregate, RunScore, aggregate, confusion_from_predictions, mann_whitney_u, per_class_f1
@@ -36,9 +36,7 @@ REPORT_FILENAME = "report.md"
 
 _TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "seed", "l2_penalty")
 _FEATURIZER_KEYS = ("dim", "word_ngrams", "char_ngrams", "cross_features", "hash_salt")
-_METHOD_KEYS = (
-    "kind", "prompt_variant", "catalog_id", "train", "featurizer", "oversample", "concat_mode",
-)
+_METHOD_KEYS = ("kind", "prompt_variant", "catalog_id", "train", "featurizer", "oversample")
 
 
 class ConfigError(ValueError):
@@ -165,21 +163,19 @@ class ExperimentConfig:
             if "catalog_id" in entry:
                 kwargs["catalog_id"] = entry["catalog_id"]
             if "oversample" in entry:
-                if not isinstance(entry["oversample"], bool):
-                    raise ConfigError(f"{where}: oversample must be true or false, "
-                                      f"got {entry['oversample']!r}")
                 kwargs["oversample"] = entry["oversample"]
-            if "concat_mode" in entry:
-                kwargs["concat_mode"] = entry["concat_mode"]
             kwargs["train_config"] = _section_config(
                 TrainConfig, _TRAIN_KEYS, train_template, entry.get("train", {}), f"{where}.train")
             kwargs["featurizer"] = _section_config(
                 FeaturizerConfig, _FEATURIZER_KEYS, feat_template, entry.get("featurizer", {}),
                 f"{where}.featurizer")
             try:
-                specs.append(MethodSpec(**kwargs))
-            except ValueError as exc:
+                spec = MethodSpec(**kwargs)
+                if spec.kind == "entail":
+                    resolve_catalog(spec.catalog_id)  # fail here, not in every cell
+            except (ValueError, OSError) as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
+            specs.append(spec)
         ids = [s.method_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate method ids in {ids}")

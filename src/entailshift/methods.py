@@ -19,6 +19,11 @@ post-shift label per test id:
   prompt variant swaps every label surface for a semantics-free decoy
   word, isolating how much the label wording contributes.
 
+Every method reads an example's text as ``Example.segments``, ``(text_a,)``
+or ``(text_a, text_b)``: the multiclass heads featurize those segments and
+entail puts each candidate's prompt in front of them, so the layout follows
+each example and no method has a layout setting.
+
 The four multiclass kinds are one softmax head trained by one helper on
 different rows and label columns (the ``_MULTICLASS`` table). Their heads
 always span the post-shift label set; pre-shift target labels are mapped
@@ -33,7 +38,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Dataset, Example, LabelSet, require_unique_ids
+from .corpus import Dataset, require_unique_ids
 from .jsonfiles import read_keyed_jsonl, write_jsonl
 from .model import (
     FeaturizerConfig,
@@ -52,7 +57,7 @@ from .prompts import (
     load_catalog,
     randomize_labels,
 )
-from .reformulate import augment_dataset, infer_concat_mode, predict_dataset
+from .reformulate import augment_dataset, predict_dataset
 from .seeding import derive_seed
 
 METHOD_KINDS = (
@@ -75,15 +80,18 @@ class MethodSpec:
     train_config: TrainConfig = field(default_factory=TrainConfig)
     featurizer: FeaturizerConfig = field(default_factory=FeaturizerConfig)
     oversample: bool = True                    # entail only
-    concat_mode: str | None = None             # None = infer from the data
 
     def __post_init__(self) -> None:
         if self.kind not in METHOD_KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}; one of {METHOD_KINDS}")
         if self.prompt_variant not in ("informative", "random"):
             raise ValueError(f"unknown prompt variant {self.prompt_variant!r}")
+        if not isinstance(self.catalog_id, str):
+            raise ValueError(f"catalog_id must be a string, got {self.catalog_id!r}")
         if self.kind == "entail" and not self.catalog_id:
             raise ValueError("entail needs a catalog_id")
+        if not isinstance(self.oversample, bool):
+            raise ValueError(f"oversample must be true or false, got {self.oversample!r}")
         if self.kind != "entail" and self.prompt_variant != "informative":
             raise ValueError(f"prompt_variant applies only to entail, not {self.kind!r}")
 
@@ -111,11 +119,6 @@ def resolve_catalog(catalog_id: str) -> PromptCatalog:
     )
 
 
-def _multiclass_segments(example: Example) -> tuple[str, ...]:
-    """``(text_a,)``, or ``(text_a, text_b)``: text_a is crossed with text_b."""
-    return (example.text_a,) if example.text_b is None else (example.text_a, example.text_b)
-
-
 def _post_label_indices(dataset: Dataset, column: str) -> list[int]:
     """``column`` ("pre" or "post") targets as indices into the post label set."""
     labels = dataset.post_labels
@@ -135,7 +138,7 @@ def _fit_multiclass(
     dataset: Dataset, columns: tuple[str, ...], config: TrainConfig, featurizer: FeaturizerConfig
 ) -> Model:
     """A post-label-set softmax head on one label column, or jointly on two."""
-    features = [featurize(_multiclass_segments(ex), featurizer) for ex in dataset]
+    features = [featurize(ex.segments, featurizer) for ex in dataset]
     targets = [_post_label_indices(dataset, column) for column in columns]
     n_classes = len(dataset.post_labels)
     if len(columns) == 2:
@@ -169,7 +172,7 @@ def _multiclass_model(kind: str, spec: MethodSpec, pre_train: Dataset, post_trai
 def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
     from .model import score  # looked up per call: the benchmark tracer wraps model.score
 
-    probs = score(model, [featurize(_multiclass_segments(ex), model.featurizer) for ex in test])
+    probs = score(model, [featurize(ex.segments, model.featurizer) for ex in test])
     labels = test.post_labels.labels
     return {ex.id: labels[k] for ex, k in zip(test, probs.argmax(axis=1))}
 
@@ -206,18 +209,16 @@ def run_method(
         raise ValueError(
             f"catalog {spec.catalog_id!r} lacks prompts for labels {missing!r}"
         )
-    mode = spec.concat_mode or infer_concat_mode(post_train)
     aug = augment_dataset(
         post_train,
         catalog,
-        mode=mode,
         oversample=spec.oversample,
         seed=derive_seed(cfg.seed, "augment"),
     )
     features = [featurize(s.segments, spec.featurizer) for s in aug]
     labels = [s.binary_label for s in aug]
     model = train(features, labels, cfg, head="binary", featurizer=spec.featurizer)
-    return predict_dataset(make_binary_scorer(model), test, catalog, mode=spec.concat_mode)
+    return predict_dataset(make_binary_scorer(model), test, catalog)
 
 
 # ---------------------------------------------------------------------------

@@ -626,19 +626,21 @@ def grad_check(
 
 
 def save_model(model: Model, path: str | Path) -> None:
-    np.savez_compressed(
-        path,
-        format_version=np.array(MODEL_FORMAT_VERSION),
-        head=np.array(model.head),
-        weights=model.weights,
-        bias=model.bias,
-        train_log=np.array(model.train_log, dtype=np.float64),
-        dim=np.array(model.featurizer.dim),
-        word_ngrams=np.array(model.featurizer.word_ngrams, dtype=np.int64),
-        char_ngrams=np.array(model.featurizer.char_ngrams, dtype=np.int64),
-        cross_features=np.array(model.featurizer.cross_features),
-        hash_salt=np.array(model.featurizer.hash_salt),
-    )
+    """Write ``model`` to exactly ``path``; numpy would add ``.npz`` to a bare path."""
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            format_version=np.array(MODEL_FORMAT_VERSION),
+            head=np.array(model.head),
+            weights=model.weights,
+            bias=model.bias,
+            train_log=np.array(model.train_log, dtype=np.float64),
+            dim=np.array(model.featurizer.dim),
+            word_ngrams=np.array(model.featurizer.word_ngrams, dtype=np.int64),
+            char_ngrams=np.array(model.featurizer.char_ngrams, dtype=np.int64),
+            cross_features=np.array(model.featurizer.cross_features),
+            hash_salt=np.array(model.featurizer.hash_salt),
+        )
 
 
 def load_model(path: str | Path) -> Model:

@@ -25,10 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .jsonfiles import read_json, write_json
-from .seeding import derive_seed
 
 BUILTIN_CATALOG_IDS = ("en-retail", "es-retail", "en-news")
 
@@ -105,32 +102,22 @@ class PromptCatalog:
         return prompt
 
 
-def randomize_labels(
-    catalog: PromptCatalog,
-    decoys: Sequence[str] = DEFAULT_DECOYS,
-    seed: int = 0,
-    shuffle: bool = False,
-) -> PromptCatalog:
+def randomize_labels(catalog: PromptCatalog, decoys: Sequence[str] = DEFAULT_DECOYS) -> PromptCatalog:
     """Replace every surface phrase with a semantics-free decoy word.
 
-    By default the k-th label takes the k-th decoy, so the mapping is fixed
-    and reproducible; with ``shuffle=True`` the assignment is permuted by
-    ``seed``. Used to measure how much of a catalog's value comes from the
-    label words themselves.
+    The k-th label takes the k-th decoy, so the mapping is fixed and
+    reproducible. Used to measure how much of a catalog's value comes from
+    the label words themselves.
     """
     labels = catalog.labels
     if len(decoys) < len(labels):
         raise ValueError(f"need at least {len(labels)} decoys, got {len(decoys)}")
     if len(set(decoys)) != len(decoys):
         raise ValueError(f"decoys must be distinct, got {decoys!r}")
-    chosen = list(decoys[: len(labels)])
-    if shuffle:
-        rng = np.random.default_rng(derive_seed(seed, "decoys", catalog.catalog_id))
-        chosen = [chosen[i] for i in rng.permutation(len(chosen))]
     return replace(
         catalog,
         catalog_id=f"{catalog.catalog_id}+random",
-        label_surface={label: decoy for label, decoy in zip(labels, chosen)},
+        label_surface={label: decoy for label, decoy in zip(labels, decoys)},
     )
 
 

@@ -9,10 +9,13 @@ the binary scorer over the same K candidates and takes the argmax; a scorer
 takes a batch of candidates, and in-process and file-bridged prediction
 share one argmax, ``predict_from_scores``.
 
-A candidate keeps its input as segments ``(prompt, *contents)``, which go
-to the featurizer unchanged; the " [SEP] " string (``text_a [SEP] prompt
-[SEP] text_b`` or ``prompt [SEP] text_a``) is rendered only for the export
-file and for scorers that read ``Candidate.input_text``.
+A candidate keeps its input as segments ``(prompt, *example.segments)``,
+which go to the featurizer unchanged, so each example's own text decides
+its layout: a pair example gives ``(prompt, text_a, text_b)`` and a
+single-text one ``(prompt, text_a)``, even within one dataset. The
+" [SEP] " string (``text_a [SEP] prompt [SEP] text_b`` or ``prompt [SEP]
+text_a``) is rendered only for the export file and for scorers that read
+``Candidate.input_text``.
 
 Optionally, one extra positive per source example is synthesized by
 deleting a short random token span from the text, countering the 1:(K-1)
@@ -103,77 +106,17 @@ class EntailSample(Candidate):
             raise ValueError(f"binary_label must be 0 or 1, got {self.binary_label!r}")
 
 
-@dataclass(frozen=True)
-class AugmentedDataset:
-    """The binary view of a dataset, plus the bookkeeping to invert it."""
-
-    samples: tuple[EntailSample, ...]
-    label_set: LabelSet
-    catalog_id: str
-    concat_mode: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple(self.samples))
-        if self.concat_mode not in ("single_segment", "two_segment"):
-            raise ValueError(f"unknown concat_mode {self.concat_mode!r}")
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    @property
-    def n_positive(self) -> int:
-        return sum(s.binary_label for s in self.samples)
-
-
-def infer_concat_mode(examples: Iterable[Example]) -> str:
-    """two_segment when every example has a second segment, single when none does."""
-    has_b = [ex.text_b is not None for ex in examples]
-    if not has_b:
-        raise ValueError("cannot infer concat mode from an empty dataset")
-    if all(has_b):
-        return "two_segment"
-    if not any(has_b):
-        return "single_segment"
-    raise ValueError(
-        "mixed presence of text_b across examples; pass an explicit concat mode"
-    )
-
-
-def _candidate_segments(prompt: str, example: Example, mode: str) -> tuple[str, ...]:
-    """``(prompt, text_a, text_b)`` in two_segment mode, ``(prompt, text_a)`` in single."""
-    if mode == "two_segment":
-        if example.text_b is None:
-            raise ValueError(
-                f"example {example.id!r} has no text_b; two_segment concat needs one"
-            )
-        return (prompt, example.text_a, example.text_b)
-    if mode == "single_segment":
-        return (prompt, example.text_a)
-    raise ValueError(f"unknown concat mode {mode!r}")
-
-
-def candidates(
-    example: Example, labels: LabelSet, catalog: PromptCatalog, mode: str
-) -> tuple[Candidate, ...]:
-    """The K candidate inputs of one example, in label-set order."""
+def candidates(example: Example, labels: LabelSet, catalog: PromptCatalog) -> tuple[Candidate, ...]:
+    """The K candidate inputs ``(prompt, *example.segments)`` of one example, in label-set order."""
     return tuple(
-        Candidate(
-            example.id,
-            k,
-            _candidate_segments(catalog.render(label, pre_label=example.pre_label), example, mode),
-        )
+        Candidate(example.id, k, (catalog.render(label, pre_label=example.pre_label),
+                                  *example.segments))
         for k, label in enumerate(labels, start=1)
     )
 
 
 def augment_example(
-    example: Example,
-    labels: LabelSet,
-    catalog: PromptCatalog,
-    mode: str,
+    example: Example, labels: LabelSet, catalog: PromptCatalog
 ) -> tuple[EntailSample, ...]:
     """The K binary samples for one example, in label-set order.
 
@@ -184,7 +127,7 @@ def augment_example(
     return tuple(
         EntailSample(c.source_id, c.candidate_index, c.segments,
                      binary_label=int(c.candidate_index == positive))
-        for c in candidates(example, labels, catalog, mode)
+        for c in candidates(example, labels, catalog)
     )
 
 
@@ -218,11 +161,10 @@ def oversample_positive(
 def augment_dataset(
     dataset: Dataset,
     catalog: PromptCatalog,
-    mode: str | None = None,
     oversample: bool = True,
     deletion_frac: float = 0.05,
     seed: int = 0,
-) -> AugmentedDataset:
+) -> tuple[EntailSample, ...]:
     """Reformulate a whole dataset; K*n samples, (K+1)*n with oversampling.
 
     The per-example oversample stream is keyed on (seed, example id), so the
@@ -232,11 +174,9 @@ def augment_dataset(
     if len(dataset) == 0:
         raise ValueError("cannot augment an empty dataset")
     labels = dataset.post_labels
-    if mode is None:
-        mode = infer_concat_mode(dataset)
     out: list[EntailSample] = []
     for example in dataset:
-        per_example = augment_example(example, labels, catalog, mode)
+        per_example = augment_example(example, labels, catalog)
         out.extend(per_example)
         if oversample:
             positive = per_example[labels.index(example.post_label)]
@@ -247,12 +187,7 @@ def augment_dataset(
                     seed=derive_seed(seed, "oversample", example.id),
                 )
             )
-    return AugmentedDataset(
-        samples=tuple(out),
-        label_set=labels,
-        catalog_id=catalog.catalog_id,
-        concat_mode=mode,
-    )
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,22 +207,15 @@ def _checked_probability(value: float, context: str) -> float:
 _SCORE_BATCH = 64
 
 
-def predict_dataset(
-    scorer: BinaryScorer,
-    dataset: Dataset,
-    catalog: PromptCatalog,
-    mode: str | None = None,
-) -> dict[str, str]:
+def predict_dataset(scorer: BinaryScorer, dataset: Dataset, catalog: PromptCatalog) -> dict[str, str]:
     """Predictions for every example, as a mapping id -> label.
 
     The scorer sees every candidate once, in order, in batches of at most
     ``_SCORE_BATCH``; its probabilities go through ``predict_from_scores``,
     so ties take the lowest candidate index; an empty dataset predicts nothing.
     """
-    if mode is None and len(dataset):
-        mode = infer_concat_mode(dataset)
     labels = dataset.post_labels
-    pending = [c for ex in dataset for c in candidates(ex, labels, catalog, mode)]
+    pending = [c for ex in dataset for c in candidates(ex, labels, catalog)]
     scores: dict[tuple[str, int], float] = {}
     for start in range(0, len(pending), _SCORE_BATCH):
         batch = pending[start : start + _SCORE_BATCH]
@@ -309,9 +237,9 @@ def predict_dataset(
 _SAMPLE_FIELDS = ("source_id", "candidate_index", "input_text", "segments", "binary_label", "is_oversampled")
 
 
-def export_augmented(aug: AugmentedDataset, path: str | Path) -> None:
-    """One JSONL row per sample, in dataset order, with segments and rendered text."""
-    write_jsonl(path, ({name: getattr(s, name) for name in _SAMPLE_FIELDS} for s in aug.samples))
+def export_augmented(samples: Iterable[EntailSample], path: str | Path) -> None:
+    """One JSONL row per sample, in order, with segments and rendered text."""
+    write_jsonl(path, ({name: getattr(s, name) for name in _SAMPLE_FIELDS} for s in samples))
 
 
 def _sample_from_row(row: dict[str, Any]) -> EntailSample:
@@ -331,7 +259,7 @@ def _sample_from_row(row: dict[str, Any]) -> EntailSample:
 
 
 def import_augmented(path: str | Path) -> tuple[EntailSample, ...]:
-    """Inverse of export_augmented, minus the dataset-level bookkeeping.
+    """Inverse of export_augmented.
 
     Samples are rebuilt from ``segments``; a row whose ``input_text`` is not
     their rendering, or with a mistyped field, is a ValueError at its line.

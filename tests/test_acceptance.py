@@ -95,10 +95,10 @@ class TestAcceptance:
             catalog = catalog_for(dataset.post_labels.labels)
             plain = augment_dataset(dataset, catalog, oversample=False)
             boosted = augment_dataset(dataset, catalog, oversample=True)
-            ok &= len(plain.samples) == k * n
-            ok &= plain.n_positive == n
-            ok &= len(boosted.samples) == (k + 1) * n
-            ok &= boosted.n_positive == 2 * n
+            ok &= len(plain) == k * n
+            ok &= sum(s.binary_label for s in plain) == n
+            ok &= len(boosted) == (k + 1) * n
+            ok &= sum(s.binary_label for s in boosted) == 2 * n
         check(1, "K*n and (K+1)*n augmentation counts", ok,
               time.perf_counter() - started, 5.0)
 
@@ -152,10 +152,9 @@ class TestAcceptance:
                 pre_label=str(rng.choice(catalog.labels)),
                 post_label=catalog.labels[0],
             )
-            mode = "two_segment" if two_segment else "single_segment"
             one = Dataset(examples=(example,), pre_labels=labels, post_labels=labels)
             fast = predict_dataset(lambda cs: [quantized_scorer(c.input_text) for c in cs],
-                                   one, catalog, mode)[example.id]
+                                   one, catalog)[example.id]
             contents = (example.text_a,) + ((example.text_b,) if two_segment else ())
             scores = [
                 quantized_scorer(Candidate(example.id, k, (
@@ -339,14 +338,14 @@ class TestAcceptance:
         few = fewshot_sample(ds, 100, seed=0)
         aug_train = augment_dataset(few, catalog, seed=0)
         feat = FeaturizerConfig(dim=2**16)
-        features = [featurize(s.segments, feat) for s in aug_train.samples]
-        model = train(features, [s.binary_label for s in aug_train.samples],
+        features = [featurize(s.segments, feat) for s in aug_train]
+        model = train(features, [s.binary_label for s in aug_train],
                       TrainConfig(epochs=10, seed=0), head="binary", featurizer=feat)
         scorer = make_binary_scorer(model)
 
-        in_process = predict_dataset(scorer, ds, catalog, mode="two_segment")
+        in_process = predict_dataset(scorer, ds, catalog)
 
-        candidates = augment_dataset(ds, catalog, mode="two_segment", oversample=False)
+        candidates = augment_dataset(ds, catalog, oversample=False)
         export_path = tmp_path / "candidates.jsonl"
         export_augmented(candidates, export_path)
         imported = import_augmented(export_path)

@@ -4,7 +4,7 @@
 the pipeline calls it through, so a renamed function or a call that bypasses
 that attribute silently drops a layer from the benchmark. This runs two
 methods under the tracer, loaded unchanged from its file, and checks that
-every wrapped layer exists and is reached.
+every wrapped layer exists and is reached and that its counters count.
 """
 from __future__ import annotations
 
@@ -44,5 +44,11 @@ def test_traced_methods_reach_every_layer():
     assert tracer.missing == []
     # One score call per batch of at most 64 test candidates, plus one for
     # the whole multiclass test set.
-    candidates = len(test_ds) * len(test_ds.post_labels)
+    k = len(test_ds.post_labels)
+    candidates = len(test_ds) * k
     assert tracer.usage.counts["model.score_calls"] == math.ceil(candidates / 64) + 1
+    # The counters read augment_dataset's return value and predict_dataset's
+    # dataset argument: K samples plus one oversampled positive per training
+    # example, and K candidates per test example.
+    assert tracer.usage.counts["reformulate.augment_samples"] == (k + 1) * len(post_train)
+    assert tracer.usage.counts["reformulate.candidates_scored"] == candidates

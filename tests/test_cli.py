@@ -131,6 +131,22 @@ class TestTrainEval:
         assert result.exit_code != 0
         assert "no prediction for ids" in result.output
 
+    @pytest.mark.parametrize("command", ["augment", "train"])
+    def test_layout_option_is_gone(self, runner, retail_files, tmp_path, command):
+        """Each example's own text decides its layout; there is no --mode to set."""
+        train_path, test_path = retail_files
+        args = {
+            "augment": ["--in", str(train_path), "--catalog", "en-retail"],
+            "train": ["--method", "entail", "--catalog", "en-retail", "--train", str(train_path),
+                      "--test", str(test_path)],
+        }[command]
+        result = runner.invoke(main, [command, *args, "--out", str(tmp_path / "out.jsonl"),
+                                      "--mode", "two"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--mode" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "out.jsonl").exists()
+
     def test_method_choices_are_the_method_kinds(self):
         method = next(p for p in main.commands["train"].params if p.name == "kind")
         assert tuple(method.type.choices) == METHOD_KINDS

@@ -92,10 +92,31 @@ class TestConfigParsing:
          r"methods\[0\]\.train must be an object, got 'x'"),
         ({"methods": [{"kind": "majority", "featurizer": [1]}]},
          r"methods\[0\]\.featurizer must be an object, got \[1\]"),
+        ({"methods": [{"kind": "entail", "catalog_id": "en-news", "concat_mode": "bogus"}]},
+         r"methods\[0\]: unknown keys \['concat_mode'\]"),
+        ({"methods": [{"kind": "entail", "catalog_id": 5}]},
+         r"methods\[0\]: catalog_id must be a string, got 5"),
+        ({"methods": [{"kind": "majority"}, {"kind": "entail", "catalog_id": "nope"}]},
+         r"methods\[1\]: catalog 'nope' is neither a built-in"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
             base_config(**broken)
+
+    @pytest.mark.parametrize("content, message", [
+        ("{", "not valid JSON"),
+        ('{"language": "en"}', "malformed payload"),
+        (None, "Is a directory"),
+    ], ids=["truncated", "incomplete", "directory"])
+    def test_entail_catalog_file_checked_at_config_time(self, tmp_path, content, message):
+        """A catalog file that cannot be read fails the config, not every cell."""
+        path = tmp_path / "catalog.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=rf"methods\[0\]: .*{message}"):
+            base_config(methods=[{"kind": "entail", "catalog_id": str(path)}])
 
     def test_hash_ignores_key_order(self):
         a = {"alpha": 1, "beta": {"x": [1, 2]}}

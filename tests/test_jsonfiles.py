@@ -26,7 +26,6 @@ from entailshift.methods import load_predictions, save_predictions
 from entailshift.model import FeaturizerConfig, Model, load_model, save_model, zero_model
 from entailshift.prompts import CatalogError, builtin_catalog, load_catalog, save_catalog
 from entailshift.reformulate import (
-    AugmentedDataset,
     EntailSample,
     export_augmented,
     export_scores,
@@ -104,10 +103,9 @@ def test_scores_round_trip(tmp_path, scores):
 @FILE_SETTINGS
 @given(drawn=st.lists(samples, max_size=5))
 def test_augmented_round_trip(tmp_path, drawn):
-    aug = AugmentedDataset(tuple(drawn), LabelSet(("a", "b")), "catalog", "two_segment")
     path = tmp_path / "augmented.jsonl"
-    export_augmented(aug, path)
-    assert import_augmented(path) == aug.samples
+    export_augmented(drawn, path)
+    assert import_augmented(path) == tuple(drawn)
 
 
 def _dataset_files(tmp_path: Path, data_name: str) -> Path:

@@ -10,7 +10,6 @@ from entailshift.corpus import Dataset, Example, LabelSet, fewshot_sample, split
 from entailshift.methods import (
     METHOD_KINDS,
     MethodSpec,
-    _multiclass_segments,
     load_predictions,
     resolve_catalog,
     run_method,
@@ -201,6 +200,15 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="catalog_id"):
             MethodSpec(kind="entail")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("catalog_id", 5, "catalog_id must be a string, got 5"),
+        ("oversample", "false", "oversample must be true or false, got 'false'"),
+        ("oversample", 0, "oversample must be true or false, got 0"),
+    ])
+    def test_mistyped_entail_fields_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MethodSpec(kind="entail", **{"catalog_id": "en-retail", field: value})
+
     def test_prompt_variant_only_for_entail(self):
         with pytest.raises(ValueError, match="entail"):
             MethodSpec(kind="majority", prompt_variant="random")
@@ -231,15 +239,27 @@ class TestUniformContract:
         b = run_method(spec_for(kind), train_ds, post_train, test_ds)
         assert a == b
 
-    @pytest.mark.parametrize("kind, concat_mode", [
-        ("finetuned_post_only", None), ("entail", "two_segment"), ("entail", None),
-    ], ids=["finetuned_post_only", "entail", "entail-inferred-mode"])
-    def test_empty_test_set_predicts_nothing(self, kind, concat_mode):
+    @pytest.mark.parametrize("kind", ["finetuned_post_only", "entail"])
+    def test_empty_test_set_predicts_nothing(self, kind):
         """Zero test rows score as zero rows; they are not a training error."""
         train_ds, post_train, test_ds = retail_splits(per_topic=8, n_shot=8)
         empty = Dataset(examples=(), pre_labels=test_ds.pre_labels, post_labels=test_ds.post_labels)
-        spec = spec_for(kind, concat_mode=concat_mode)
-        assert run_method(spec, train_ds, post_train, empty) == {}
+        assert run_method(spec_for(kind), train_ds, post_train, empty) == {}
+
+    @pytest.mark.parametrize("kind", ["entail", "finetuned_post_only"])
+    def test_mixed_pair_and_single_text_examples(self, kind):
+        """Examples with and without text_b share one dataset; each keeps its own layout."""
+        train_ds, post_train, test_ds = retail_splits(per_topic=8, n_shot=16)
+
+        def mixed(ds):
+            return replace(ds, examples=tuple(
+                replace(ex, text_b=None) if i % 2 else ex for i, ex in enumerate(ds)))
+
+        post_train, test_ds = mixed(post_train), mixed(test_ds)
+        assert {ex.text_b is None for ex in post_train} == {ex.text_b is None for ex in test_ds} == {True, False}
+        predictions = run_method(spec_for(kind), train_ds, post_train, test_ds)
+        assert set(predictions) == {ex.id for ex in test_ds}
+        assert set(predictions.values()) <= set(test_ds.post_labels)
 
     @pytest.mark.parametrize("kind", METHOD_KINDS)
     def test_duplicate_test_ids_rejected(self, kind):
@@ -254,8 +274,11 @@ class TestUniformContract:
 def reference_multiclass(kind: str, pre_train: Dataset, post_train: Dataset, test: Dataset,
                          cfg: TrainConfig, feat: FeaturizerConfig) -> dict[str, str]:
     """Each multiclass kind spelled out as its own featurize/train calls."""
+    def segments(ex):
+        return (ex.text_a,) if ex.text_b is None else (ex.text_a, ex.text_b)
+
     def features(ds):
-        return [featurize(_multiclass_segments(ex), feat) for ex in ds]
+        return [featurize(segments(ex), feat) for ex in ds]
 
     def targets(ds, column):
         return [ds.post_labels.index(getattr(ex, f"{column}_label")) for ex in ds]
@@ -277,7 +300,7 @@ def reference_multiclass(kind: str, pre_train: Dataset, post_train: Dataset, tes
         model = train_joint(features(post_train), targets(post_train, "pre"),
                             targets(post_train, "post"), cfg, n_classes=k, featurizer=feat)
     return {
-        ex.id: test.post_labels.labels[int(score(model, [featurize(_multiclass_segments(ex), feat)])[0].argmax())]
+        ex.id: test.post_labels.labels[int(score(model, [featurize(segments(ex), feat)])[0].argmax())]
         for ex in test
     }
 

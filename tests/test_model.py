@@ -162,7 +162,7 @@ class TestFeaturize:
             example = Example(id="r", text_a="usb [SEP] hub", text_b="dock [SEP] stand",
                               pre_label="irrelevant", post_label="exact")
             prompt, content = "changed to exact match", ["usb", "sep", "hub", "dock", "sep", "stand"]
-        first = candidates(example, labels, catalog, mode)[0]
+        first = candidates(example, labels, catalog)[0]
         prompt_tokens = prompt.split()
         expected = (
             [f"w:{t}" for t in prompt_tokens + content]
@@ -727,6 +727,17 @@ class TestPersistence:
         assert loaded.head == model.head
         assert loaded.featurizer == model.featurizer
         assert loaded.train_log == model.train_log
+        np.testing.assert_array_equal(loaded.weights, model.weights)
+        np.testing.assert_array_equal(loaded.bias, model.bias)
+
+    def test_round_trip_under_a_name_without_suffix(self, tmp_path):
+        """The file is exactly the path given; numpy does not add ``.npz``."""
+        model = zero_model(SMALL, "multiclass", n_classes=3)
+        path = tmp_path / "mfile"
+        save_model(model, path)
+        assert [p.name for p in tmp_path.iterdir()] == ["mfile"]
+        loaded = load_model(path)
+        assert (loaded.head, loaded.featurizer) == (model.head, model.featurizer)
         np.testing.assert_array_equal(loaded.weights, model.weights)
         np.testing.assert_array_equal(loaded.bias, model.bias)
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from entailshift.corpus import Dataset, Example, LabelSet
 from entailshift.prompts import PromptCatalog, builtin_catalog
 from entailshift.reformulate import (
-    AugmentedDataset,
     Candidate,
     EntailSample,
     ScoreCoverageError,
@@ -22,7 +21,6 @@ from entailshift.reformulate import (
     export_scores,
     import_augmented,
     import_scores,
-    infer_concat_mode,
     oversample_positive,
     predict_dataset,
     predict_from_scores,
@@ -66,7 +64,7 @@ def rendered(prompt: str, ex: Example, k: int = 1) -> str:
 class TestConcat:
     def test_two_segment_layout(self):
         cat = builtin_catalog("en-retail")
-        got = candidates(retail_example(), RETAIL_LABELS, cat, "two_segment")[1].input_text
+        got = candidates(retail_example(), RETAIL_LABELS, cat)[1].input_text
         assert got == "iphone [SEP] changed to substitute match [SEP] samsung galaxy"
 
     def test_single_segment_layout(self):
@@ -74,21 +72,31 @@ class TestConcat:
             id="n1", text_a="Stocks to Watch Tuesday",
             pre_label="relevant", post_label="relevant",
         )
-        got = candidates(ex, NEWS_LABELS, builtin_catalog("en-news"), "single_segment")[0].input_text
+        got = candidates(ex, NEWS_LABELS, builtin_catalog("en-news"))[0].input_text
         assert got == "remained relevant news [SEP] Stocks to Watch Tuesday"
 
-    def test_two_segment_without_text_b(self):
-        ex = Example(id="x", text_a="only one", pre_label="a", post_label="a")
-        with pytest.raises(ValueError, match="text_b"):
-            candidates(ex, NEWS_LABELS, builtin_catalog("en-news"), "two_segment")
-
-    def test_mode_inference(self):
-        two = [retail_example(0), retail_example(1)]
-        one = [Example(id="a", text_a="t", pre_label="x", post_label="x")]
-        assert infer_concat_mode(two) == "two_segment"
-        assert infer_concat_mode(one) == "single_segment"
-        with pytest.raises(ValueError, match="mixed"):
-            infer_concat_mode(two + one)
+    def test_each_example_decides_its_layout(self):
+        """Pair and single-text examples in one dataset each keep their own layout."""
+        cat = builtin_catalog("en-news")
+        ds = Dataset(
+            examples=(
+                Example(id="p", text_a="query", text_b="title", pre_label="relevant",
+                        post_label="irrelevant"),
+                Example(id="s", text_a="headline", pre_label="irrelevant", post_label="relevant"),
+            ),
+            pre_labels=NEWS_LABELS, post_labels=NEWS_LABELS,
+        )
+        contents = {"p": ("query", "title"), "s": ("headline",)}
+        for ex in ds:
+            assert ex.segments == contents[ex.id]
+            for c, label in zip(candidates(ex, NEWS_LABELS, cat), NEWS_LABELS):
+                assert c.segments == (cat.render(label, pre_label=ex.pre_label), *contents[ex.id])
+        aug = augment_dataset(ds, cat, oversample=False)
+        assert [s.segments[1:] for s in aug] == [contents["p"]] * 2 + [contents["s"]] * 2
+        assert aug[0].input_text == "query [SEP] remained relevant news [SEP] title"
+        assert aug[2].input_text == "changed to relevant news [SEP] headline"
+        scorer = batched(lambda c: 1.0 if "irrelevant" in c.segments[0] else 0.0)
+        assert predict_dataset(scorer, ds, cat) == {"p": "irrelevant", "s": "irrelevant"}
 
 
 class TestAugmentExample:
@@ -96,7 +104,7 @@ class TestAugmentExample:
         """A pair whose label moved from irrelevant to substitute: three
         negatives and one positive, prompts in label-set order."""
         cat = builtin_catalog("en-retail")
-        samples = augment_example(retail_example(), RETAIL_LABELS, cat, "two_segment")
+        samples = augment_example(retail_example(), RETAIL_LABELS, cat)
         texts = [s.input_text for s in samples]
         assert texts == [
             "iphone [SEP] changed to exact match [SEP] samsung galaxy",
@@ -114,7 +122,7 @@ class TestAugmentExample:
             id="n1", text_a="Stocks to Watch Tuesday",
             pre_label="relevant", post_label="relevant",
         )
-        samples = augment_example(ex, NEWS_LABELS, cat, "single_segment")
+        samples = augment_example(ex, NEWS_LABELS, cat)
         by_label = {s.binary_label: s.input_text for s in samples}
         assert by_label[1] == "remained relevant news [SEP] Stocks to Watch Tuesday"
         assert by_label[0] == "changed to irrelevant news [SEP] Stocks to Watch Tuesday"
@@ -124,14 +132,14 @@ class TestAugmentExample:
         cat = builtin_catalog("en-retail")
         ex = Example(id="s", text_a="usb [SEP] hub", text_b="dock [SEP] stand",
                      pre_label="irrelevant", post_label="exact")
-        first = augment_example(ex, RETAIL_LABELS, cat, "two_segment")[0]
+        first = augment_example(ex, RETAIL_LABELS, cat)[0]
         assert first.segments == ("changed to exact match", "usb [SEP] hub", "dock [SEP] stand")
         assert first.input_text == rendered("changed to exact match", ex)
 
     def test_one_hot_over_candidates(self):
         cat = builtin_catalog("en-retail")
         for post in RETAIL_LABELS:
-            samples = augment_example(retail_example(post=post), RETAIL_LABELS, cat, "two_segment")
+            samples = augment_example(retail_example(post=post), RETAIL_LABELS, cat)
             assert sum(s.binary_label for s in samples) == 1
             positive = samples[RETAIL_LABELS.index(post)]
             assert positive.binary_label == 1
@@ -156,12 +164,12 @@ class TestAugmentDataset:
     def test_count_law_without_oversampling(self):
         aug = augment_dataset(retail_dataset(100), builtin_catalog("en-retail"), oversample=False)
         assert len(aug) == 400
-        assert aug.n_positive == 100
+        assert sum(s.binary_label for s in aug) == 100
 
     def test_count_law_with_oversampling(self):
         aug = augment_dataset(retail_dataset(100), builtin_catalog("en-retail"), oversample=True)
         assert len(aug) == 500
-        assert aug.n_positive == 200
+        assert sum(s.binary_label for s in aug) == 200
 
     def test_exactly_one_clean_positive_per_source(self):
         aug = augment_dataset(retail_dataset(40), builtin_catalog("en-retail"), oversample=True)
@@ -196,7 +204,7 @@ class TestAugmentDataset:
         )
         k = len(RETAIL_LABELS)
         assert len(aug) == (k + 1) * n if oversample else k * n
-        assert aug.n_positive == (2 * n if oversample else n)
+        assert sum(s.binary_label for s in aug) == (2 * n if oversample else n)
 
 
 class TestOversamplePositive:
@@ -206,7 +214,7 @@ class TestOversamplePositive:
             pre_label="irrelevant", post_label="exact",
         )
         cat = builtin_catalog("en-retail")
-        samples = augment_example(source, RETAIL_LABELS, cat, "two_segment")
+        samples = augment_example(source, RETAIL_LABELS, cat)
         return samples[RETAIL_LABELS.index("exact")], source
 
     def test_twenty_token_title_loses_exactly_one(self):
@@ -262,7 +270,7 @@ class TestOversamplePositive:
             pre_label="relevant", post_label="relevant",
         )
         cat = builtin_catalog("en-news")
-        positive = augment_example(source, NEWS_LABELS, cat, "single_segment")[0]
+        positive = augment_example(source, NEWS_LABELS, cat)[0]
         out = oversample_positive(positive, deletion_frac=0.1, seed=2)
         prompt, body = out.input_text.split(" [SEP] ")
         assert prompt == "remained relevant news"
@@ -277,7 +285,7 @@ def one_example(ex: Example) -> Dataset:
 def predict_one(scorer, ex: Example) -> str:
     """The prediction for one example, through predict_dataset."""
     cat = builtin_catalog("en-retail")
-    return predict_dataset(scorer, one_example(ex), cat, "two_segment")[ex.id]
+    return predict_dataset(scorer, one_example(ex), cat)[ex.id]
 
 
 class TestPredictLabel:
@@ -331,9 +339,9 @@ class TestPredictLabel:
             calls.append(list(batch))
             return [pseudo_candidate_scorer(c) for c in batch]
 
-        got = predict_dataset(recording, ds, cat, "two_segment")
+        got = predict_dataset(recording, ds, cat)
         seen = [c for batch in calls for c in batch]
-        assert seen == [c for ex in ds for c in candidates(ex, RETAIL_LABELS, cat, "two_segment")]
+        assert seen == [c for ex in ds for c in candidates(ex, RETAIL_LABELS, cat)]
         assert len(calls) > 1 and all(1 <= len(batch) <= 64 for batch in calls)
         assert got == {ex.id: predict_one(batched(pseudo_candidate_scorer), ex) for ex in ds}
 
@@ -352,7 +360,7 @@ class TestFileBridge:
         export_augmented(aug, path)
         lines = [l for l in path.read_text().splitlines() if l.strip()]
         assert len(lines) == 400
-        assert import_augmented(path) == aug.samples
+        assert import_augmented(path) == aug
 
     def test_scores_round_trip_reproduces_predictions(self, tmp_path):
         ds = retail_dataset(30)
@@ -419,7 +427,7 @@ class TestFileBridge:
         path = tmp_path / "aug.jsonl"
         export_augmented(aug, path)
         imported = import_augmented(path)
-        assert imported == aug.samples
+        assert imported == aug
         assert len(imported) == 3 and imported[2].is_oversampled
         assert all(s.segments[1] == "cables [SEP] adapters on sale" for s in imported[:2])
 
