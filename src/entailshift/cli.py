@@ -150,9 +150,9 @@ def eval_predictions(pred_path: Path, gold_path: Path) -> None:
 
 @main.command("experiment")
 @click.option("--config", "config_path", type=_in_file, required=True, help="Experiment config (JSON).")
-@click.option("--workers", default=None, type=int, help="Parallel cell workers; defaults to $ENTAILSHIFT_WORKERS or 1.")
+@click.option("--workers", default=1, show_default=True, type=click.IntRange(min=1), help="Parallel cell workers.")
 @_friendly_errors
-def experiment(config_path: Path, workers: int | None) -> None:
+def experiment(config_path: Path, workers: int) -> None:
     """Run the full (method, budget, seed) grid and write all reports."""
     config = ExperimentConfig.from_file(config_path)
     result = run_experiment(config, workers=workers)

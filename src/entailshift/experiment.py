@@ -4,17 +4,20 @@ An experiment is a grid over (method, budget, seed). Every cell samples a
 few-shot post-shift training set, runs one method, and scores macro-F1 on a
 fixed test set. Cells are independent and individually deterministic, so the
 grid can run in parallel and adding a method never perturbs existing cells.
+A result holds only what the grid produced; its per-cell aggregates, per-budget
+ranking and significance marks are derived from its scores in one place.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,10 +28,9 @@ from .methods import MethodSpec, resolve_catalog, run_method
 from .model import FeaturizerConfig, TrainConfig
 from .seeding import derive_seed
 from .stats import Aggregate, RunScore, aggregate, confusion_from_predictions, mann_whitney_u, per_class_f1
-from .synth import PRESETS, preset_config, synth_generate
+from .synth import PRESETS, SynthConfig, preset_config, synth_generate
 
 SIGNIFICANCE_LEVEL = 0.05
-WORKERS_ENV_VAR = "ENTAILSHIFT_WORKERS"
 RESULT_FILENAME = "result.json"
 RAW_GRID_FILENAME = "raw_grid.csv"
 SERIES_FILENAME = "series.csv"
@@ -37,6 +39,7 @@ REPORT_FILENAME = "report.md"
 _TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "seed", "l2_penalty")
 _FEATURIZER_KEYS = ("dim", "word_ngrams", "char_ngrams", "cross_features", "hash_salt")
 _METHOD_KEYS = ("kind", "prompt_variant", "catalog_id", "train", "featurizer", "oversample")
+_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
 
 
 class ConfigError(ValueError):
@@ -58,7 +61,7 @@ def _tupled(value: Any) -> Any:
     return value
 
 
-def _section_config(cls: type, keys: Sequence[str], template: Mapping[str, Any],
+def _section_config(cls: Callable[..., Any], keys: Sequence[str], template: Mapping[str, Any],
                     overrides: Mapping[str, Any], where: str) -> Any:
     """``cls`` from the template merged with overrides; a bad value is a ConfigError at ``where``."""
     if not isinstance(overrides, Mapping):
@@ -106,9 +109,7 @@ class ExperimentConfig:
         data = raw.get("data")
         if not isinstance(data, Mapping):
             raise ConfigError("data section is required and must be an object")
-        _check_keys(data, ("synth", "files", "shift", "test_fraction", "rebalance_test"), "data")
-        if ("synth" in data) == ("files" in data):
-            raise ConfigError("data must name exactly one source: synth or files")
+        _check_data(data)
 
         master_seed = raw.get("master_seed", 0)
         if not isinstance(master_seed, int):
@@ -225,54 +226,76 @@ def config_hash(raw: Mapping[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PreparedData:
-    """The three datasets every cell sees.
+def _synth_config(synth: Any) -> SynthConfig:
+    """The generator recipe a ``data.synth`` section names; a bad one is a ConfigError."""
+    if not isinstance(synth, Mapping):
+        raise ConfigError("data.synth must be an object")
+    _check_keys(synth, ("preset", "overrides"), "data.synth")
+    preset = synth.get("preset")
+    if not isinstance(preset, str) or preset not in PRESETS:
+        raise ConfigError(f"unknown synth preset {preset!r}; choose from {sorted(PRESETS)}")
+    return _section_config(functools.partial(preset_config, preset), _SYNTH_KEYS, {},
+                           synth.get("overrides", {}), "data.synth.overrides")
 
-    pre_train carries old-concept labels for warm starts; post_pool is the
-    reservoir the few-shot budgets are drawn from; test is fixed across cells.
-    """
 
-    pre_train: Dataset
-    post_pool: Dataset
-    test: Dataset
-
-
-def prepare_data(config: ExperimentConfig) -> PreparedData:
-    data = config.data
-    test_fraction = data.get("test_fraction", 0.25)
-    rebalance_test = data.get("rebalance_test", True)
-
+def _check_data(data: Mapping[str, Any]) -> None:
+    """Reject a ``data`` section before any cell runs, so ``prepare_data`` can follow it."""
+    _check_keys(data, ("synth", "files", "shift", "test_fraction", "rebalance_test"), "data")
+    if ("synth" in data) == ("files" in data):
+        raise ConfigError("data must name exactly one source: synth or files")
     if "synth" in data:
-        synth = data["synth"]
-        if not isinstance(synth, Mapping):
-            raise ConfigError("data.synth must be an object")
-        _check_keys(synth, ("preset", "overrides", "seed"), "data.synth")
-        preset = synth.get("preset")
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown synth preset {preset!r}; choose from {sorted(PRESETS)}")
-        overrides = {k: _tupled(v) for k, v in synth.get("overrides", {}).items()}
-        gen_seed = synth.get("seed", derive_seed(config.master_seed, "synth"))
-        dataset = synth_generate(preset_config(preset, **overrides), seed=gen_seed)
-        train_ds, test_ds = split(
-            dataset, test_fraction=test_fraction, seed=derive_seed(config.master_seed, "split"))
+        _synth_config(data["synth"])
     else:
         files = data["files"]
         if not isinstance(files, Mapping) or "train" not in files or "test" not in files:
             raise ConfigError("data.files must name 'train' and 'test' paths")
         _check_keys(files, ("train", "test", "format"), "data.files")
-        fmt = files.get("format")
-        train_ds = load_dataset(files["train"], format=fmt)
-        test_ds = load_dataset(files["test"], format=fmt)
+        if not isinstance(files["train"], str) or not isinstance(files["test"], str):
+            raise ConfigError("data.files: 'train' and 'test' must be path strings")
+        if files.get("format") not in (None, "jsonl", "csv"):
+            raise ConfigError(f"data.files.format must be 'jsonl' or 'csv', got {files['format']!r}")
+    if not isinstance(data.get("shift", ""), str):
+        raise ConfigError(f"data.shift must be a path string, got {data['shift']!r}")
+    fraction = data.get("test_fraction", 0.25)
+    if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 < fraction < 1:
+        raise ConfigError(f"data.test_fraction must be a number in (0, 1), got {fraction!r}")
+    if not isinstance(data.get("rebalance_test", True), bool):
+        raise ConfigError(f"data.rebalance_test must be true or false, got {data['rebalance_test']!r}")
+
+
+@dataclass(frozen=True)
+class PreparedData:
+    """The two datasets every cell sees.
+
+    train carries old-concept labels for warm starts and is the reservoir the
+    few-shot budgets are drawn from; test is fixed across cells.
+    """
+
+    train: Dataset
+    test: Dataset
+
+
+def prepare_data(config: ExperimentConfig) -> PreparedData:
+    """The datasets of a config whose ``data`` section ``from_dict`` has checked."""
+    data = config.data
+    if "synth" in data:
+        dataset = synth_generate(
+            _synth_config(data["synth"]), seed=derive_seed(config.master_seed, "synth"))
+        train_ds, test_ds = split(dataset, test_fraction=data.get("test_fraction", 0.25),
+                                  seed=derive_seed(config.master_seed, "split"))
+    else:
+        files = data["files"]
+        train_ds = load_dataset(files["train"], format=files.get("format"))
+        test_ds = load_dataset(files["test"], format=files.get("format"))
 
     if "shift" in data:
         shift = ShiftSpec.from_file(data["shift"])
         train_ds = apply_shift(train_ds, shift)
         test_ds = apply_shift(test_ds, shift)
 
-    if rebalance_test:
+    if data.get("rebalance_test", True):
         test_ds = rebalance(test_ds, seed=derive_seed(config.master_seed, "rebalance"))
-    return PreparedData(pre_train=train_ds, post_pool=train_ds, test=test_ds)
+    return PreparedData(train=train_ds, test=test_ds)
 
 
 def budget_subset(pool: Dataset, budget: int | str, master_seed: int, seed_index: int) -> Dataset:
@@ -312,6 +335,8 @@ class BudgetSignificance:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """What one grid produced; every summary of it is derived from ``scores``."""
+
     name: str
     method_ids: tuple[str, ...]
     budget_labels: tuple[str, ...]
@@ -319,12 +344,37 @@ class ExperimentResult:
     class_labels: tuple[str, ...]
     scores: tuple[RunScore, ...]
     failures: tuple[CellFailure, ...]
-    aggregates: Mapping[tuple[str, str], Aggregate]
-    significance: tuple[BudgetSignificance, ...]
     provenance: Mapping[str, str]
 
     def cell_scores(self, method: str, budget: str) -> list[float]:
         return [s.macro_f1 for s in self.scores if s.method == method and s.budget == budget]
+
+    @functools.cached_property
+    def aggregates(self) -> dict[tuple[str, str], Aggregate]:
+        """Mean, std and count of every (method, budget) cell with scores, in grid order."""
+        cells = ((m, b) for m in self.method_ids for b in self.budget_labels)
+        return {cell: aggregate(values) for cell in cells if (values := self.cell_scores(*cell))}
+
+    def ranking(self, budget: str) -> list[str]:
+        """Methods with scores at ``budget``, best mean first; ties keep config order."""
+        present = [m for m in self.method_ids if (m, budget) in self.aggregates]
+        return sorted(present, key=lambda m: -self.aggregates[(m, budget)].mean)
+
+    @functools.cached_property
+    def significance(self) -> tuple[BudgetSignificance, ...]:
+        """Per budget, the best method's rank test against every other, in config order."""
+        tests = []
+        for label in self.budget_labels:
+            ranked = self.ranking(label)
+            best = ranked[0] if ranked else ""
+            best_scores = self.cell_scores(best, label)
+            p_values = tuple(
+                (other, float(mann_whitney_u(best_scores, self.cell_scores(other, label)).p_two_sided))
+                for other in self.method_ids if other in ranked[1:]
+            )
+            all_significant = bool(p_values) and all(p < SIGNIFICANCE_LEVEL for _, p in p_values)
+            tests.append(BudgetSignificance(label, best, p_values, all_significant))
+        return tuple(tests)
 
 
 def _run_cell(task: tuple[MethodSpec, int, int | str, int, PreparedData]) -> RunScore | CellFailure:
@@ -332,8 +382,8 @@ def _run_cell(task: tuple[MethodSpec, int, int | str, int, PreparedData]) -> Run
     label = budget_label(budget)
     try:
         cell_seed = derive_seed(master_seed, spec.method_id, label, seed_index)
-        post_train = budget_subset(data.post_pool, budget, master_seed, seed_index)
-        predictions = run_method(spec.with_seed(cell_seed), data.pre_train, post_train, data.test)
+        post_train = budget_subset(data.train, budget, master_seed, seed_index)
+        predictions = run_method(spec.with_seed(cell_seed), data.train, post_train, data.test)
         gold = [ex.post_label for ex in data.test]
         predicted = [predictions[ex.id] for ex in data.test]
         confusion = confusion_from_predictions(gold, predicted, data.test.post_labels)
@@ -350,18 +400,8 @@ def _run_cell(task: tuple[MethodSpec, int, int | str, int, PreparedData]) -> Run
                            error=f"{type(exc).__name__}: {exc}")
 
 
-def default_workers() -> int:
-    value = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        workers = int(value)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV_VAR}={value!r} is not an integer") from exc
-    return max(1, workers)
-
-
-def run_experiment(config: ExperimentConfig, workers: int | None = None) -> ExperimentResult:
-    """Execute the full (method, budget, seed) grid and aggregate it."""
-    workers = default_workers() if workers is None else max(1, workers)
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
+    """Execute the full (method, budget, seed) grid."""
     data = prepare_data(config)
     tasks = [
         (spec, config.master_seed, budget, seed_index, data)
@@ -375,59 +415,19 @@ def run_experiment(config: ExperimentConfig, workers: int | None = None) -> Expe
     else:
         outcomes = [_run_cell(task) for task in tasks]
 
-    scores = tuple(o for o in outcomes if isinstance(o, RunScore))
-    failures = tuple(o for o in outcomes if isinstance(o, CellFailure))
-
-    aggregates: dict[tuple[str, str], Aggregate] = {}
-    for method in config.method_ids:
-        for label in config.budget_labels:
-            values = [s.macro_f1 for s in scores if s.method == method and s.budget == label]
-            if values:
-                aggregates[(method, label)] = aggregate(values)
-
-    significance = tuple(
-        _budget_significance(label, config.method_ids, scores, aggregates)
-        for label in config.budget_labels
-    )
-
     return ExperimentResult(
         name=config.name,
         method_ids=config.method_ids,
         budget_labels=config.budget_labels,
         seed_indices=config.seed_indices,
         class_labels=tuple(data.test.post_labels),
-        scores=scores,
-        failures=failures,
-        aggregates=aggregates,
-        significance=significance,
+        scores=tuple(o for o in outcomes if isinstance(o, RunScore)),
+        failures=tuple(o for o in outcomes if isinstance(o, CellFailure)),
         provenance={
             "config_sha256": config_hash(config.raw),
             "version": __version__,
         },
     )
-
-
-def _budget_significance(
-    label: str,
-    method_ids: Sequence[str],
-    scores: Sequence[RunScore],
-    aggregates: Mapping[tuple[str, str], Aggregate],
-) -> BudgetSignificance:
-    present = [m for m in method_ids if (m, label) in aggregates]
-    if not present:
-        return BudgetSignificance(budget=label, best_method="", p_values=(), all_significant=False)
-    best = max(present, key=lambda m: (aggregates[(m, label)].mean, -present.index(m)))
-    best_values = [s.macro_f1 for s in scores if s.method == best and s.budget == label]
-    p_values = []
-    for other in present:
-        if other == best:
-            continue
-        other_values = [s.macro_f1 for s in scores if s.method == other and s.budget == label]
-        p = mann_whitney_u(best_values, other_values).p_two_sided
-        p_values.append((other, float(p)))
-    all_significant = bool(p_values) and all(p < SIGNIFICANCE_LEVEL for _, p in p_values)
-    return BudgetSignificance(
-        budget=label, best_method=best, p_values=tuple(p_values), all_significant=all_significant)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,11 @@ def save_result(result: ExperimentResult, output_dir: str | Path) -> Path:
 
 
 def load_result(output_dir: str | Path) -> ExperimentResult:
-    """The result saved in ``output_dir``; a malformed file is a ValueError naming it."""
+    """The result saved in ``output_dir``; a malformed file is a ValueError naming it.
+
+    Only the grid is read back: aggregates and significance are recomputed
+    from the scores, never taken from the file.
+    """
     path = Path(output_dir) / RESULT_FILENAME
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run the experiment first")
@@ -501,18 +505,6 @@ def load_result(output_dir: str | Path) -> ExperimentResult:
             failures=tuple(
                 CellFailure(method=f["method"], budget=f["budget"], seed=f["seed"], error=f["error"])
                 for f in payload["failures"]
-            ),
-            aggregates={
-                (a["method"], a["budget"]): Aggregate(mean=a["mean"], std=a["std"], count=a["count"])
-                for a in payload["aggregates"]
-            },
-            significance=tuple(
-                BudgetSignificance(
-                    budget=s["budget"], best_method=s["best_method"],
-                    p_values=tuple((m, p) for m, p in s["p_values"]),
-                    all_significant=s["all_significant"],
-                )
-                for s in payload["significance"]
             ),
             provenance=payload["provenance"],
         )
@@ -562,13 +554,7 @@ def render_series(result: ExperimentResult) -> str:
 
 def render_markdown(result: ExperimentResult) -> str:
     n_seeds = len(result.seed_indices)
-    ranked: dict[str, list[str]] = {}
-    for label in result.budget_labels:
-        present = [m for m in result.method_ids if (m, label) in result.aggregates]
-        ranked[label] = sorted(
-            present,
-            key=lambda m: (-result.aggregates[(m, label)].mean, result.method_ids.index(m)),
-        )
+    ranked = {label: result.ranking(label) for label in result.budget_labels}
     marked = {s.budget: s for s in result.significance}
 
     lines = [f"# {result.name}", ""]
@@ -590,10 +576,7 @@ def render_markdown(result: ExperimentResult) -> str:
             cell = _format_cell(result.aggregates.get((method, label)), n_seeds)
             order = ranked[label]
             if order and method == order[0]:
-                cell = f"**{cell}**"
-                sig = marked.get(label)
-                if sig is not None and sig.best_method == method and sig.all_significant:
-                    cell += " †"
+                cell = f"**{cell}**" + (" †" if marked[label].all_significant else "")
             elif len(order) > 1 and method == order[1]:
                 cell = f"<u>{cell}</u>"
             row.append(cell)

@@ -427,17 +427,12 @@ def _fit(
     config: TrainConfig,
     head: str,
     n_classes: int,
-    featurizer: FeaturizerConfig | None,
+    *,
+    featurizer: FeaturizerConfig,
 ) -> Model:
     """Mini-batch descent on the summed cross-entropy of the named label columns."""
     if not features:
         raise ValueError("no samples to train on")
-    if featurizer is None:
-        featurizer = (
-            config.warm_start.featurizer
-            if config.warm_start is not None
-            else FeaturizerConfig(dim=features[0].dim)
-        )
     packed = _pack(features, featurizer.dim)
     targets = _target_columns(head, columns.values())
     for what, y in zip(columns, targets):
@@ -479,7 +474,8 @@ def train(
     config: TrainConfig,
     head: str = "binary",
     n_classes: int | None = None,
-    featurizer: FeaturizerConfig | None = None,
+    *,
+    featurizer: FeaturizerConfig,
 ) -> Model:
     """Mini-batch gradient descent on mean cross-entropy plus L2.
 
@@ -491,6 +487,7 @@ def train(
     on the active columns only, those the samples touch or the warm start
     holds non-zero; every all-zero column stays exactly zero, as under full
     decay. ``train_log`` records the full-dataset mean cross-entropy per epoch.
+    ``featurizer``, the config that made ``features``, is recorded in the model.
     ``config.warm_start`` initializes from a prior model of the same head
     and featurizer (fine-tuning); otherwise parameters start at zero.
     """
@@ -500,7 +497,7 @@ def train(
         raise ValueError(f"unknown head {head!r}")
     elif n_classes is None:
         raise ValueError("multiclass training requires explicit n_classes")
-    return _fit(features, {head: labels}, config, head, n_classes, featurizer)
+    return _fit(features, {head: labels}, config, head, n_classes, featurizer=featurizer)
 
 
 def train_joint(
@@ -509,7 +506,8 @@ def train_joint(
     post_labels: Sequence[int],
     config: TrainConfig,
     n_classes: int,
-    featurizer: FeaturizerConfig | None = None,
+    *,
+    featurizer: FeaturizerConfig,
 ) -> Model:
     """Minimize CE(prediction, pre label) + CE(prediction, post label).
 
@@ -518,7 +516,7 @@ def train_joint(
     two-term mean cross-entropy per epoch.
     """
     columns = {"pre-shift": pre_labels, "post-shift": post_labels}
-    return _fit(features, columns, config, "multiclass", n_classes, featurizer)
+    return _fit(features, columns, config, "multiclass", n_classes, featurizer=featurizer)
 
 
 # ---------------------------------------------------------------------------

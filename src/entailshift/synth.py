@@ -14,7 +14,7 @@ lexical knowledge a pretrained encoder would bring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
 import numpy as np
@@ -68,6 +68,12 @@ class SynthConfig:
                 raise ValueError(
                     f"anchor {anchor!r} is not in the vocabulary of topic {topic!r}"
                 )
+        for name in ("n_per_topic", "tokens_per_text", "anchor_repeats"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.two_segment, bool):
+            raise ValueError(f"two_segment must be true or false, got {self.two_segment!r}")
         if self.anchor_repeats < 1:
             raise ValueError("anchor_repeats must be at least 1")
         if not 0.0 <= self.noise_rate < 0.5:
@@ -76,11 +82,6 @@ class SynthConfig:
             raise ValueError("n_per_topic must be positive")
         if self.tokens_per_text < 2:
             raise ValueError("tokens_per_text must be at least 2")
-
-    def with_overrides(self, **kwargs: object) -> "SynthConfig":
-        from dataclasses import replace
-
-        return replace(self, **kwargs)  # type: ignore[arg-type]
 
 
 def _draw_tokens(
@@ -319,7 +320,4 @@ def preset_config(name: str, **overrides: object) -> SynthConfig:
         raise ValueError(
             f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
         ) from None
-    config = factory()
-    if overrides:
-        config = config.with_overrides(**overrides)
-    return config
+    return replace(factory(), **overrides)  # type: ignore[arg-type]

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` times each layer by replacing the module attribute
 the pipeline calls it through, so a renamed function or a call that bypasses
 that attribute silently drops a layer from the benchmark. This runs two
-methods under the tracer, loaded unchanged from its file, and checks that
-every wrapped layer exists and is reached and that its counters count.
+methods, and a small grid with its save and report, under the tracer, loaded
+unchanged from its file, and checks that every wrapped layer exists and is
+reached and that its counters count.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import importlib.util
 import math
 from pathlib import Path
 
-from entailshift import methods
+from entailshift import experiment, methods
 from entailshift.corpus import fewshot_sample, split
 from entailshift.model import TrainConfig
 from entailshift.synth import preset_config, synth_generate
@@ -52,3 +53,30 @@ def test_traced_methods_reach_every_layer():
     # example, and K candidates per test example.
     assert tracer.usage.counts["reformulate.augment_samples"] == (k + 1) * len(post_train)
     assert tracer.usage.counts["reformulate.candidates_scored"] == candidates
+
+
+def test_traced_grid_reaches_every_experiment_layer(tmp_path):
+    tracing = load_tracing()
+    config = experiment.ExperimentConfig.from_dict({
+        "name": "contract",
+        "data": {"synth": {"preset": "retail_shift", "overrides": {"n_per_topic": 10}}},
+        "methods": [{"kind": "majority"}, {"kind": "finetuned_post_only"}],
+        "budgets": [5, "full"],
+        "seeds": 2,
+        "train": {"epochs": 2},
+        "output_dir": str(tmp_path),
+    })
+    with tracing.Tracer().installed() as tracer:
+        result = experiment.run_experiment(config)
+        experiment.save_result(result, tmp_path)
+        experiment.emit_report(result, tmp_path)
+    tracer.harvest(result.scores + result.failures)
+    assert tracer.missing == []
+    assert len(result.scores) == 2 * 2 * 2 and not result.failures
+    names = {span[0] for span in tracer.spans}
+    assert {"corpus.prepare_data", "corpus.budget_subset", "synth.generate", "stats",
+            "experiment.run_experiment", "experiment.cell", "experiment.save_emit"} <= names
+    # Aggregates and significance are derived while saving, through the
+    # wrapped ``experiment.aggregate`` and ``experiment.mann_whitney_u``.
+    assert any(name == "stats" and tracer.spans[up][0] == "experiment.save_emit"
+               for name, _, _, up in tracer.spans if up >= 0)

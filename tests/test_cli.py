@@ -10,6 +10,7 @@ from entailshift.cli import main
 from entailshift.corpus import ShiftSpec, load_dataset, save_dataset, split
 from entailshift.methods import METHOD_KINDS
 from entailshift.model import FeaturizerConfig, TrainConfig
+from entailshift.stats import aggregate
 from entailshift.synth import preset_config, synth_generate
 
 
@@ -225,6 +226,28 @@ class TestExperimentCommand:
         ])
         assert result.exit_code == 0, result.output
 
+    def test_workers_below_one_is_a_usage_error(self, runner, tmp_path):
+        config_path = write_config(tmp_path)
+        result = runner.invoke(main, [
+            "experiment", "--config", str(config_path), "--workers", "0",
+        ])
+        assert result.exit_code == 2
+        assert not (tmp_path / "results").exists()
+
+    @pytest.mark.parametrize("data, message", [
+        ({"synth": {"preset": "nope"}}, "unknown synth preset 'nope'"),
+        ({"synth": {"preset": "retail_shift", "overrides": {"bogus": 1}}},
+         "data.synth.overrides: unknown keys ['bogus']"),
+    ], ids=["preset", "overrides"])
+    def test_bad_data_section_is_clean_error(self, runner, tmp_path, data, message):
+        config_path = write_config(tmp_path, data=data)
+        result = runner.invoke(main, ["experiment", "--config", str(config_path)])
+        assert result.exit_code == 1
+        assert f"Error: {config_path}: " in result.output
+        assert message in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+
 
 class TestReportCommand:
     def test_reemit_from_stored_result(self, runner, tmp_path):
@@ -236,6 +259,34 @@ class TestReportCommand:
         result = runner.invoke(main, ["report", "--result", str(out), "--format", "md"])
         assert result.exit_code == 0, result.output
         assert (out / "report.md").read_bytes() == original
+
+    def test_stored_summary_is_recomputed_from_the_scores(self, runner, tmp_path):
+        """A result.json whose aggregates and significance contradict its
+        scores re-emits the reports of its scores."""
+        config_path = write_config(tmp_path)
+        assert runner.invoke(main, ["experiment", "--config", str(config_path)]).exit_code == 0
+        out = tmp_path / "results"
+        originals = {name: (out / name).read_bytes() for name in ("series.csv", "report.md")}
+        payload = json.loads((out / "result.json").read_text())
+        for entry in payload["aggregates"]:
+            entry.update(mean=0.5, std=0.0, count=99)
+        for entry in payload["significance"]:
+            entry.update(best_method="nobody", p_values=[["nobody", 0.0]], all_significant=True)
+        (out / "result.json").write_text(json.dumps(payload))
+        result = runner.invoke(main, ["report", "--result", str(out)])
+        assert result.exit_code == 0, result.output
+        for name, original in originals.items():
+            assert (out / name).read_bytes() == original
+        by_cell = {}
+        for line in (out / "raw_grid.csv").read_text().splitlines()[1:]:
+            method, budget, _seed, macro, *_ = line.split(",")
+            by_cell.setdefault((budget, method), []).append(float(macro))
+        series = [line.split(",") for line in (out / "series.csv").read_text().splitlines()[1:]]
+        assert {(budget, method) for budget, method, *_ in series} == set(by_cell)
+        for budget, method, mean, _std, count in series:
+            values = by_cell[(budget, method)]
+            assert float(mean) == aggregate(values).mean
+            assert int(count) == len(values)
 
     @pytest.mark.parametrize("content", ['{"name": "x"}', "[1, 2]", b"\xff{}"],
                              ids=["missing_key", "not_an_object", "not_utf8"])

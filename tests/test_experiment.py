@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -98,6 +99,31 @@ class TestConfigParsing:
          r"methods\[0\]: catalog_id must be a string, got 5"),
         ({"methods": [{"kind": "majority"}, {"kind": "entail", "catalog_id": "nope"}]},
          r"methods\[1\]: catalog 'nope' is neither a built-in"),
+        ({"data": {"synth": {"preset": "retail_shift", "seed": 3}}}, r"data\.synth: unknown keys"),
+        ({"data": {"synth": {"preset": "nope"}}}, "unknown synth preset 'nope'"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"bogus": 1}}}},
+         r"data\.synth\.overrides: unknown keys \['bogus'\]"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": [1]}}},
+         r"data\.synth\.overrides must be an object, got \[1\]"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"n_per_topic": "x"}}}},
+         r"data\.synth\.overrides: "),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"noise_rate": 0.7}}}},
+         r"data\.synth\.overrides: noise_rate"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"n_per_topic": 2.5}}}},
+         r"data\.synth\.overrides: n_per_topic must be an integer, got 2\.5"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"two_segment": "no"}}}},
+         r"data\.synth\.overrides: two_segment must be true or false"),
+        ({"data": {"synth": {"preset": "retail_shift"}, "test_fraction": "x"}},
+         r"data\.test_fraction must be a number in \(0, 1\), got 'x'"),
+        ({"data": {"synth": {"preset": "retail_shift"}, "test_fraction": 1}}, r"data\.test_fraction"),
+        ({"data": {"synth": {"preset": "retail_shift"}, "test_fraction": True}}, r"data\.test_fraction"),
+        ({"data": {"synth": {"preset": "retail_shift"}, "rebalance_test": "no"}},
+         r"data\.rebalance_test must be true or false, got 'no'"),
+        ({"data": {"files": {"train": 1, "test": "t.jsonl"}}}, r"data\.files: .*path strings"),
+        ({"data": {"files": {"train": "a.jsonl", "test": "b.jsonl", "format": "parquet"}}},
+         r"data\.files\.format must be 'jsonl' or 'csv', got 'parquet'"),
+        ({"data": {"synth": {"preset": "retail_shift"}, "shift": ["a"]}},
+         r"data\.shift must be a path string"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
@@ -138,8 +164,7 @@ class TestConfigParsing:
 class TestDataPreparation:
     def test_synth_split_and_balanced_test(self):
         data = prepare_data(base_config())
-        assert data.pre_train is data.post_pool
-        ids = {ex.id for ex in data.pre_train} & {ex.id for ex in data.test}
+        ids = {ex.id for ex in data.train} & {ex.id for ex in data.test}
         assert ids == set()
         counts = data.test.post_counts()
         assert len(set(counts.values())) == 1          # rebalanced
@@ -164,17 +189,17 @@ class TestDataPreparation:
             "rebalance_test": False,
         })
         data = prepare_data(config)
-        for ex in data.post_pool:
+        for ex in data.train:
             assert ex.post_label != ex.pre_label
 
     def test_budget_subsets_nest_within_a_seed(self):
-        pool = prepare_data(base_config()).post_pool
+        pool = prepare_data(base_config()).train
         small = {ex.id for ex in budget_subset(pool, 8, master_seed=7, seed_index=1)}
         large = {ex.id for ex in budget_subset(pool, 24, master_seed=7, seed_index=1)}
         assert small < large
 
     def test_budget_subset_shared_across_methods(self):
-        pool = prepare_data(base_config()).post_pool
+        pool = prepare_data(base_config()).train
         once = [ex.id for ex in budget_subset(pool, 8, master_seed=7, seed_index=0)]
         again = [ex.id for ex in budget_subset(pool, 8, master_seed=7, seed_index=0)]
         assert once == again
@@ -262,34 +287,61 @@ class TestResultPersistence:
 
 
 def crafted_result() -> ExperimentResult:
-    """Hand-ranked two-budget fixture: best and second best known per column."""
-    def score(method, budget, seed, value):
-        return RunScore(method=method, budget=budget, seed=seed,
-                        macro_f1=value, per_class_f1=(value, value))
+    """Hand-ranked two-budget fixture: best and second best known per column.
 
-    scores = (
-        score("alpha", "10", 0, 0.90), score("alpha", "10", 1, 0.92),
-        score("beta", "10", 0, 0.50), score("beta", "10", 1, 0.52),
-        score("gamma", "10", 0, 0.70), score("gamma", "10", 1, 0.72),
-        score("alpha", "full", 0, 0.40), score("alpha", "full", 1, 0.42),
-        score("beta", "full", 0, 0.95), score("beta", "full", 1, 0.97),
-        score("gamma", "full", 0, 0.80), score("gamma", "full", 1, 0.82),
-    )
-    aggregates = {}
-    for method in ("alpha", "beta", "gamma"):
-        for budget in ("10", "full"):
-            values = [s.macro_f1 for s in scores if s.method == method and s.budget == budget]
-            aggregates[(method, budget)] = aggregate(values)
-    significance = (
-        BudgetSignificance("10", "alpha", (("beta", 0.33), ("gamma", 0.33)), False),
-        BudgetSignificance("full", "beta", (("alpha", 0.02), ("gamma", 0.03)), True),
+    Each cell holds four seeds at its mean -0.017, -0.003, +0.003 and +0.017,
+    so every cell's std is 1.41 x 100 and each budget's best method beats
+    every other outright (exact two-sided Mann-Whitney p = 2/70).
+    """
+    means = {
+        ("alpha", "10"): 0.91, ("beta", "10"): 0.51, ("gamma", "10"): 0.71,
+        ("alpha", "full"): 0.41, ("beta", "full"): 0.96, ("gamma", "full"): 0.81,
+    }
+    scores = tuple(
+        RunScore(method=method, budget=budget, seed=seed,
+                 macro_f1=mean + offset, per_class_f1=(mean + offset, mean + offset))
+        for (method, budget), mean in means.items()
+        for seed, offset in enumerate((-0.017, -0.003, 0.003, 0.017))
     )
     return ExperimentResult(
         name="crafted", method_ids=("alpha", "beta", "gamma"),
-        budget_labels=("10", "full"), seed_indices=(0, 1), class_labels=("a", "b"),
-        scores=scores, failures=(), aggregates=aggregates,
-        significance=significance, provenance={"config_sha256": "x", "version": "t"},
+        budget_labels=("10", "full"), seed_indices=(0, 1, 2, 3), class_labels=("a", "b"),
+        scores=scores, failures=(), provenance={"config_sha256": "x", "version": "t"},
     )
+
+
+def tied_result(method_ids: tuple[str, ...]) -> ExperimentResult:
+    """One budget where "b" and "c" share the best mean and "a" trails."""
+    values = {"a": (0.2, 0.3), "b": (0.6, 0.8), "c": (0.8, 0.6)}
+    scores = tuple(
+        RunScore(method=method, budget="10", seed=seed, macro_f1=value, per_class_f1=(value,))
+        for method in method_ids for seed, value in enumerate(values[method])
+    )
+    return ExperimentResult(
+        name="tied", method_ids=method_ids, budget_labels=("10",), seed_indices=(0, 1),
+        class_labels=("x",), scores=scores, failures=(), provenance={},
+    )
+
+
+class TestDerivedSummary:
+    def test_equal_means_rank_in_config_order(self):
+        assert tied_result(("a", "b", "c")).ranking("10") == ["b", "c", "a"]
+        assert tied_result(("c", "a", "b")).ranking("10") == ["c", "b", "a"]
+
+    def test_significance_tests_the_best_against_the_rest_in_config_order(self):
+        (sig,) = tied_result(("a", "b", "c")).significance
+        assert sig.best_method == "b"
+        assert [other for other, _ in sig.p_values] == ["a", "c"]
+
+    def test_report_marks_the_ranking(self):
+        lines = render_markdown(tied_result(("a", "b", "c"))).splitlines()
+        assert "| b | **70.00(14.14)** |" in lines
+        assert "| c | <u>70.00(14.14)</u> |" in lines
+
+    def test_budget_without_scores_has_no_best(self):
+        result = replace(tied_result(("a",)), budget_labels=("10", "20"))
+        assert result.ranking("20") == []
+        assert result.significance[1] == BudgetSignificance("20", "", (), False)
 
 
 class TestReportRendering:

@@ -432,6 +432,7 @@ class TestTrainBinary:
             TrainConfig(epochs=50, learning_rate=0.5, batch_size=4,
                         l2_penalty=0.0, warm_start=converged),
             head="binary",
+            featurizer=SMALL,
         )
         before = converged.train_log[-1]
         after = resumed.train_log[-1]
@@ -655,10 +656,10 @@ class TestGradCheck:
                                  l2_penalty=l2, seed=trial, warm_start=model)
             if head == "joint":
                 stepped = train_joint(features, *labels, config,
-                                      n_classes=model.weights.shape[0])
+                                      n_classes=model.weights.shape[0], featurizer=model.featurizer)
             else:
                 stepped = train(features, labels[0], config, head=model.head,
-                                n_classes=model.n_classes)
+                                n_classes=model.n_classes, featurizer=model.featurizer)
             _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
             np.testing.assert_allclose(stepped.weights, model.weights - lr * grad_w,
                                        rtol=0, atol=1e-12)

@@ -1,6 +1,8 @@
 """Synthetic corpus generation: determinism, label wiring, noise behavior."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from entailshift.corpus import ShiftSpec, save_dataset
@@ -108,7 +110,7 @@ class TestPresets:
 
     def test_retail_is_two_segment_with_anchored_titles(self):
         config = retail_shift()
-        ds = synth_generate(config.with_overrides(n_per_topic=50), seed=0)
+        ds = synth_generate(replace(config, n_per_topic=50), seed=0)
         assert all(ex.text_b for ex in ds)
         # Noiseless preset: every title carries its topic's planted anchor
         # word at least anchor_repeats times.
@@ -121,25 +123,25 @@ class TestPresets:
         # neither the class names nor the prompt template words may occur
         # in any generated text.
         config = retail_shift()
-        ds = synth_generate(config.with_overrides(n_per_topic=50), seed=0)
+        ds = synth_generate(replace(config, n_per_topic=50), seed=0)
         prompt_words = set(config.post_labels) | {"remained", "changed", "to", "match"}
         for ex in ds:
             tokens = set(ex.text_a.split()) | set(ex.text_b.split())
             assert not (tokens & prompt_words)
 
     def test_retail_pre_labels_are_uniformly_irrelevant(self):
-        ds = synth_generate(retail_shift().with_overrides(n_per_topic=10), seed=0)
+        ds = synth_generate(replace(retail_shift(), n_per_topic=10), seed=0)
         assert {ex.pre_label for ex in ds} == {"irrelevant"}
         assert ds.post_counts() == {"exact": 10, "substitute": 10, "complement": 10, "irrelevant": 10}
 
     def test_total_flip_is_noiseless_and_inverted(self):
         config = total_flip()
         assert config.noise_rate == 0.0
-        ds = synth_generate(config.with_overrides(n_per_topic=10), seed=0)
+        ds = synth_generate(replace(config, n_per_topic=10), seed=0)
         assert all(ex.pre_label != ex.post_label for ex in ds)
 
     def test_news_shift_flips_one_topic_out_and_two_in(self):
-        ds = synth_generate(news_shift().with_overrides(n_per_topic=5), seed=0)
+        ds = synth_generate(replace(news_shift(), n_per_topic=5), seed=0)
         flips = {(ex.topic, ex.pre_label, ex.post_label) for ex in ds}
         assert flips == {
             ("world", "relevant", "irrelevant"),
