@@ -45,6 +45,7 @@ from .model import (
     Model,
     TrainConfig,
     featurize,
+    featurize_batch,
     make_binary_scorer,
     train,
     train_joint,
@@ -172,7 +173,7 @@ def _multiclass_model(kind: str, spec: MethodSpec, pre_train: Dataset, post_trai
 def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
     from .model import score  # looked up per call: the benchmark tracer wraps model.score
 
-    probs = score(model, [featurize(ex.segments, model.featurizer) for ex in test])
+    probs = score(model, featurize_batch([ex.segments for ex in test], model.featurizer))
     labels = test.post_labels.labels
     return {ex.id: labels[k] for ex, k in zip(test, probs.argmax(axis=1))}
 

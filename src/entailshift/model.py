@@ -17,11 +17,16 @@ hash key, reduced modulo the table size; ``hash_feature`` is its only
 definition. ``featurize`` hashes each distinct key once: bounded memos map
 keys to indices per (salt, dim) and tokens to the indices of their unigram
 and character n-gram keys per config, so its vectors equal hashing every
-key of the input's key multiset bit for bit. Training and ``score`` run one
-forward, ``_logits`` over packed rows, so a row scores the same alone or in
-a batch. Cross features exist because a purely additive linear model scores
-candidate prompts independently of the text they are paired with; the
-conjunction features are what let the binary head read prompts in context.
+key of the input's key multiset bit for bit. ``featurize_batch`` gives
+the same vectors for many inputs: in blocks of 64 rows it tokenizes and
+keys each distinct segment once, so the K candidates of one example share
+their content's work, and one ``np.unique`` and one norm pass finish the
+block. The scorers featurize through it; training featurizes row by row.
+Training and ``score`` run one forward, ``_logits`` over packed rows, so a
+row scores the same alone or in a batch. Cross features exist because a
+purely additive linear model scores candidate prompts independently of the
+text they are paired with; the conjunction features are what let the binary
+head read prompts in context.
 """
 from __future__ import annotations
 
@@ -99,12 +104,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _token_lists(segments: str | Sequence[str]) -> list[list[str]]:
-    if isinstance(segments, str):
-        segments = (segments,)
-    return [tokenize(part) for part in segments]
-
-
 def _token_keys(token: str, config: FeaturizerConfig) -> list[str]:
     """Keys a token yields wherever it occurs: "w:tok" and its char n-grams."""
     keys = ["w:" + token for n in config.word_ngrams if n == 1]
@@ -121,14 +120,6 @@ def _word_ngram_keys(tokens: list[str], config: FeaturizerConfig) -> list[str]:
         if n > 1
         for i in range(len(tokens) - n + 1)
     ]
-
-
-def _cross_keys(token_lists: list[list[str]], config: FeaturizerConfig) -> list[str]:
-    """First-segment x later-segment token conjunctions: "ptok⊗ctok"."""
-    if not config.cross_features or len(token_lists) < 2:
-        return []
-    content_tokens = [tok for tokens in token_lists[1:] for tok in tokens]
-    return [f"{p}⊗{c}" for p in token_lists[0] for c in content_tokens]
 
 
 # Memos that make ``featurize`` hash each distinct key once. They hold only
@@ -166,32 +157,113 @@ def _memo(memos: dict, space, compute) -> _Memo:
     return memo
 
 
-def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> FeatureVector:
-    """Hash the key multiset and L2-normalize the counts; empty -> zero vector.
-
-    Equal to hashing every key the ``_*_keys`` helpers spell out with
-    ``hash_feature``; bounded memos hash each distinct key once.
-    """
+def _index_memos(config: FeaturizerConfig) -> tuple[_Memo, _Memo]:
+    """The memos of ``config``: key -> index, and token -> its keys' indices."""
     salt, dim = config.hash_salt, config.dim
     keys = _memo(_key_memos, (salt, dim), lambda key: hash_feature(key, salt, dim))
     tokens_index = _memo(_token_memos, config, lambda token: tuple(
         hash_feature(key, salt, dim) for key in _token_keys(token, config)))
-    token_lists = _token_lists(segments)
+    return keys, tokens_index
+
+
+def _row_indices(
+    segments: str | Sequence[str],
+    config: FeaturizerConfig,
+    memos: tuple[_Memo, _Memo],
+    segment_cache: dict,
+    cross_cache: dict,
+) -> list[int]:
+    """The hashed indices of one input's key multiset, in no particular order.
+
+    ``segment_cache`` maps a segment's text to ``(tokens, indices of its
+    token keys and word n-grams)``; ``cross_cache`` maps a prompt segment's
+    text to a dict from content token to the indices of its "ptok⊗ctok"
+    keys over the prompt's tokens. Both are local to one call or block, so
+    inputs that share a segment tokenize and key it once.
+    """
+    keys, tokens_index = memos
+    if isinstance(segments, str):
+        segments = (segments,)
     idx: list[int] = []
-    for tokens in token_lists:
-        idx.extend(chain.from_iterable(map(tokens_index.__getitem__, tokens)))
-        idx.extend(map(keys.__getitem__, _word_ngram_keys(tokens, config)))
-    idx.extend(map(keys.__getitem__, _cross_keys(token_lists, config)))
+    token_lists = []
+    for text in segments:
+        cached = segment_cache.get(text)
+        if cached is None:
+            tokens = tokenize(text)
+            own = list(chain.from_iterable(map(tokens_index.__getitem__, tokens)))
+            own.extend(map(keys.__getitem__, _word_ngram_keys(tokens, config)))
+            cached = segment_cache[text] = (tokens, own)
+        token_lists.append(cached[0])
+        idx.extend(cached[1])
+    if config.cross_features and len(segments) > 1:
+        prompt = token_lists[0]
+        crosses = cross_cache.get(segments[0])
+        if crosses is None:
+            crosses = cross_cache[segments[0]] = {}
+        for tokens in token_lists[1:]:
+            for c in tokens:
+                hit = crosses.get(c)
+                if hit is None:
+                    hit = crosses[c] = tuple([keys[f"{p}⊗{c}"] for p in prompt])
+                idx.extend(hit)
+    return idx
+
+
+def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> FeatureVector:
+    """Hash the key multiset and L2-normalize the counts; empty -> zero vector.
+
+    Equal to hashing every key the ``_*_keys`` helpers spell out, and every
+    first-segment x later-segment "ptok⊗ctok" cross, with ``hash_feature``;
+    bounded memos hash each distinct key once.
+    """
+    idx = _row_indices(segments, config, _index_memos(config), {}, {})
     if not idx:
         return FeatureVector(
             indices=np.empty(0, dtype=np.int64),
             values=np.empty(0, dtype=np.float64),
-            dim=dim,
+            dim=config.dim,
         )
     indices, counts = np.unique(np.array(idx, dtype=np.int64), return_counts=True)
     values = counts.astype(np.float64)
     values /= np.linalg.norm(values)
-    return FeatureVector(indices=indices, values=values, dim=dim)
+    return FeatureVector(indices=indices, values=values, dim=config.dim)
+
+
+# Rows per block of ``featurize_batch``: the scorers' candidate batch size.
+_BLOCK_ROWS = 64
+
+
+def featurize_batch(
+    inputs: Sequence[str | Sequence[str]], config: FeaturizerConfig
+) -> list[FeatureVector]:
+    """``[featurize(x, config) for x in inputs]``, bit for bit, a block at a time.
+
+    Within a block of ``_BLOCK_ROWS`` inputs each distinct segment is
+    tokenized and keyed once, and one ``np.unique`` and one norm pass serve
+    every row. A row's vector does not depend on the other rows.
+    """
+    memos, dim = _index_memos(config), config.dim
+    out: list[FeatureVector] = []
+    for start in range(0, len(inputs), _BLOCK_ROWS):
+        segment_cache: dict = {}
+        cross_cache: dict = {}
+        rows = [_row_indices(x, config, memos, segment_cache, cross_cache)
+                for x in inputs[start : start + _BLOCK_ROWS]]
+        lengths = [len(row) for row in rows]
+        # Tag each index with its row as row * dim + index. This fits int64: any
+        # dim whose dense weight row can be allocated keeps 64 * dim far below 2**63.
+        tags = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
+        tags += np.repeat(np.arange(len(rows), dtype=np.int64) * dim, lengths)
+        tags, counts = np.unique(tags, return_counts=True)
+        row, indices = np.divmod(tags, dim)
+        values = counts.astype(np.float64)
+        # Integer counts: the squared sums are exact in any order, so their sqrt
+        # equals np.linalg.norm of each row bit for bit. Empty rows own no entries.
+        values /= np.sqrt(np.bincount(row, weights=values * values, minlength=len(rows)))[row]
+        bounds = np.searchsorted(row, np.arange(len(rows) + 1)).tolist()
+        out.extend(FeatureVector(indices=indices[a:b], values=values[a:b], dim=dim)
+                   for a, b in zip(bounds, bounds[1:]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +343,12 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.l2_penalty < 0:
             raise ValueError(f"l2_penalty must be nonnegative, got {self.l2_penalty}")
+        if self.learning_rate * self.l2_penalty >= 1:
+            raise ValueError(
+                "learning_rate * l2_penalty must be below 1 to keep the per-batch weight "
+                f"decay 1 - learning_rate * l2_penalty positive; got learning_rate="
+                f"{self.learning_rate!r} and l2_penalty={self.l2_penalty!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -303,21 +381,20 @@ class Model:
 
 def zero_model(featurizer: FeaturizerConfig, head: str, n_classes: int | None = None) -> Model:
     """Freshly initialized parameters (all zeros)."""
+    weights_shape, bias_shape = _param_shapes(featurizer, head, n_classes)
+    return Model(head=head, weights=np.zeros(weights_shape), bias=np.zeros(bias_shape),
+                 featurizer=featurizer)
+
+
+def _param_shapes(
+    featurizer: FeaturizerConfig, head: str, n_classes: int | None
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (weights, bias) shapes of a head; the multiclass head needs its arity."""
     if head == "binary":
-        return Model(
-            head=head,
-            weights=np.zeros(featurizer.dim),
-            bias=np.zeros(1),
-            featurizer=featurizer,
-        )
+        return (featurizer.dim,), (1,)
     if n_classes is None or n_classes < 2:
         raise ValueError("multiclass head needs n_classes >= 2")
-    return Model(
-        head=head,
-        weights=np.zeros((n_classes, featurizer.dim)),
-        bias=np.zeros(n_classes),
-        featurizer=featurizer,
-    )
+    return (n_classes, featurizer.dim), (n_classes,)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -408,8 +485,8 @@ def _init_params(
     warm_start: Model | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     if warm_start is None:
-        fresh = zero_model(featurizer, head, n_classes if head == "multiclass" else None)
-        return fresh.weights.copy(), fresh.bias.copy()
+        weights_shape, bias_shape = _param_shapes(featurizer, head, n_classes)
+        return np.zeros(weights_shape), np.zeros(bias_shape)
     if warm_start.head != head:
         raise ValueError(f"warm start head {warm_start.head!r} does not match {head!r}")
     if warm_start.featurizer != featurizer:
@@ -439,15 +516,22 @@ def _fit(
         if y.size != packed.n_rows:
             raise ValueError(f"{packed.n_rows} samples but {y.size} {what} labels")
         _validate_labels(y, n_classes, what)
-    weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
+    weights_shape, bias_shape = _param_shapes(featurizer, head, n_classes)
+    if config.warm_start is None:  # all zero: no column is in use yet
+        weights, bias = None, np.zeros(bias_shape)
+        used = np.zeros(featurizer.dim, dtype=bool)
+    else:
+        weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
+        used = np.atleast_2d(weights).any(axis=0)
 
     # Train only the touched columns (see ``train``); ``packed`` is this call's own copy.
-    full_rows = np.atleast_2d(weights)
-    used = full_rows.any(axis=0)
     used[packed.indices] = True
     active = np.flatnonzero(used)
     packed.indices[:] = np.searchsorted(active, packed.indices)
-    weight_rows = np.ascontiguousarray(full_rows[:, active])
+    if weights is None:
+        weight_rows = np.zeros((bias.size, active.size))
+    else:
+        weight_rows = np.ascontiguousarray(np.atleast_2d(weights)[:, active])
     rng = np.random.default_rng(config.seed)
     n = packed.n_rows
     decay = 1.0 - config.learning_rate * config.l2_penalty
@@ -464,7 +548,9 @@ def _fit(
             bias -= config.learning_rate * g.sum(axis=0)
         z, _ = _logits(weight_rows, bias, packed, None)
         log.append(_data_loss(z, targets))
-    full_rows[:, active] = weight_rows
+    if weights is None:  # a fresh start holds no dense weights while it trains
+        weights = np.zeros(weights_shape)
+    np.atleast_2d(weights)[:, active] = weight_rows
     return Model(head=head, weights=weights, bias=bias, featurizer=featurizer, train_log=tuple(log))
 
 
@@ -539,7 +625,7 @@ def make_binary_scorer(model: Model):
     """Adapt a binary model to the scorer interface: candidate batch -> probabilities."""
     if model.head != "binary":
         raise ValueError("scorer adapter requires a binary head")
-    return lambda batch: score(model, [featurize(c.segments, model.featurizer) for c in batch])
+    return lambda batch: score(model, featurize_batch([c.segments for c in batch], model.featurizer))
 
 
 # ---------------------------------------------------------------------------

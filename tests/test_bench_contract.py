@@ -53,6 +53,11 @@ def test_traced_methods_reach_every_layer():
     # example, and K candidates per test example.
     assert tracer.usage.counts["reformulate.augment_samples"] == (k + 1) * len(post_train)
     assert tracer.usage.counts["reformulate.candidates_scored"] == candidates
+    # Prediction featurizes through model.featurize_batch, which the tracer
+    # does not wrap, so the featurize layer counts the training rows alone:
+    # entail's augmented samples, then finetuned's pre-shift and post-shift sets.
+    assert tracer.usage.counts["model.featurize_calls"] == (
+        (k + 1) * len(post_train) + len(train_ds) + len(post_train))
 
 
 def test_traced_grid_reaches_every_experiment_layer(tmp_path):

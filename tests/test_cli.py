@@ -124,6 +124,19 @@ class TestTrainEval:
         preds = {json.loads(line)["predicted_label"] for line in pred_path.read_text().splitlines()}
         assert preds <= set(test_ds.post_labels)
 
+    def test_non_positive_weight_decay_is_clean_error(self, runner, retail_files, tmp_path):
+        train_path, test_path = retail_files
+        pred_path = tmp_path / "predictions.jsonl"
+        result = runner.invoke(main, [
+            "train", "--method", "finetuned_post_only", "--train", str(train_path),
+            "--test", str(test_path), "--learning-rate", "1e6", "--out", str(pred_path),
+        ])
+        assert result.exit_code == 1
+        assert "learning_rate * l2_penalty must be below 1" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not pred_path.exists()
+
     def test_eval_missing_prediction(self, runner, retail_files, tmp_path):
         train_path, test_path = retail_files
         pred_path = tmp_path / "predictions.jsonl"

@@ -124,6 +124,8 @@ class TestConfigParsing:
          r"data\.files\.format must be 'jsonl' or 'csv', got 'parquet'"),
         ({"data": {"synth": {"preset": "retail_shift"}, "shift": ["a"]}},
          r"data\.shift must be a path string"),
+        ({"train": {"learning_rate": 1e6}},
+         r"methods\[0\]\.train: learning_rate \* l2_penalty must be below 1"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):

@@ -25,6 +25,7 @@ from entailshift.model import (
     _scatter,
     _target_columns,
     featurize,
+    featurize_batch,
     grad_check,
     hash_feature,
     load_model,
@@ -36,7 +37,8 @@ from entailshift.model import (
     train_joint,
     zero_model,
 )
-from entailshift.reformulate import Candidate
+from entailshift.prompts import builtin_catalog
+from entailshift.reformulate import Candidate, candidates
 from entailshift.synth import preset_config, synth_generate
 
 SMALL = FeaturizerConfig(dim=2**12)
@@ -285,6 +287,62 @@ class TestFeaturizeMemo:
         assert_bitwise_equal(featurize(text, SMALL), reference_featurize(text, SMALL))
 
 
+class TestFeaturizeBatch:
+    """featurize_batch featurizes blocks of 64 rows, sharing each distinct
+    segment's keys; every row must equal featurize of that row alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), config=_configs, size=st.sampled_from([0, 1, 63, 64, 65, 130]))
+    def test_rows_equal_featurize(self, data, config, size):
+        # Rows draw their segments from a few texts, so the same segment
+        # recurs across rows and inside one row, as candidate content does.
+        texts = data.draw(st.lists(_texts, min_size=1, max_size=5)) + [""]
+        segment = st.sampled_from(texts)
+        row = segment | st.lists(segment, min_size=0, max_size=3).map(tuple)
+        distinct = data.draw(st.lists(row, min_size=1, max_size=6))
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=size, max_size=size))
+        inputs = [distinct[i] for i in picks]
+        batch = featurize_batch(inputs, config)
+        assert len(batch) == size
+        for x, fv in zip(inputs, batch):
+            assert_bitwise_equal(fv, featurize(x, config))
+
+    @pytest.mark.parametrize("config", [
+        SMALL, FeaturizerConfig(dim=2**12, cross_features=False), FeaturizerConfig(dim=16),
+    ], ids=["default", "no_cross", "dim16"])
+    def test_edge_rows(self, config):
+        inputs = [
+            "", (), ("",), ("", ""), "a bare string [SEP] never split",
+            ("changed to exact match", "red mixer bowl"),
+            ("changed to exact match", "red mixer bowl", "red mixer bowl"),
+            ("remained irrelevant match", "red mixer bowl", "usb hub"),
+            ("same same", "same same"), ("changed to exact match", ""),
+            ("", "content without a prompt"),
+        ]
+        for x, fv in zip(inputs, featurize_batch(inputs, config), strict=True):
+            assert_bitwise_equal(fv, featurize(x, config))
+
+    def test_row_does_not_depend_on_its_batch(self):
+        rows = [("changed to exact match", f"item {i} red mixer bowl") for i in range(70)]
+        rows[5] = rows[66] = ("remained irrelevant match", "red mixer bowl")
+        together = featurize_batch(rows, SMALL)
+        for i in (0, 5, 63, 64, 66, 69):
+            alone = featurize_batch([rows[i]], SMALL)[0]
+            shifted = featurize_batch(rows[i:] + rows[:i], SMALL)[0]
+            assert_bitwise_equal(together[i], alone)
+            assert_bitwise_equal(shifted, alone)
+
+    def test_binary_scorer_scores_the_batch_featurized_row_by_row(self):
+        ds = synth_generate(preset_config("retail_shift", n_per_topic=8), seed=2)
+        catalog = builtin_catalog("en-retail")
+        batch = [c for ex in ds for c in candidates(ex, ds.post_labels, catalog)][:100]
+        rng = np.random.default_rng(5)
+        model = Model(head="binary", weights=rng.normal(size=SMALL.dim),
+                      bias=np.array([0.1]), featurizer=SMALL)
+        expected = score(model, [featurize(c.segments, SMALL) for c in batch])
+        assert make_binary_scorer(model)(batch).tobytes() == expected.tobytes()
+
+
 class TestScore:
     def test_zero_binary_model_scores_half(self):
         model = zero_model(SMALL, "binary")
@@ -414,6 +472,14 @@ class TestTrainBinary:
     def test_non_integer_counts_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("lr, l2", [(1e6, 1e-6), (3e6, 1e-6), (0.5, 2.0)])
+    def test_weight_decay_must_stay_positive(self, lr, l2):
+        """Each batch scales the weights by 1 - lr*l2; at 0 it erases them,
+        below 0 it flips and grows them."""
+        with pytest.raises(ValueError, match=rf"learning_rate={lr!r} and l2_penalty={l2!r}"):
+            TrainConfig(learning_rate=lr, l2_penalty=l2)
+        TrainConfig(learning_rate=lr, l2_penalty=0.0)
 
     def test_binary_labels_validated(self):
         features, _ = separable_toy()
