@@ -210,13 +210,14 @@ def _labels_sidecar_path(path: Path) -> Path:
     return Path(str(path) + ".labels.json")
 
 
-def _read_labels(labels_file: Path, data_path: Path) -> tuple[LabelSet, LabelSet, str]:
-    """(pre, post, name) from a labels file.
+def _read_labels(data_path: Path) -> tuple[LabelSet, LabelSet, str]:
+    """(pre, post, name) from the labels sidecar of ``data_path``.
 
     A missing file, invalid JSON, a value that is not an object, a missing
     key or a key that is not a valid label list is a DatasetError naming
     the file.
     """
+    labels_file = _labels_sidecar_path(data_path)
     if not labels_file.exists():
         raise DatasetError(
             f"label sets undeclared: expected labels file {labels_file} with "
@@ -270,24 +271,19 @@ def _infer_format(path: Path, fmt: str | None) -> str:
     raise ValueError(f"cannot infer format from {path.name!r}; pass format='jsonl' or 'csv'")
 
 
-def load_dataset(
-    path: str | Path,
-    format: str | None = None,
-    labels_path: str | Path | None = None,
-) -> Dataset:
+def load_dataset(path: str | Path, format: str | None = None) -> Dataset:
     """Load a dataset file; record order is preserved.
 
-    Label sets come from the sidecar labels file (``labels_path`` or
-    ``<path>.labels.json``). Unknown record fields are ignored. Malformed
-    records raise :class:`DatasetError` naming the file, line and field;
-    a label outside the declared sets raises naming the file and label.
+    Label sets come from the sidecar labels file ``<path>.labels.json``.
+    Unknown record fields are ignored. Malformed records raise
+    :class:`DatasetError` naming the file, line and field; a label outside
+    the declared sets raises naming the file and label.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
     fmt = _infer_format(path, format)
-    labels_file = _labels_sidecar_path(path) if labels_path is None else Path(labels_path)
-    pre, post, name = _read_labels(labels_file, path)
+    pre, post, name = _read_labels(path)
 
     if fmt == "jsonl":
         examples = [ex for _, ex in read_jsonl(path, _record_to_example, DatasetError)]

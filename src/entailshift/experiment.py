@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .corpus import Dataset, ShiftSpec, apply_shift, fewshot_sample, load_dataset, rebalance, split
 from .jsonfiles import read_json
-from .methods import MethodSpec, resolve_catalog, run_method
+from .methods import MethodSpec, check_inputs, resolve_catalog, run_method
 from .model import FeaturizerConfig, TrainConfig
 from .seeding import derive_seed
 from .stats import Aggregate, RunScore, aggregate, confusion_from_predictions, mann_whitney_u, per_class_f1
@@ -112,7 +112,7 @@ class ExperimentConfig:
         _check_data(data)
 
         master_seed = raw.get("master_seed", 0)
-        if not isinstance(master_seed, int):
+        if not isinstance(master_seed, int) or isinstance(master_seed, bool):
             raise ConfigError("master_seed must be an integer")
 
         budgets_raw = raw.get("budgets")
@@ -401,8 +401,13 @@ def _run_cell(task: tuple[MethodSpec, int, int | str, int, PreparedData]) -> Run
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Execute the full (method, budget, seed) grid."""
+    """Execute the full (method, budget, seed) grid; a method unfit for the data fails first."""
     data = prepare_data(config)
+    for i, spec in enumerate(config.method_specs):
+        try:
+            check_inputs(spec, data.train, data.train, data.test)
+        except (ValueError, OSError) as exc:
+            raise ConfigError(f"methods[{i}]: {exc}") from exc
     tasks = [
         (spec, config.master_seed, budget, seed_index, data)
         for spec in config.method_specs

@@ -120,6 +120,32 @@ def resolve_catalog(catalog_id: str) -> PromptCatalog:
     )
 
 
+def check_inputs(
+    spec: MethodSpec, pre_train: Dataset, post_train: Dataset, test: Dataset
+) -> PromptCatalog | None:
+    """Entail's resolved catalog (None for other kinds), or a ValueError for unusable inputs.
+
+    Every head is indexed by the post-shift label order, so all three datasets
+    must declare the same one; entail's catalog must prompt every label.
+    """
+    labels = post_train.post_labels.labels
+    for which, dataset in (("pre-shift training", pre_train), ("test", test)):
+        if dataset.post_labels.labels != labels:
+            raise ValueError(
+                f"the {which} set declares post-shift labels {dataset.post_labels.labels!r} but "
+                f"the post-shift training set declares {labels!r}; they must match in order"
+            )
+    if spec.kind != "entail":
+        return None
+    catalog = resolve_catalog(spec.catalog_id)
+    if spec.prompt_variant == "random":
+        catalog = randomize_labels(catalog, DEFAULT_DECOYS)
+    missing = [l for l in labels if l not in catalog.label_surface]
+    if missing:
+        raise ValueError(f"catalog {spec.catalog_id!r} lacks prompts for labels {missing!r}")
+    return catalog
+
+
 def _post_label_indices(dataset: Dataset, column: str) -> list[int]:
     """``column`` ("pre" or "post") targets as indices into the post label set."""
     labels = dataset.post_labels
@@ -188,6 +214,7 @@ def run_method(
 ) -> dict[str, str]:
     """Predictions (id -> post-shift label) for every test example; test ids must be unique."""
     require_unique_ids(test)
+    catalog = check_inputs(spec, pre_train, post_train, test)
     kind = spec.kind
     cfg = spec.train_config
 
@@ -202,14 +229,6 @@ def run_method(
 
     # kind == "entail"
     _require_nonempty(post_train, kind, "post-shift training")
-    catalog = resolve_catalog(spec.catalog_id)
-    if spec.prompt_variant == "random":
-        catalog = randomize_labels(catalog, DEFAULT_DECOYS)
-    missing = [l for l in post_train.post_labels if l not in catalog.label_surface]
-    if missing:
-        raise ValueError(
-            f"catalog {spec.catalog_id!r} lacks prompts for labels {missing!r}"
-        )
     aug = augment_dataset(
         post_train,
         catalog,

@@ -4,8 +4,8 @@ Stands in for a pretrained transformer at desk scale: inputs map to sparse
 L2-normalized count vectors over a power-of-two hash space (word 1-2 grams,
 character trigrams, and prompt-token x content-token cross features), and a
 logistic or softmax head trains by mini-batch gradient descent. Everything
-is bit-deterministic given the seed, gradients are verifiable by central
-finite differences, and models round-trip through a versioned .npz blob.
+is bit-deterministic given the seed, and gradients are verifiable by
+central finite differences.
 
 An input is a tuple of text segments, the way a PLM tokenizer receives
 ``text_a [SEP] prompt [SEP] text_b``: the first segment (the prompt, or
@@ -31,17 +31,13 @@ head read prompts in context.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
-import zipfile
-import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
-
-MODEL_FORMAT_VERSION = "entailshift-model-v1"
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -63,9 +59,13 @@ class FeaturizerConfig:
             raise ValueError(f"dim must be a power of two, got {self.dim}")
         if not (self.word_ngrams or self.char_ngrams or self.cross_features):
             raise ValueError("at least one feature family must be enabled")
-        if any(n < 1 for n in self.word_ngrams + self.char_ngrams):
-            raise ValueError("n-gram orders must be positive")
+        if not isinstance(self.hash_salt, int) or isinstance(self.hash_salt, bool):
+            raise ValueError(f"hash_salt must be an integer, got {self.hash_salt!r}")
         for what, orders in (("word_ngrams", self.word_ngrams), ("char_ngrams", self.char_ngrams)):
+            if not all(isinstance(n, int) and not isinstance(n, bool) for n in orders):
+                raise ValueError(f"{what} orders must be integers, got {orders}")
+            if any(n < 1 for n in orders):
+                raise ValueError("n-gram orders must be positive")
             if len(set(orders)) != len(orders):
                 raise ValueError(f"{what} orders must be distinct, got {orders}")
         if not isinstance(self.cross_features, bool):
@@ -339,6 +339,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("learning_rate", "l2_penalty"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
         if self.l2_penalty < 0:
@@ -702,55 +706,3 @@ def grad_check(
         rel = abs(analytic - fd) / max(abs(analytic) + abs(fd), 1e-8)
         max_rel = max(max_rel, rel)
     return max_rel
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def save_model(model: Model, path: str | Path) -> None:
-    """Write ``model`` to exactly ``path``; numpy would add ``.npz`` to a bare path."""
-    with open(path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            format_version=np.array(MODEL_FORMAT_VERSION),
-            head=np.array(model.head),
-            weights=model.weights,
-            bias=model.bias,
-            train_log=np.array(model.train_log, dtype=np.float64),
-            dim=np.array(model.featurizer.dim),
-            word_ngrams=np.array(model.featurizer.word_ngrams, dtype=np.int64),
-            char_ngrams=np.array(model.featurizer.char_ngrams, dtype=np.int64),
-            cross_features=np.array(model.featurizer.cross_features),
-            hash_salt=np.array(model.featurizer.hash_salt),
-        )
-
-
-def load_model(path: str | Path) -> Model:
-    """A model saved by ``save_model``; a file that is not one is a ValueError naming it."""
-    with open(path, "rb") as fh:
-        try:
-            with np.load(fh, allow_pickle=False) as blob:
-                version = str(blob["format_version"])
-                if version != MODEL_FORMAT_VERSION:
-                    raise ValueError(f"cannot load model format {version!r}; "
-                                     f"this build reads {MODEL_FORMAT_VERSION!r}")
-                featurizer = FeaturizerConfig(
-                    dim=int(blob["dim"]),
-                    word_ngrams=tuple(int(n) for n in blob["word_ngrams"]),
-                    char_ngrams=tuple(int(n) for n in blob["char_ngrams"]),
-                    cross_features=bool(blob["cross_features"]),
-                    hash_salt=int(blob["hash_salt"]),
-                )
-                return Model(
-                    head=str(blob["head"]),
-                    weights=blob["weights"].astype(np.float64),
-                    bias=blob["bias"].astype(np.float64),
-                    featurizer=featurizer,
-                    train_log=tuple(float(x) for x in blob["train_log"]),
-                )
-        # What numpy and zipfile raise on damaged or foreign bytes.
-        except (ValueError, TypeError, KeyError, EOFError, OSError, RuntimeError,
-                zipfile.BadZipFile, zlib.error) as exc:
-            raise ValueError(f"{path}: not a readable entailshift model: {exc}") from exc

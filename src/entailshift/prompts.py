@@ -141,12 +141,12 @@ def _catalog_from_payload(raw: Mapping[str, object], catalog_id: str) -> PromptC
         raise CatalogError(f"catalog {catalog_id!r}: malformed payload ({exc!r})") from exc
 
 
-def load_catalog(path: str | Path, catalog_id: str | None = None) -> PromptCatalog:
-    """Load a catalog JSON file; the id defaults to the file stem. Errors name the file."""
+def load_catalog(path: str | Path) -> PromptCatalog:
+    """Load a catalog JSON file; its id is the file stem. Errors name the file."""
     path = Path(path)
     raw = read_json(path, CatalogError)
     try:
-        return _catalog_from_payload(raw, catalog_id or path.stem)
+        return _catalog_from_payload(raw, path.stem)
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from exc
 

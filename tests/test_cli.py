@@ -137,6 +137,43 @@ class TestTrainEval:
         assert "Traceback" not in result.output
         assert not pred_path.exists()
 
+    def test_non_finite_learning_rate_is_clean_error(self, runner, retail_files, tmp_path):
+        train_path, test_path = retail_files
+        pred_path = tmp_path / "predictions.jsonl"
+        result = runner.invoke(main, [
+            "train", "--method", "finetuned_post_only", "--train", str(train_path),
+            "--test", str(test_path), "--learning-rate", "nan", "--out", str(pred_path),
+        ])
+        assert result.exit_code == 1
+        assert "learning_rate must be a finite number, got nan" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not pred_path.exists()
+
+    def test_test_file_with_reordered_post_labels_is_clean_error(self, runner, tmp_path):
+        """The test sidecar lists the training labels reversed: without the check,
+        every prediction maps through the wrong order and macro-F1 drops to 0."""
+        ds = synth_generate(preset_config("total_flip", n_per_topic=40), seed=0)
+        train_ds, test_ds = split(ds, test_fraction=0.25, seed=0)
+        train_path, test_path = tmp_path / "train.jsonl", tmp_path / "test.jsonl"
+        save_dataset(train_ds, train_path)
+        save_dataset(test_ds, test_path)
+        sidecar = tmp_path / "test.jsonl.labels.json"
+        labels = json.loads(sidecar.read_text())
+        labels["post_labels"].reverse()
+        sidecar.write_text(json.dumps(labels))
+        pred_path = tmp_path / "predictions.jsonl"
+        result = runner.invoke(main, [
+            "train", "--method", "finetuned_post_only", "--train", str(train_path),
+            "--test", str(test_path), "--out", str(pred_path),
+        ])
+        assert result.exit_code == 1
+        assert repr(tuple(labels["post_labels"])) in result.output
+        assert repr(train_ds.post_labels.labels) in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not pred_path.exists()
+
     def test_eval_missing_prediction(self, runner, retail_files, tmp_path):
         train_path, test_path = retail_files
         pred_path = tmp_path / "predictions.jsonl"
@@ -216,13 +253,23 @@ class TestExperimentCommand:
         assert (tmp_path / "results" / "raw_grid.csv").read_bytes() == first
 
     def test_failures_set_exit_status(self, runner, tmp_path):
+        # A budget above the training pool fails inside each of its cells.
+        config_path = write_config(tmp_path, budgets=[8, 10**6])
+        result = runner.invoke(main, ["experiment", "--config", str(config_path)])
+        assert result.exit_code == 1
+        assert "FAILED" in result.output
+
+    def test_uncovered_catalog_fails_before_any_cell(self, runner, tmp_path):
         config_path = write_config(tmp_path, methods=[
             {"kind": "majority"},
             {"kind": "entail", "catalog_id": "en-news"},
         ])
         result = runner.invoke(main, ["experiment", "--config", str(config_path)])
         assert result.exit_code == 1
-        assert "FAILED" in result.output
+        assert "methods[1]: catalog 'en-news' lacks prompts for labels" in result.output
+        assert "FAILED" not in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "results" / "result.json").exists()
 
     def test_non_object_method_section_is_clean_error(self, runner, tmp_path):
         config_path = write_config(tmp_path, methods=[{"kind": "majority", "train": "x"}])

@@ -126,6 +126,14 @@ class TestConfigParsing:
          r"data\.shift must be a path string"),
         ({"train": {"learning_rate": 1e6}},
          r"methods\[0\]\.train: learning_rate \* l2_penalty must be below 1"),
+        ({"train": {"learning_rate": float("nan")}},
+         r"methods\[0\]\.train: learning_rate must be a finite number, got nan"),
+        ({"train": {"learning_rate": True}}, r"methods\[0\]\.train: learning_rate must be a finite"),
+        ({"train": {"l2_penalty": True}}, r"methods\[0\]\.train: l2_penalty must be a finite"),
+        ({"featurizer": {"hash_salt": 1.5}}, r"methods\[0\]\.featurizer: hash_salt must be an integer"),
+        ({"featurizer": {"word_ngrams": [1.5]}},
+         r"methods\[0\]\.featurizer: word_ngrams orders must be integers"),
+        ({"master_seed": True}, "master_seed must be an integer"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
@@ -233,15 +241,23 @@ class TestGridExecution:
         assert serial.scores == parallel.scores
 
     def test_failed_cells_recorded_and_grid_continues(self):
+        # A budget above the training pool fails inside each of its cells.
+        result = run_experiment(base_config(budgets=[8, 10**6]))
+        assert len(result.failures) == 2 * 2
+        assert {f.budget for f in result.failures} == {"1000000"}
+        assert all(f.error.startswith("ValueError: n must be in [1, ") for f in result.failures)
+        assert len(result.scores) == 2 * 2
+        assert {s.budget for s in result.scores} == {"8"}
+        assert ("finetuned_post_only", "1000000") not in result.aggregates
+
+    def test_uncovered_catalog_is_one_config_error(self):
         config = base_config(methods=[
             {"kind": "majority"},
             {"kind": "entail", "catalog_id": "en-news"},   # lacks retail prompts
         ])
-        result = run_experiment(config)
-        assert len(result.failures) == 2 * 2
-        assert {f.method for f in result.failures} == {"entail_informative"}
-        assert len(result.scores) == 2 * 2
-        assert ("entail_informative", "8") not in result.aggregates
+        with pytest.raises(ConfigError, match=r"methods\[1\]: catalog 'en-news' lacks prompts "
+                                               r"for labels \['exact'"):
+            run_experiment(config)
 
     def test_aggregates_match_recomputation_from_csv(self):
         result = run_experiment(base_config())
@@ -362,13 +378,10 @@ class TestReportRendering:
         assert len(rows) == 1
 
     def test_failed_cells_render_as_failed(self):
-        config = base_config(methods=[
-            {"kind": "majority"},
-            {"kind": "entail", "catalog_id": "en-news"},
-        ])
-        result = run_experiment(config)
+        result = run_experiment(base_config(budgets=[10**6, 8]))
         text = render_markdown(result)
-        assert "| entail_informative | failed | failed |" in text
+        assert "| majority | failed |" in text
+        assert "| finetuned_post_only | failed |" in text
         assert "## Failures" in text
 
     def test_series_lists_every_aggregate(self):

@@ -23,7 +23,6 @@ from entailshift.corpus import (
 )
 from entailshift.experiment import ConfigError, ExperimentConfig, load_result
 from entailshift.methods import load_predictions, save_predictions
-from entailshift.model import FeaturizerConfig, Model, load_model, save_model, zero_model
 from entailshift.prompts import CatalogError, builtin_catalog, load_catalog, save_catalog
 from entailshift.reformulate import (
     EntailSample,
@@ -129,7 +128,6 @@ LOADERS = {
     "augmented": (lambda d: d / "aug.jsonl", import_augmented, ValueError),
     "scores": (lambda d: d / "scores.jsonl", import_scores, ValueError),
     "predictions": (lambda d: d / "predictions.jsonl", load_predictions, ValueError),
-    "model": (lambda d: d / "model.npz", load_model, ValueError),
 }
 JSON_LINES = {"dataset_jsonl", "dataset_csv", "augmented", "scores", "predictions"}
 
@@ -146,32 +144,6 @@ def test_fuzzed_file_parses_or_names_itself(tmp_path, name, content):
         load(path)
     except error as exc:
         assert str(path) in str(exc)
-
-
-byte_flips = st.lists(st.tuples(st.integers(0, 10**4), st.integers(0, 255)), max_size=3)
-
-
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(cut=st.integers(0, 10**4), flips=byte_flips)
-def test_damaged_model_file_loads_or_names_itself(tmp_path, cut, flips):
-    """A saved model truncated and with bytes overwritten: the zip and .npy
-    layers raise many kinds of errors, and ``load_model`` turns each into a
-    ValueError naming the file. A missing file stays FileNotFoundError."""
-    path = tmp_path / "model.npz"
-    save_model(zero_model(FeaturizerConfig(dim=2**4), "multiclass", n_classes=3), path)
-    content = bytearray(path.read_bytes())
-    del content[cut % (len(content) + 1):]
-    for at, byte in flips:
-        if content:
-            content[at % len(content)] = byte
-    path.write_bytes(bytes(content))
-    try:
-        assert isinstance(load_model(path), Model)
-    except ValueError as exc:
-        assert str(path) in str(exc)
-    with pytest.raises(FileNotFoundError):
-        load_model(tmp_path / "missing.npz")
 
 
 @pytest.mark.parametrize("name", sorted(LOADERS))

@@ -270,6 +270,18 @@ class TestUniformContract:
         with pytest.raises(ValueError, match=f"duplicate example id {first.id!r}"):
             run_method(spec_for(kind), train_ds, post_train, test)
 
+    @pytest.mark.parametrize("kind", METHOD_KINDS)
+    @pytest.mark.parametrize("which", ["pre_train", "test"])
+    def test_post_label_order_must_match(self, kind, which):
+        """A head indexes the training set's label order; a set that lists the
+        same labels in another order would silently permute predictions."""
+        inputs = dict(zip(("pre_train", "post_train", "test"), retail_splits(per_topic=5)))
+        order = inputs["post_train"].post_labels.labels
+        inputs[which] = replace(inputs[which], post_labels=LabelSet(order[::-1]))
+        with pytest.raises(ValueError) as err:
+            run_method(spec_for(kind), **inputs)
+        assert repr(order) in str(err.value) and repr(order[::-1]) in str(err.value)
+
 
 def reference_multiclass(kind: str, pre_train: Dataset, post_train: Dataset, test: Dataset,
                          cfg: TrainConfig, feat: FeaturizerConfig) -> dict[str, str]:

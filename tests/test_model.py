@@ -28,9 +28,7 @@ from entailshift.model import (
     featurize_batch,
     grad_check,
     hash_feature,
-    load_model,
     make_binary_scorer,
-    save_model,
     score,
     tokenize,
     train,
@@ -195,6 +193,10 @@ class TestFeaturize:
         ({"char_ngrams": (3, 3)}, "char_ngrams orders must be distinct"),
         ({"cross_features": "no"}, "cross_features must be a bool"),
         ({"cross_features": 0}, "cross_features must be a bool"),
+        ({"hash_salt": 1.5}, "hash_salt must be an integer, got 1.5"),
+        ({"hash_salt": True}, "hash_salt must be an integer, got True"),
+        ({"word_ngrams": (1.5,)}, r"word_ngrams orders must be integers, got \(1\.5,\)"),
+        ({"char_ngrams": (True,)}, r"char_ngrams orders must be integers, got \(True,\)"),
     ])
     def test_misreadable_values_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -384,6 +386,17 @@ class TestScore:
         assert 0.0 < p < 1.0
         assert p > 0.999
 
+    def test_scorer_adapter(self):
+        features, labels = separable_toy()
+        model = train(features, labels, TrainConfig(epochs=5), head="binary", featurizer=SMALL)
+        scorer = make_binary_scorer(model)
+        candidate = Candidate("x", 1, ("changed to exact match", "some text"))
+        assert scorer([candidate])[0] == score(model, [featurize(candidate.segments, SMALL)])[0]
+        assert 0.0 <= scorer([candidate])[0] <= 1.0
+        multi = zero_model(SMALL, "multiclass", n_classes=3)
+        with pytest.raises(ValueError, match="binary"):
+            make_binary_scorer(multi)
+
 
 class TestScoreBatch:
     """score runs packed rows through the training forward: a row's
@@ -471,6 +484,15 @@ class TestTrainBinary:
     ])
     def test_non_integer_counts_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", True),
+        ("l2_penalty", math.nan), ("l2_penalty", math.inf), ("l2_penalty", True),
+    ])
+    def test_non_finite_rates_rejected(self, name, value):
+        """NaN passes every comparison check and True reads as 1; both must be refused."""
+        with pytest.raises(ValueError, match=f"{name} must be a finite number, got {value!r}"):
             TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("lr, l2", [(1e6, 1e-6), (3e6, 1e-6), (0.5, 2.0)])
@@ -782,45 +804,3 @@ class TestCrossFeatureDegeneracy:
         a2 = score(model, [featurize(("changed to exact match", "gadget thing"), model.featurizer)])[0]
         b2 = score(model, [featurize(("changed to substitute match", "gadget thing"), model.featurizer)])[0]
         assert b2 > a2
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        features, labels = separable_toy()
-        model = train(features, labels, TrainConfig(epochs=5), head="binary", featurizer=SMALL)
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert loaded.head == model.head
-        assert loaded.featurizer == model.featurizer
-        assert loaded.train_log == model.train_log
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.bias, model.bias)
-
-    def test_round_trip_under_a_name_without_suffix(self, tmp_path):
-        """The file is exactly the path given; numpy does not add ``.npz``."""
-        model = zero_model(SMALL, "multiclass", n_classes=3)
-        path = tmp_path / "mfile"
-        save_model(model, path)
-        assert [p.name for p in tmp_path.iterdir()] == ["mfile"]
-        loaded = load_model(path)
-        assert (loaded.head, loaded.featurizer) == (model.head, model.featurizer)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.bias, model.bias)
-
-    def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "model.npz"
-        np.savez(path, format_version=np.array("other-format-v9"))
-        with pytest.raises(ValueError, match="format"):
-            load_model(path)
-
-    def test_scorer_adapter(self):
-        features, labels = separable_toy()
-        model = train(features, labels, TrainConfig(epochs=5), head="binary", featurizer=SMALL)
-        scorer = make_binary_scorer(model)
-        candidate = Candidate("x", 1, ("changed to exact match", "some text"))
-        assert scorer([candidate])[0] == score(model, [featurize(candidate.segments, SMALL)])[0]
-        assert 0.0 <= scorer([candidate])[0] <= 1.0
-        multi = zero_model(SMALL, "multiclass", n_classes=3)
-        with pytest.raises(ValueError, match="binary"):
-            make_binary_scorer(multi)
