@@ -2,8 +2,17 @@
 
 An experiment is a grid over (method, budget, seed). Every cell samples a
 few-shot post-shift training set, runs one method, and scores macro-F1 on a
-fixed test set. Cells are independent and individually deterministic, so the
-grid can run in parallel and adding a method never perturbs existing cells.
+fixed test set. Cells are individually deterministic, so the grid can run in
+parallel and adding a method never perturbs existing cells.
+
+The pre-shift model never sees the few-shot set, so it is one model per seed:
+it trains under the ``(master_seed, "pre_shift", seed_index)`` substream, and
+the ``pre_shift_only`` and ``finetuned`` cells of one seed whose ``train`` and
+``featurizer`` settings are equal form one group that fits it once and runs
+each of its cells with it, at every budget. Every other cell is a group of
+one. The model lives only while its group runs, and a fit that raises fails
+each cell of its group alone.
+
 A result holds only what the grid produced; its per-cell aggregates, per-budget
 ranking and significance marks are derived from its scores in one place.
 """
@@ -24,8 +33,8 @@ import numpy as np
 from . import __version__
 from .corpus import Dataset, ShiftSpec, apply_shift, fewshot_sample, load_dataset, rebalance, split
 from .jsonfiles import read_json
-from .methods import MethodSpec, check_inputs, resolve_catalog, run_method
-from .model import FeaturizerConfig, TrainConfig
+from .methods import PRE_SHIFT_KINDS, MethodSpec, check_inputs, fit_pre_shift, resolve_catalog, run_method
+from .model import FeaturizerConfig, Model, TrainConfig
 from .seeding import derive_seed
 from .stats import Aggregate, RunScore, aggregate, confusion_from_predictions, mann_whitney_u, per_class_f1
 from .synth import PRESETS, SynthConfig, preset_config, synth_generate
@@ -377,13 +386,31 @@ class ExperimentResult:
         return tuple(tests)
 
 
-def _run_cell(task: tuple[MethodSpec, int, int | str, int, PreparedData]) -> RunScore | CellFailure:
+CellTask = tuple[MethodSpec, int, int | str, int, PreparedData]
+
+
+def _pre_shift_model(task: CellTask) -> Model:
+    """The pre-shift model of a cell's seed, whatever its method and budget."""
+    spec, master_seed, _, seed_index, data = task
+    return fit_pre_shift(spec.with_seed(derive_seed(master_seed, "pre_shift", seed_index)), data.train)
+
+
+def _run_cell(task: CellTask, pre_shift: Model | Exception | None = None) -> RunScore | CellFailure:
+    """One cell's score; ``pre_shift`` is its group's model, or the error that fitting it raised.
+
+    A ``PRE_SHIFT_KINDS`` cell handed no model fits its seed's own.
+    """
     spec, master_seed, budget, seed_index, data = task
     label = budget_label(budget)
     try:
+        if isinstance(pre_shift, Exception):
+            raise pre_shift
         cell_seed = derive_seed(master_seed, spec.method_id, label, seed_index)
         post_train = budget_subset(data.train, budget, master_seed, seed_index)
-        predictions = run_method(spec.with_seed(cell_seed), data.train, post_train, data.test)
+        if pre_shift is None and spec.kind in PRE_SHIFT_KINDS:
+            pre_shift = _pre_shift_model(task)
+        predictions = run_method(
+            spec.with_seed(cell_seed), data.train, post_train, data.test, pre_shift)
         gold = [ex.post_label for ex in data.test]
         predicted = [predictions[ex.id] for ex in data.test]
         confusion = confusion_from_predictions(gold, predicted, data.test.post_labels)
@@ -400,6 +427,31 @@ def _run_cell(task: tuple[MethodSpec, int, int | str, int, PreparedData]) -> Run
                            error=f"{type(exc).__name__}: {exc}")
 
 
+def _run_group(group: Sequence[CellTask]) -> list[RunScore | CellFailure]:
+    """Each cell of a group through ``_run_cell``; a group of several shares one pre-shift fit.
+
+    A fit that raises is handed to every cell too, so each outcome, a failure
+    included, comes from ``_run_cell``.
+    """
+    pre_shift: Model | Exception | None = None
+    if len(group) > 1:
+        try:
+            pre_shift = _pre_shift_model(group[0])
+        except Exception as exc:  # every cell of the group fails with it, the grid goes on
+            pre_shift = exc
+    return [_run_cell(task, pre_shift) for task in group]
+
+
+def _group_tasks(tasks: Sequence[CellTask]) -> list[list[int]]:
+    """Task indices by shared pre-shift model, in the grid order of each group's first cell."""
+    groups: dict[Any, list[int]] = {}
+    for i, (spec, _, _, seed_index, _) in enumerate(tasks):
+        shares = spec.kind in PRE_SHIFT_KINDS
+        key = (seed_index, spec.train_config, spec.featurizer) if shares else i
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Execute the full (method, budget, seed) grid; a method unfit for the data fails first."""
     data = prepare_data(config)
@@ -414,11 +466,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         for budget in config.budgets
         for seed_index in config.seed_indices
     ]
+    groups = _group_tasks(tasks)
+    batches = [[tasks[i] for i in group] for group in groups]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_cell, tasks, chunksize=1))
+            ran = list(pool.map(_run_group, batches, chunksize=1))
     else:
-        outcomes = [_run_cell(task) for task in tasks]
+        ran = [_run_group(batch) for batch in batches]
+    by_task = {i: outcome for group, outcomes in zip(groups, ran) for i, outcome in zip(group, outcomes)}
+    outcomes = [by_task[i] for i in range(len(tasks))]
 
     return ExperimentResult(
         name=config.name,

@@ -25,12 +25,18 @@ entail puts each candidate's prompt in front of them, so the layout follows
 each example and no method has a layout setting.
 
 The four multiclass kinds are one softmax head trained by one helper on
-different rows and label columns (the ``_MULTICLASS`` table). Their heads
-always span the post-shift label set; pre-shift target labels are mapped
-into it, which is what lets a pre-shift head be fine-tuned on post-shift
-classes without surgery. ``finetuned``'s pre-shift stage is the
-``pre_shift_only`` model, trained with the same ``train_config``; an empty
-pre-shift set skips it, reducing ``finetuned`` to ``finetuned_post_only``.
+different rows and label columns: ``fit_pre_shift`` fits ``pre_shift_only``
+on the pre-shift labels, and the ``_POST_TRAINED`` table names the columns of
+the kinds trained on the post-shift set. Their heads always span the
+post-shift label set; pre-shift target labels are mapped into it, which is
+what lets a pre-shift head be fine-tuned on post-shift classes without
+surgery. ``finetuned`` warm-starts from the ``pre_shift_only`` model; an
+empty pre-shift set skips it, reducing ``finetuned`` to
+``finetuned_post_only``. ``run_method`` fits that model with the method's own
+``train_config`` unless it is handed one already trained: an experiment grid
+fits it once per seed and hands it to every ``pre_shift_only`` and
+``finetuned`` cell of that seed at every budget, since it never sees the
+few-shot set.
 """
 from __future__ import annotations
 
@@ -175,25 +181,36 @@ def _fit_multiclass(
     )
 
 
-# Multiclass kind -> (training set, label columns).
-_MULTICLASS = {
-    "pre_shift_only": ("pre", ("pre",)),
-    "finetuned": ("post", ("post",)),
-    "finetuned_post_only": ("post", ("post",)),
-    "l1l2": ("post", ("pre", "post")),
+# The kinds whose head is, or warm-starts from, the pre-shift model.
+PRE_SHIFT_KINDS = ("pre_shift_only", "finetuned")
+
+# Multiclass kind trained on the post-shift set -> its label columns.
+_POST_TRAINED = {
+    "finetuned": ("post",),
+    "finetuned_post_only": ("post",),
+    "l1l2": ("pre", "post"),
 }
 
 
-def _multiclass_model(kind: str, spec: MethodSpec, pre_train: Dataset, post_train: Dataset) -> Model:
-    """The trained head of a ``_MULTICLASS`` kind; finetuned warm-starts from pre_shift_only's."""
-    source, columns = _MULTICLASS[kind]
-    dataset = pre_train if source == "pre" else post_train
-    _require_nonempty(dataset, kind, f"{source}-shift training")
+def fit_pre_shift(spec: MethodSpec, pre_train: Dataset) -> Model:
+    """The pre_shift_only head under ``spec``'s train and featurizer settings."""
+    _require_nonempty(pre_train, "pre_shift_only", "pre-shift training")
+    return _fit_multiclass(pre_train, ("pre",), spec.train_config, spec.featurizer)
+
+
+def _multiclass_model(
+    kind: str, spec: MethodSpec, pre_train: Dataset, post_train: Dataset, pre_shift: Model | None
+) -> Model:
+    """The trained head of a multiclass kind; the pre-shift model is fit here unless given."""
+    if kind == "pre_shift_only":
+        return pre_shift if pre_shift is not None else fit_pre_shift(spec, pre_train)
+    _require_nonempty(post_train, kind, "post-shift training")
     config = spec.train_config
     if kind == "finetuned":
-        warm = _multiclass_model("pre_shift_only", spec, pre_train, post_train) if len(pre_train) else None
-        config = replace(config, warm_start=warm)
-    return _fit_multiclass(dataset, columns, config, spec.featurizer)
+        if pre_shift is None and len(pre_train):
+            pre_shift = fit_pre_shift(spec, pre_train)
+        config = replace(config, warm_start=pre_shift)
+    return _fit_multiclass(post_train, _POST_TRAINED[kind], config, spec.featurizer)
 
 
 def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
@@ -210,13 +227,21 @@ def _require_nonempty(dataset: Dataset, kind: str, which: str) -> None:
 
 
 def run_method(
-    spec: MethodSpec, pre_train: Dataset, post_train: Dataset, test: Dataset
+    spec: MethodSpec, pre_train: Dataset, post_train: Dataset, test: Dataset,
+    pre_shift: Model | None = None,
 ) -> dict[str, str]:
-    """Predictions (id -> post-shift label) for every test example; test ids must be unique."""
+    """Predictions (id -> post-shift label) for every test example; test ids must be unique.
+
+    ``pre_shift`` is a trained ``fit_pre_shift`` model for a ``PRE_SHIFT_KINDS``
+    method to use instead of fitting its own: pre_shift_only predicts with it
+    and finetuned warm-starts from it.
+    """
     require_unique_ids(test)
     catalog = check_inputs(spec, pre_train, post_train, test)
     kind = spec.kind
     cfg = spec.train_config
+    if pre_shift is not None and kind not in PRE_SHIFT_KINDS:
+        raise ValueError(f"{kind} has no pre-shift stage to take a trained pre-shift model")
 
     if kind == "majority":
         _require_nonempty(post_train, kind, "post-shift training")
@@ -224,10 +249,9 @@ def run_method(
         best = max(post_train.post_labels, key=lambda l: (counts[l], -post_train.post_labels.index(l)))
         return {ex.id: best for ex in test}
 
-    if kind in _MULTICLASS:
-        return _predict_multiclass(_multiclass_model(kind, spec, pre_train, post_train), test)
+    if kind != "entail":
+        return _predict_multiclass(_multiclass_model(kind, spec, pre_train, post_train, pre_shift), test)
 
-    # kind == "entail"
     _require_nonempty(post_train, kind, "post-shift training")
     aug = augment_dataset(
         post_train,

@@ -448,14 +448,21 @@ def _dlogits(z: np.ndarray, targets: Sequence[np.ndarray]) -> np.ndarray:
     return g
 
 
+def _mean(x: np.ndarray) -> float:
+    """``np.mean(x)``, bit for bit, unless its sum overflows: then the sum of ``x / n``."""
+    with np.errstate(over="ignore"):
+        total = float(np.sum(x))
+    return total / x.size if math.isfinite(total) else float(np.sum(x / x.size))
+
+
 def _data_loss(z: np.ndarray, targets: Sequence[np.ndarray]) -> float:
     """Mean cross-entropy of the logits, summed over the target columns."""
     if z.shape[1] == 1:
-        return float(np.mean(np.logaddexp(0.0, z[:, 0]) - targets[0] * z[:, 0]))
+        return _mean(np.logaddexp(0.0, z[:, 0]) - targets[0] * z[:, 0])
     zmax = z.max(axis=1)
     lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
     r = np.arange(z.shape[0])
-    return sum(float(np.mean(lse - z[r, y])) for y in targets)
+    return sum(_mean(lse - z[r, y]) for y in targets)
 
 
 def _scatter(

@@ -13,6 +13,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import pytest
+
 from entailshift import experiment, methods
 from entailshift.corpus import fewshot_sample, split
 from entailshift.model import TrainConfig
@@ -85,3 +87,25 @@ def test_traced_grid_reaches_every_experiment_layer(tmp_path):
     # wrapped ``experiment.aggregate`` and ``experiment.mann_whitney_u``.
     assert any(name == "stats" and tracer.spans[up][0] == "experiment.save_emit"
                for name, _, _, up in tracer.spans if up >= 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_traced_shared_groups_time_every_cell(tmp_path, workers):
+    """Cells that share a pre-shift model still run one by one through the
+    wrapped ``experiment._run_cell``, in a pool too, so each carries its timing."""
+    tracing = load_tracing()
+    config = experiment.ExperimentConfig.from_dict({
+        "name": "contract-shared",
+        "data": {"synth": {"preset": "retail_shift", "overrides": {"n_per_topic": 10}}},
+        "methods": [{"kind": "majority"}, {"kind": "finetuned"}, {"kind": "pre_shift_only"}],
+        "budgets": [5, "full"],
+        "seeds": 2,
+        "train": {"epochs": 2},
+        "output_dir": str(tmp_path),
+    })
+    with tracing.Tracer().installed() as tracer:
+        result = experiment.run_experiment(config, workers=workers)
+    assert len(result.scores) == 3 * 2 * 2 and not result.failures
+    tracer.harvest(result.scores + result.failures)
+    assert sum(span[0] == "experiment.cell" for span in tracer.spans) == 3 * 2 * 2
+    assert tracer.twin_mismatches == 0

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from entailshift import experiment, methods
 from entailshift.experiment import (
     Aggregate,
     BudgetSignificance,
@@ -24,6 +25,7 @@ from entailshift.experiment import (
     run_experiment,
     save_result,
 )
+from entailshift.seeding import derive_seed
 from entailshift.stats import RunScore, aggregate, mann_whitney_u
 
 
@@ -239,6 +241,77 @@ class TestGridExecution:
         serial = run_experiment(config, workers=1)
         parallel = run_experiment(config, workers=2)
         assert serial.scores == parallel.scores
+
+    SHARED = [{"kind": "finetuned"}, {"kind": "pre_shift_only"}]
+
+    @staticmethod
+    def count_pre_shift_fits(monkeypatch, fail: bool = False) -> list[int]:
+        """Wrap every route to the pre-shift fit; each call appends its seed."""
+        original = methods.fit_pre_shift
+        seeds: list[int] = []
+
+        def counted(spec, pre_train):
+            seeds.append(spec.train_config.seed)
+            if fail:
+                raise RuntimeError("pre-shift fit exploded")
+            return original(spec, pre_train)
+
+        monkeypatch.setattr(methods, "fit_pre_shift", counted)
+        monkeypatch.setattr(experiment, "fit_pre_shift", counted)
+        return seeds
+
+    def test_one_pre_shift_fit_per_seed(self, monkeypatch):
+        fits = self.count_pre_shift_fits(monkeypatch)
+        result = run_experiment(base_config(methods=self.SHARED))
+        assert not result.failures and len(result.scores) == 2 * 2 * 2
+        assert len(fits) == len(set(fits)) == 2
+        for seed in (0, 1):
+            small, full = (s for s in result.scores if s.method == "pre_shift_only" and s.seed == seed)
+            assert (small.budget, full.budget) == ("8", "full")
+            assert small.macro_f1 == full.macro_f1
+            assert small.per_class_f1 == full.per_class_f1
+
+    @pytest.mark.parametrize("own", [{"train": {"epochs": 3}}, {"featurizer": {"dim": 2048}}])
+    def test_unequal_settings_do_not_share(self, monkeypatch, own):
+        fits = self.count_pre_shift_fits(monkeypatch)
+        methods_ = [{"kind": "finetuned"}, {"kind": "pre_shift_only", **own}]
+        result = run_experiment(base_config(methods=methods_))
+        assert not result.failures
+        assert len(fits) == 2 * 2 and len(set(fits)) == 2   # each seed's substream, twice
+
+    @pytest.mark.parametrize("budgets", [[8, "full"], ["full"]], ids=["grouped", "lone"])
+    def test_adding_pre_shift_only_leaves_finetuned_unchanged(self, monkeypatch, budgets):
+        """The pre-shift substream names the seed, not the method, budget or group,
+        so a lone finetuned cell fits the model a shared group would."""
+        fits = self.count_pre_shift_fits(monkeypatch)
+        alone = run_experiment(base_config(methods=[{"kind": "finetuned"}], budgets=budgets))
+        alone_fits = fits[:]
+        shared = run_experiment(base_config(methods=self.SHARED[::-1], budgets=budgets))
+        assert alone.scores == tuple(s for s in shared.scores if s.method == "finetuned")
+        substreams = [derive_seed(7, "pre_shift", seed) for seed in (0, 1)]
+        assert sorted(set(alone_fits)) == sorted(set(fits[len(alone_fits):])) == sorted(substreams)
+
+    def test_worker_pool_matches_serial_on_shared_groups(self):
+        config = base_config(methods=[{"kind": "majority"}, *self.SHARED])
+        serial = run_experiment(config, workers=1)
+        parallel = run_experiment(config, workers=2)
+        assert serial.scores == parallel.scores
+        assert [(s.method, s.budget, s.seed) for s in serial.scores] == [
+            (m, b, seed) for m in config.method_ids for b in config.budget_labels for seed in (0, 1)]
+
+    @pytest.mark.parametrize("methods_, budgets", [
+        ([{"kind": "majority"}, {"kind": "finetuned"}, {"kind": "pre_shift_only"}], [8, "full"]),
+        ([{"kind": "majority"}, {"kind": "finetuned"}], ["full"]),
+    ], ids=["shared", "alone"])
+    def test_failed_pre_shift_fit_fails_its_cells_only(self, monkeypatch, methods_, budgets):
+        fits = self.count_pre_shift_fits(monkeypatch, fail=True)
+        result = run_experiment(base_config(methods=methods_, budgets=budgets))
+        assert len(fits) == 2
+        failed = len(methods_) - 1
+        assert len(result.failures) == failed * len(budgets) * 2
+        assert {f.method for f in result.failures} == {m["kind"] for m in methods_[1:]}
+        assert {f.error for f in result.failures} == {"RuntimeError: pre-shift fit exploded"}
+        assert [s.method for s in result.scores] == ["majority"] * len(budgets) * 2
 
     def test_failed_cells_recorded_and_grid_continues(self):
         # A budget above the training pool fails inside each of its cells.

@@ -6,16 +6,27 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from entailshift import methods
 from entailshift.corpus import Dataset, Example, LabelSet, fewshot_sample, split
 from entailshift.methods import (
     METHOD_KINDS,
+    PRE_SHIFT_KINDS,
     MethodSpec,
+    fit_pre_shift,
     load_predictions,
     resolve_catalog,
     run_method,
     save_predictions,
 )
-from entailshift.model import FeaturizerConfig, TrainConfig, featurize, score, train, train_joint
+from entailshift.model import (
+    FeaturizerConfig,
+    TrainConfig,
+    featurize,
+    score,
+    train,
+    train_joint,
+    zero_model,
+)
 from entailshift.stats import confusion_from_predictions, macro_f1
 from entailshift.synth import preset_config, synth_generate
 
@@ -138,6 +149,35 @@ class TestMulticlassMethods:
         train_ds, post_train, test_ds = retail_splits(per_topic=15)
         predictions = run_method(spec_for("l1l2"), train_ds, post_train, test_ds)
         assert set(predictions) == {ex.id for ex in test_ds}
+
+    @pytest.mark.parametrize("kind", PRE_SHIFT_KINDS)
+    def test_given_pre_shift_model_replaces_the_own_fit(self, kind, monkeypatch):
+        """Handed the model it would fit, a method predicts the same without fitting it."""
+        train_ds, post_train, test_ds = retail_splits(per_topic=8, n_shot=8)
+        spec = spec_for(kind)
+        own = run_method(spec, train_ds, post_train, test_ds)
+        model = fit_pre_shift(spec, train_ds)
+
+        def refuse(*args):
+            raise AssertionError("fit the pre-shift model although one was given")
+
+        monkeypatch.setattr(methods, "fit_pre_shift", refuse)
+        assert run_method(spec, train_ds, post_train, test_ds, pre_shift=model) == own
+
+    def test_pre_shift_only_predicts_with_the_given_model(self):
+        train_ds, post_train, test_ds = retail_splits(per_topic=8, n_shot=8)
+        third = zero_model(FAST_FEAT, "multiclass", n_classes=len(test_ds.post_labels))
+        third.bias[2] = 5.0
+        predictions = run_method(spec_for("pre_shift_only"), train_ds, post_train, test_ds,
+                                 pre_shift=third)
+        assert set(predictions.values()) == {test_ds.post_labels.labels[2]}
+
+    @pytest.mark.parametrize("kind", sorted(set(METHOD_KINDS) - set(PRE_SHIFT_KINDS)))
+    def test_pre_shift_model_refused_without_a_pre_shift_stage(self, kind):
+        train_ds, post_train, test_ds = retail_splits(per_topic=5)
+        model = fit_pre_shift(spec_for("pre_shift_only"), train_ds)
+        with pytest.raises(ValueError, match=f"{kind} has no pre-shift stage"):
+            run_method(spec_for(kind), train_ds, post_train, test_ds, pre_shift=model)
 
     def test_unmappable_pre_label_is_an_error(self):
         labels_pre = LabelSet(("old_a", "old_b"))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entailshift import model as model_module
+from entailshift.corpus import fewshot_sample, split
 from entailshift.model import (
     FeatureVector,
     FeaturizerConfig,
@@ -36,7 +38,7 @@ from entailshift.model import (
     zero_model,
 )
 from entailshift.prompts import builtin_catalog
-from entailshift.reformulate import Candidate, candidates
+from entailshift.reformulate import Candidate, augment_dataset, candidates
 from entailshift.synth import preset_config, synth_generate
 
 SMALL = FeaturizerConfig(dim=2**12)
@@ -502,6 +504,38 @@ class TestTrainBinary:
         with pytest.raises(ValueError, match=rf"learning_rate={lr!r} and l2_penalty={l2!r}"):
             TrainConfig(learning_rate=lr, l2_penalty=l2)
         TrainConfig(learning_rate=lr, l2_penalty=0.0)
+
+    def test_huge_step_logs_a_finite_loss(self):
+        """One 1e308 step leaves logits whose mean loss fits in a float but
+        whose sum does not; the logged mean must neither overflow nor warn."""
+        ds = synth_generate(preset_config("retail_shift", n_per_topic=10), seed=0)
+        train_ds, _ = split(ds, test_fraction=0.25, seed=0)
+        aug = augment_dataset(fewshot_sample(train_ds, 10, seed=0), builtin_catalog("en-retail"), seed=0)
+        feat = FeaturizerConfig(dim=2**14)
+        features = [featurize(s.segments, feat) for s in aug]
+        config = TrainConfig(epochs=1, learning_rate=1e308, l2_penalty=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(features, [s.binary_label for s in aug], config, head="binary", featurizer=feat)
+        assert math.isfinite(model.train_log[0]) and model.train_log[0] > 1e300
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass", "joint"])
+    def test_data_loss_is_numpy_mean_bit_for_bit(self, head):
+        """Where nothing overflows, the logged loss is ``np.mean`` of the
+        per-sample losses exactly, so no ``train_log`` moves."""
+        rng = np.random.default_rng(3)
+        if head == "binary":
+            z = rng.normal(scale=5.0, size=(37, 1))
+            y = rng.integers(0, 2, 37).astype(np.float64)
+            expected = float(np.mean(np.logaddexp(0.0, z[:, 0]) - y * z[:, 0]))
+            assert _data_loss(z, [y]) == expected
+            return
+        z = rng.normal(scale=5.0, size=(37, 4))
+        columns = [rng.integers(0, 4, 37) for _ in range(1 if head == "multiclass" else 2)]
+        zmax = z.max(axis=1)
+        lse = zmax + np.log(np.exp(z - zmax[:, None]).sum(axis=1))
+        expected = sum(float(np.mean(lse - z[np.arange(37), y])) for y in columns)
+        assert _data_loss(z, columns) == expected
 
     def test_binary_labels_validated(self):
         features, _ = separable_toy()
