@@ -24,7 +24,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -45,8 +45,9 @@ RAW_GRID_FILENAME = "raw_grid.csv"
 SERIES_FILENAME = "series.csv"
 REPORT_FILENAME = "report.md"
 
-_TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "seed", "l2_penalty")
-_FEATURIZER_KEYS = ("dim", "word_ngrams", "char_ngrams", "cross_features", "hash_salt")
+# A cell's training seed comes from master_seed, so ``seed`` is not a train key.
+_TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "l2_penalty")
+_FEATURIZER_KEYS = tuple(f.name for f in fields(FeaturizerConfig))
 _METHOD_KEYS = ("kind", "prompt_variant", "catalog_id", "train", "featurizer", "oversample")
 _SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
 
@@ -115,10 +116,7 @@ class ExperimentConfig:
         if not isinstance(name, str) or not name:
             raise ConfigError("name must be a non-empty string")
 
-        data = raw.get("data")
-        if not isinstance(data, Mapping):
-            raise ConfigError("data section is required and must be an object")
-        _check_data(data)
+        data = _check_data(raw.get("data"))
 
         master_seed = raw.get("master_seed", 0)
         if not isinstance(master_seed, int) or isinstance(master_seed, bool):
@@ -167,13 +165,7 @@ class ExperimentConfig:
             if not isinstance(entry, Mapping) or "kind" not in entry:
                 raise ConfigError(f"{where}: each method needs at least a 'kind'")
             _check_keys(entry, _METHOD_KEYS, where)
-            kwargs: dict[str, Any] = {"kind": entry["kind"]}
-            if "prompt_variant" in entry:
-                kwargs["prompt_variant"] = entry["prompt_variant"]
-            if "catalog_id" in entry:
-                kwargs["catalog_id"] = entry["catalog_id"]
-            if "oversample" in entry:
-                kwargs["oversample"] = entry["oversample"]
+            kwargs = {k: v for k, v in entry.items() if k not in ("train", "featurizer")}
             kwargs["train_config"] = _section_config(
                 TrainConfig, _TRAIN_KEYS, train_template, entry.get("train", {}), f"{where}.train")
             kwargs["featurizer"] = _section_config(
@@ -247,9 +239,12 @@ def _synth_config(synth: Any) -> SynthConfig:
                            synth.get("overrides", {}), "data.synth.overrides")
 
 
-def _check_data(data: Mapping[str, Any]) -> None:
-    """Reject a ``data`` section before any cell runs, so ``prepare_data`` can follow it."""
+def _check_data(data: Any) -> dict[str, Any]:
+    """The ``data`` section with its defaults filled in; a bad one is rejected before any cell runs."""
+    if not isinstance(data, Mapping):
+        raise ConfigError("data section is required and must be an object")
     _check_keys(data, ("synth", "files", "shift", "test_fraction", "rebalance_test"), "data")
+    data = {"test_fraction": 0.25, "rebalance_test": True, **data}
     if ("synth" in data) == ("files" in data):
         raise ConfigError("data must name exactly one source: synth or files")
     if "synth" in data:
@@ -265,11 +260,12 @@ def _check_data(data: Mapping[str, Any]) -> None:
             raise ConfigError(f"data.files.format must be 'jsonl' or 'csv', got {files['format']!r}")
     if not isinstance(data.get("shift", ""), str):
         raise ConfigError(f"data.shift must be a path string, got {data['shift']!r}")
-    fraction = data.get("test_fraction", 0.25)
+    fraction = data["test_fraction"]
     if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 < fraction < 1:
         raise ConfigError(f"data.test_fraction must be a number in (0, 1), got {fraction!r}")
-    if not isinstance(data.get("rebalance_test", True), bool):
+    if not isinstance(data["rebalance_test"], bool):
         raise ConfigError(f"data.rebalance_test must be true or false, got {data['rebalance_test']!r}")
+    return data
 
 
 @dataclass(frozen=True)
@@ -285,12 +281,12 @@ class PreparedData:
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """The datasets of a config whose ``data`` section ``from_dict`` has checked."""
+    """The datasets of a config whose ``data`` section ``from_dict`` has checked and completed."""
     data = config.data
     if "synth" in data:
         dataset = synth_generate(
             _synth_config(data["synth"]), seed=derive_seed(config.master_seed, "synth"))
-        train_ds, test_ds = split(dataset, test_fraction=data.get("test_fraction", 0.25),
+        train_ds, test_ds = split(dataset, test_fraction=data["test_fraction"],
                                   seed=derive_seed(config.master_seed, "split"))
     else:
         files = data["files"]
@@ -302,7 +298,7 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
         train_ds = apply_shift(train_ds, shift)
         test_ds = apply_shift(test_ds, shift)
 
-    if data.get("rebalance_test", True):
+    if data["rebalance_test"]:
         test_ds = rebalance(test_ds, seed=derive_seed(config.master_seed, "rebalance"))
     return PreparedData(train=train_ds, test=test_ds)
 
@@ -501,38 +497,12 @@ def save_result(result: ExperimentResult, output_dir: str | Path) -> Path:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     payload = {
-        "name": result.name,
-        "method_ids": list(result.method_ids),
-        "budget_labels": list(result.budget_labels),
-        "seed_indices": list(result.seed_indices),
-        "class_labels": list(result.class_labels),
-        "scores": [
-            {
-                "method": s.method, "budget": s.budget, "seed": s.seed,
-                "macro_f1": s.macro_f1, "per_class_f1": list(s.per_class_f1),
-            }
-            for s in result.scores
-        ],
-        "failures": [
-            {"method": f.method, "budget": f.budget, "seed": f.seed, "error": f.error}
-            for f in result.failures
-        ],
+        **asdict(result),
         "aggregates": [
-            {
-                "method": method, "budget": budget,
-                "mean": agg.mean, "std": agg.std, "count": agg.count,
-            }
+            {"method": method, "budget": budget, **asdict(agg)}
             for (method, budget), agg in result.aggregates.items()
         ],
-        "significance": [
-            {
-                "budget": s.budget, "best_method": s.best_method,
-                "p_values": [[m, p] for m, p in s.p_values],
-                "all_significant": s.all_significant,
-            }
-            for s in result.significance
-        ],
-        "provenance": dict(result.provenance),
+        "significance": [asdict(s) for s in result.significance],
     }
     path = out / RESULT_FILENAME
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -543,7 +513,8 @@ def load_result(output_dir: str | Path) -> ExperimentResult:
     """The result saved in ``output_dir``; a malformed file is a ValueError naming it.
 
     Only the grid is read back: aggregates and significance are recomputed
-    from the scores, never taken from the file.
+    from the scores, never taken from the file. A score or failure row holds
+    exactly its dataclass's fields.
     """
     path = Path(output_dir) / RESULT_FILENAME
     if not path.exists():
@@ -552,21 +523,9 @@ def load_result(output_dir: str | Path) -> ExperimentResult:
     try:
         return ExperimentResult(
             name=payload["name"],
-            method_ids=tuple(payload["method_ids"]),
-            budget_labels=tuple(payload["budget_labels"]),
-            seed_indices=tuple(payload["seed_indices"]),
-            class_labels=tuple(payload["class_labels"]),
-            scores=tuple(
-                RunScore(
-                    method=s["method"], budget=s["budget"], seed=s["seed"],
-                    macro_f1=s["macro_f1"], per_class_f1=tuple(s["per_class_f1"]),
-                )
-                for s in payload["scores"]
-            ),
-            failures=tuple(
-                CellFailure(method=f["method"], budget=f["budget"], seed=f["seed"], error=f["error"])
-                for f in payload["failures"]
-            ),
+            **{k: tuple(payload[k]) for k in ("method_ids", "budget_labels", "seed_indices", "class_labels")},
+            scores=tuple(RunScore(**row) for row in payload["scores"]),
+            failures=tuple(CellFailure(**row) for row in payload["failures"]),
             provenance=payload["provenance"],
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -150,6 +150,19 @@ class TestTrainEval:
         assert "Traceback" not in result.output
         assert not pred_path.exists()
 
+    def test_negative_seed_is_clean_error(self, runner, retail_files, tmp_path):
+        train_path, test_path = retail_files
+        pred_path = tmp_path / "predictions.jsonl"
+        result = runner.invoke(main, [
+            "train", "--method", "entail", "--catalog", "en-retail", "--train", str(train_path),
+            "--test", str(test_path), "--seed", "-1", "--out", str(pred_path),
+        ])
+        assert result.exit_code == 1
+        assert "Error: seed must be non-negative, got -1" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert not pred_path.exists()
+
     def test_test_file_with_reordered_post_labels_is_clean_error(self, runner, tmp_path):
         """The test sidecar lists the training labels reversed: without the check,
         every prediction maps through the wrong order and macro-F1 drops to 0."""
@@ -232,6 +245,14 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     return path
+
+
+# A result.json that loads: the malformed cases below each break one row of it.
+SCORE_ROW = {"method": "majority", "budget": "8", "seed": 0, "macro_f1": 0.5, "per_class_f1": [0.5, 0.5]}
+RESULT_PAYLOAD = {
+    "name": "x", "method_ids": ["majority"], "budget_labels": ["8"], "seed_indices": [0],
+    "class_labels": ["a", "b"], "scores": [SCORE_ROW], "failures": [], "provenance": {},
+}
 
 
 class TestExperimentCommand:
@@ -348,8 +369,11 @@ class TestReportCommand:
             assert float(mean) == aggregate(values).mean
             assert int(count) == len(values)
 
-    @pytest.mark.parametrize("content", ['{"name": "x"}', "[1, 2]", b"\xff{}"],
-                             ids=["missing_key", "not_an_object", "not_utf8"])
+    @pytest.mark.parametrize("content", [
+        '{"name": "x"}', "[1, 2]", b"\xff{}",
+        json.dumps({**RESULT_PAYLOAD, "scores": [{**SCORE_ROW, "weight": 1.0}]}),
+        json.dumps({**RESULT_PAYLOAD, "failures": [{"method": "majority", "budget": "8", "seed": 0}]}),
+    ], ids=["missing_key", "not_an_object", "not_utf8", "score_row_extra_key", "failure_row_without_error"])
     def test_malformed_result_is_clean_error(self, runner, tmp_path, content):
         path = tmp_path / "result.json"
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
@@ -358,6 +382,13 @@ class TestReportCommand:
         assert f"Error: {path}" in result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    def test_unbroken_payload_reports(self, runner, tmp_path):
+        """The payload the malformed cases break is itself a valid result."""
+        (tmp_path / "result.json").write_text(json.dumps(RESULT_PAYLOAD))
+        result = runner.invoke(main, ["report", "--result", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert (tmp_path / "raw_grid.csv").read_text().splitlines()[1] == "majority,8,0,0.5,0.5,0.5"
 
     def test_bad_format_rejected(self, runner, tmp_path):
         config_path = write_config(tmp_path)

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -25,6 +25,7 @@ from entailshift.experiment import (
     run_experiment,
     save_result,
 )
+from entailshift.model import FeaturizerConfig, TrainConfig
 from entailshift.seeding import derive_seed
 from entailshift.stats import RunScore, aggregate, mann_whitney_u
 
@@ -136,10 +137,32 @@ class TestConfigParsing:
         ({"featurizer": {"word_ngrams": [1.5]}},
          r"methods\[0\]\.featurizer: word_ngrams orders must be integers"),
         ({"master_seed": True}, "master_seed must be an integer"),
+        ({"train": {"epochs": 2, "seed": 1}}, r"methods\[0\]\.train: unknown keys \['seed'\]"),
+        ({"methods": [{"kind": "majority"}, {"kind": "finetuned", "train": {"seed": 1}}]},
+         r"methods\[1\]\.train: unknown keys \['seed'\]"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
             base_config(**broken)
+
+    # Fields no config sets: each cell's seed derives from master_seed, and a
+    # warm start is the pre-shift model the grid fits.
+    NOT_CONFIG_KEYS = {"seed", "warm_start"}
+
+    @pytest.mark.parametrize("section, cls, attr", [
+        ("train", TrainConfig, "train_config"),
+        ("featurizer", FeaturizerConfig, "featurizer"),
+    ])
+    def test_every_config_field_is_a_key_or_a_named_exception(self, section, cls, attr):
+        """A new field must be settable from a config or listed here, never silently ignored."""
+        for f in fields(cls):
+            value = getattr(cls(), f.name)
+            if f.name in self.NOT_CONFIG_KEYS:
+                with pytest.raises(ConfigError, match=rf"unknown keys \['{f.name}'\]"):
+                    base_config(**{section: {f.name: value}})
+            else:
+                config = base_config(**{section: {f.name: value}})
+                assert getattr(getattr(config.method_specs[0], attr), f.name) == value
 
     @pytest.mark.parametrize("content, message", [
         ("{", "not valid JSON"),
@@ -203,6 +226,13 @@ class TestDataPreparation:
         data = prepare_data(config)
         for ex in data.train:
             assert ex.post_label != ex.pre_label
+
+    def test_omitted_data_defaults_match_spelled_out(self):
+        synth = {"preset": "retail_shift", "overrides": {"n_per_topic": 12}}
+        implicit = base_config(data={"synth": synth})
+        explicit = base_config(data={"synth": synth, "test_fraction": 0.25, "rebalance_test": True})
+        assert implicit.data == explicit.data
+        assert prepare_data(implicit) == prepare_data(explicit)
 
     def test_budget_subsets_nest_within_a_seed(self):
         pool = prepare_data(base_config()).train
@@ -363,6 +393,14 @@ class TestResultPersistence:
         assert loaded.aggregates == result.aggregates
         assert loaded.significance == result.significance
         assert loaded.provenance == dict(result.provenance)
+
+    def test_reloaded_result_saves_byte_for_byte(self, tmp_path):
+        """Failed cells, a budget without scores and a dagger all survive a reload."""
+        result = run_experiment(base_config(budgets=[8, 10**6], seeds=4))
+        assert result.failures and [s.all_significant for s in result.significance] == [True, False]
+        first = save_result(result, tmp_path / "a")
+        second = save_result(load_result(tmp_path / "a"), tmp_path / "b")
+        assert first.read_bytes() == second.read_bytes()
 
     def test_missing_result_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

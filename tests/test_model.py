@@ -488,6 +488,15 @@ class TestTrainBinary:
         with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("seed", -1, "seed must be non-negative, got -1"),
+    ])
+    def test_out_of_range_counts_rejected(self, name, value, message):
+        """numpy refuses a negative seed only when training starts, and without naming it."""
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{name: value})
+
     @pytest.mark.parametrize("name, value", [
         ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", True),
         ("l2_penalty", math.nan), ("l2_penalty", math.inf), ("l2_penalty", True),
