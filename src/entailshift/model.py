@@ -14,10 +14,10 @@ segment and is never split, so no separator inside user text is special.
 
 Hashing uses BLAKE2b (64-bit digests) with the salt mixed in as the keyed
 hash key, reduced modulo the table size; ``hash_feature`` is its only
-definition. ``featurize`` hashes each distinct key once: bounded memos map
-keys to indices per (salt, dim) and tokens to the indices of their unigram
-and character n-gram keys per config, so its vectors equal hashing every
-key of the input's key multiset bit for bit. ``featurize_batch`` gives
+definition. ``featurize`` hashes each distinct key once: bounded memos,
+one pair per (salt, dim), map keys to indices and tokens to the indices of
+their unigram and character trigram keys, so its vectors equal hashing
+every key of the input's key multiset bit for bit. ``featurize_batch`` gives
 the same vectors for many inputs: in blocks of 64 rows it tokenizes and
 keys each distinct segment once, so the K candidates of one example share
 their content's work, and one ``np.unique`` and one norm pass finish the
@@ -44,32 +44,18 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 @dataclass(frozen=True)
 class FeaturizerConfig:
-    """Hash dimension, enabled feature families, and the hash salt."""
+    """Hash dimension and hash salt; the feature families are fixed."""
 
     dim: int = 2**18
-    word_ngrams: tuple[int, ...] = (1, 2)
-    char_ngrams: tuple[int, ...] = (3,)
-    cross_features: bool = True
     hash_salt: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "word_ngrams", tuple(self.word_ngrams))
-        object.__setattr__(self, "char_ngrams", tuple(self.char_ngrams))
+        for name in ("dim", "hash_salt"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.dim < 2 or self.dim & (self.dim - 1):
             raise ValueError(f"dim must be a power of two, got {self.dim}")
-        if not (self.word_ngrams or self.char_ngrams or self.cross_features):
-            raise ValueError("at least one feature family must be enabled")
-        if not isinstance(self.hash_salt, int) or isinstance(self.hash_salt, bool):
-            raise ValueError(f"hash_salt must be an integer, got {self.hash_salt!r}")
-        for what, orders in (("word_ngrams", self.word_ngrams), ("char_ngrams", self.char_ngrams)):
-            if not all(isinstance(n, int) and not isinstance(n, bool) for n in orders):
-                raise ValueError(f"{what} orders must be integers, got {orders}")
-            if any(n < 1 for n in orders):
-                raise ValueError("n-gram orders must be positive")
-            if len(set(orders)) != len(orders):
-                raise ValueError(f"{what} orders must be distinct, got {orders}")
-        if not isinstance(self.cross_features, bool):
-            raise ValueError(f"cross_features must be a bool, got {self.cross_features!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,27 +90,14 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def _token_keys(token: str, config: FeaturizerConfig) -> list[str]:
-    """Keys a token yields wherever it occurs: "w:tok" and its char n-grams."""
-    keys = ["w:" + token for n in config.word_ngrams if n == 1]
-    for n in config.char_ngrams:
-        keys.extend("c:" + token[i : i + n] for i in range(len(token) - n + 1))
-    return keys
-
-
-def _word_ngram_keys(tokens: list[str], config: FeaturizerConfig) -> list[str]:
-    """Word n-grams with n > 1 of one segment: "w:tok1 tok2"."""
-    return [
-        "w:" + " ".join(tokens[i : i + n])
-        for n in config.word_ngrams
-        if n > 1
-        for i in range(len(tokens) - n + 1)
-    ]
+def _token_keys(token: str) -> list[str]:
+    """Keys a token yields wherever it occurs: "w:tok" and its character trigrams."""
+    return ["w:" + token, *("c:" + token[i : i + 3] for i in range(len(token) - 2))]
 
 
 # Memos that make ``featurize`` hash each distinct key once. They hold only
 # values ``hash_feature`` defines, so they change no result. A memo is cleared
-# when it reaches _MEMO_ENTRIES entries, and all memos of a kind are dropped
+# when it reaches _MEMO_ENTRIES entries, and every (salt, dim) pair is dropped
 # when one more would exceed _MEMO_TABLES.
 _MEMO_ENTRIES = 2**16
 _MEMO_TABLES = 8
@@ -144,31 +117,26 @@ class _Memo(dict):
         return value
 
 
-_key_memos: dict[tuple[int, int], _Memo] = {}  # key -> index, per (salt, dim)
-_token_memos: dict[FeaturizerConfig, _Memo] = {}  # token -> its keys' indices
-
-
-def _memo(memos: dict, space, compute) -> _Memo:
-    memo = memos.get(space)
-    if memo is None:
-        if len(memos) >= _MEMO_TABLES:
-            memos.clear()
-        memo = memos[space] = _Memo(compute)
-    return memo
+# (salt, dim) -> (key -> index, token -> the indices of its ``_token_keys``)
+_memos: dict[tuple[int, int], tuple[_Memo, _Memo]] = {}
 
 
 def _index_memos(config: FeaturizerConfig) -> tuple[_Memo, _Memo]:
-    """The memos of ``config``: key -> index, and token -> its keys' indices."""
-    salt, dim = config.hash_salt, config.dim
-    keys = _memo(_key_memos, (salt, dim), lambda key: hash_feature(key, salt, dim))
-    tokens_index = _memo(_token_memos, config, lambda token: tuple(
-        hash_feature(key, salt, dim) for key in _token_keys(token, config)))
-    return keys, tokens_index
+    """The memos of ``config``'s (salt, dim): key -> index, and token -> its keys' indices."""
+    space = salt, dim = config.hash_salt, config.dim
+    memos = _memos.get(space)
+    if memos is None:
+        if len(_memos) >= _MEMO_TABLES:
+            _memos.clear()
+        memos = _memos[space] = (
+            _Memo(lambda key: hash_feature(key, salt, dim)),
+            _Memo(lambda token: tuple(hash_feature(key, salt, dim) for key in _token_keys(token))),
+        )
+    return memos
 
 
 def _row_indices(
     segments: str | Sequence[str],
-    config: FeaturizerConfig,
     memos: tuple[_Memo, _Memo],
     segment_cache: dict,
     cross_cache: dict,
@@ -176,10 +144,10 @@ def _row_indices(
     """The hashed indices of one input's key multiset, in no particular order.
 
     ``segment_cache`` maps a segment's text to ``(tokens, indices of its
-    token keys and word n-grams)``; ``cross_cache`` maps a prompt segment's
-    text to a dict from content token to the indices of its "ptok⊗ctok"
-    keys over the prompt's tokens. Both are local to one call or block, so
-    inputs that share a segment tokenize and key it once.
+    token keys and "w:tok1 tok2" bigrams)``; ``cross_cache`` maps a prompt
+    segment's text to a dict from content token to the indices of its
+    "ptok⊗ctok" keys over the prompt's tokens. Both are local to one call or
+    block, so inputs that share a segment tokenize and key it once.
     """
     keys, tokens_index = memos
     if isinstance(segments, str):
@@ -191,11 +159,11 @@ def _row_indices(
         if cached is None:
             tokens = tokenize(text)
             own = list(chain.from_iterable(map(tokens_index.__getitem__, tokens)))
-            own.extend(map(keys.__getitem__, _word_ngram_keys(tokens, config)))
+            own.extend(keys[f"w:{a} {b}"] for a, b in zip(tokens, tokens[1:]))
             cached = segment_cache[text] = (tokens, own)
         token_lists.append(cached[0])
         idx.extend(cached[1])
-    if config.cross_features and len(segments) > 1:
+    if len(segments) > 1:
         prompt = token_lists[0]
         crosses = cross_cache.get(segments[0])
         if crosses is None:
@@ -212,11 +180,11 @@ def _row_indices(
 def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> FeatureVector:
     """Hash the key multiset and L2-normalize the counts; empty -> zero vector.
 
-    Equal to hashing every key the ``_*_keys`` helpers spell out, and every
-    first-segment x later-segment "ptok⊗ctok" cross, with ``hash_feature``;
-    bounded memos hash each distinct key once.
+    The keys are each segment's ``_token_keys`` and "w:tok1 tok2" bigrams,
+    and every first-segment x later-segment "ptok⊗ctok" cross, each hashed
+    with ``hash_feature``; bounded memos hash each distinct key once.
     """
-    idx = _row_indices(segments, config, _index_memos(config), {}, {})
+    idx = _row_indices(segments, _index_memos(config), {}, {})
     if not idx:
         return FeatureVector(
             indices=np.empty(0, dtype=np.int64),
@@ -247,7 +215,7 @@ def featurize_batch(
     for start in range(0, len(inputs), _BLOCK_ROWS):
         segment_cache: dict = {}
         cross_cache: dict = {}
-        rows = [_row_indices(x, config, memos, segment_cache, cross_cache)
+        rows = [_row_indices(x, memos, segment_cache, cross_cache)
                 for x in inputs[start : start + _BLOCK_ROWS]]
         lengths = [len(row) for row in rows]
         # Tag each index with its row as row * dim + index. This fits int64: any
@@ -379,10 +347,6 @@ class Model:
             raise ValueError("weight width must equal the featurizer dimension")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("model parameters must be finite")
-
-    @property
-    def n_classes(self) -> int:
-        return 2 if self.head == "binary" else int(self.weights.shape[0])
 
 
 def zero_model(featurizer: FeaturizerConfig, head: str, n_classes: int | None = None) -> Model:

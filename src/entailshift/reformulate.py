@@ -28,6 +28,7 @@ repeated row is a ValueError naming its file and line.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -143,7 +144,11 @@ def oversample_positive(
     max(1, round(deletion_frac * token_count)) whitespace tokens, at a
     seeded-uniform start, never removing the whole text. A single-token
     text comes back unmodified apart from the oversample flag.
+    ``deletion_frac`` must be a real number in [0, 1].
     """
+    if (isinstance(deletion_frac, bool) or not isinstance(deletion_frac, numbers.Real)
+            or not 0 <= deletion_frac <= 1):
+        raise ValueError(f"deletion_frac must be a number in [0, 1], got {deletion_frac!r}")
     if sample.binary_label != 1:
         raise ValueError(f"sample ({sample.source_id!r}, k={sample.candidate_index}) is not a positive")
     tokens = sample.segments[-1].split()

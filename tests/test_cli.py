@@ -90,6 +90,15 @@ class TestAugment:
         assert result.exit_code == 0, result.output
         assert len(out_path.read_text().strip().splitlines()) == 4 * n
 
+    def test_deletion_frac_outside_unit_interval_is_clean_error(self, runner, retail_files, tmp_path):
+        train_path, _ = retail_files
+        result = runner.invoke(main, [
+            "augment", "--in", str(train_path), "--catalog", "en-retail",
+            "--deletion-frac", "2", "--out", str(tmp_path / "augmented.jsonl"),
+        ])
+        assert result.exit_code != 0
+        assert "deletion_frac must be a number in [0, 1], got 2.0" in result.output
+
 
 class TestTrainEval:
     def test_majority_predictions_and_score(self, runner, retail_files, tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -82,7 +83,8 @@ class TestConfigParsing:
         ({"train": {"epochs": 2, "momentum": 0.9}}, "unknown keys"),
         ({"train": {"epochs": "3"}}, r"methods\[0\]\.train: "),
         ({"train": {"epochs": 0}}, r"methods\[0\]\.train: epochs"),
-        ({"featurizer": {"word_ngrams": 2}}, r"methods\[0\]\.featurizer: "),
+        ({"featurizer": {"word_ngrams": [1]}},
+         r"methods\[0\]\.featurizer: unknown keys \['word_ngrams'\]"),
         ({"featurizer": {"dim": 1000}}, r"methods\[0\]\.featurizer: dim"),
         ({"methods": [{"kind": "finetuned", "pre_train": {}}]}, "unknown keys"),
         ({"train": {"epochs": 2.5}}, r"methods\[0\]\.train: epochs must be an integer"),
@@ -90,8 +92,8 @@ class TestConfigParsing:
         ({"train": {"batch_size": 4.5}}, r"methods\[0\]\.train: batch_size must be an integer"),
         ({"methods": [{"kind": "entail", "catalog_id": "en-retail", "oversample": "false"}]},
          r"methods\[0\]: oversample must be true or false"),
-        ({"featurizer": {"cross_features": "no"}}, r"methods\[0\]\.featurizer: cross_features"),
-        ({"featurizer": {"word_ngrams": [1, 2, 1]}}, r"methods\[0\]\.featurizer: word_ngrams"),
+        ({"featurizer": {"dim": 4.0}}, r"methods\[0\]\.featurizer: dim must be an integer, got 4\.0"),
+        ({"featurizer": {"dim": "8"}}, r"methods\[0\]\.featurizer: dim must be an integer, got '8'"),
         ({"methods": [{"kind": "majority", "train": "x"}]},
          r"methods\[0\]\.train must be an object, got 'x'"),
         ({"methods": [{"kind": "majority", "featurizer": [1]}]},
@@ -134,12 +136,12 @@ class TestConfigParsing:
         ({"train": {"learning_rate": True}}, r"methods\[0\]\.train: learning_rate must be a finite"),
         ({"train": {"l2_penalty": True}}, r"methods\[0\]\.train: l2_penalty must be a finite"),
         ({"featurizer": {"hash_salt": 1.5}}, r"methods\[0\]\.featurizer: hash_salt must be an integer"),
-        ({"featurizer": {"word_ngrams": [1.5]}},
-         r"methods\[0\]\.featurizer: word_ngrams orders must be integers"),
+        ({"featurizer": {"dim": None}}, r"methods\[0\]\.featurizer: dim must be an integer, got None"),
         ({"master_seed": True}, "master_seed must be an integer"),
         ({"train": {"epochs": 2, "seed": 1}}, r"methods\[0\]\.train: unknown keys \['seed'\]"),
         ({"methods": [{"kind": "majority"}, {"kind": "finetuned", "train": {"seed": 1}}]},
          r"methods\[1\]\.train: unknown keys \['seed'\]"),
+        ({"featurizer": {"dim": True}}, r"methods\[0\]\.featurizer: dim must be an integer, got True"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
@@ -178,6 +180,11 @@ class TestConfigParsing:
             path.write_text(content)
         with pytest.raises(ConfigError, match=rf"methods\[0\]: .*{message}"):
             base_config(methods=[{"kind": "entail", "catalog_id": str(path)}])
+
+    @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
+                             ids=lambda path: path.name)
+    def test_committed_config_parses(self, path):
+        ExperimentConfig.from_file(path)
 
     def test_hash_ignores_key_order(self):
         a = {"alpha": 1, "beta": {"x": [1, 2]}}

@@ -50,28 +50,40 @@ def reference_hash(key: str, salt: int, dim: int) -> int:
     return int.from_bytes(h.digest(), "little") % dim
 
 
-def feature_keys(segments, config: FeaturizerConfig) -> list[str]:
+def feature_keys(segments) -> list[str]:
     """The raw (pre-hash) feature key multiset of a segments tuple, the
     string-level statement of what ``featurize`` hashes.
 
-    Word n-grams "w:tok1 tok2" never span segment boundaries, char n-grams
-    "c:xyz" come from each token, and first-segment x later-segment crosses
-    read "ptok⊗ctok". A bare string is a single segment. The order of the
-    keys carries no meaning.
+    Word unigrams "w:tok" and bigrams "w:tok1 tok2" never span segment
+    boundaries, char trigrams "c:xyz" come from each token, and
+    first-segment x later-segment crosses read "ptok⊗ctok". A bare string is
+    a single segment. The order of the keys carries no meaning.
     """
     if isinstance(segments, str):
         segments = (segments,)
     token_lists = [tokenize(part) for part in segments]
     keys: list[str] = []
     for tokens in token_lists:
-        for n in config.word_ngrams:
+        for n in (1, 2):
             keys += ["w:" + " ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1)]
-        for n in config.char_ngrams:
-            keys += ["c:" + tok[i : i + n] for tok in tokens for i in range(len(tok) - n + 1)]
-    if config.cross_features and len(token_lists) > 1:
+        keys += ["c:" + tok[i : i + 3] for tok in tokens for i in range(len(tok) - 2)]
+    if len(token_lists) > 1:
         content = [tok for tokens in token_lists[1:] for tok in tokens]
         keys += [f"{p}⊗{c}" for p in token_lists[0] for c in content]
     return keys
+
+
+# Key families, told apart by their spelling (tokens hold no space or "⊗").
+def unigrams(keys: list[str]) -> list[str]:
+    return [k for k in keys if k.startswith("w:") and " " not in k]
+
+
+def bigrams(keys: list[str]) -> list[str]:
+    return [k for k in keys if k.startswith("w:") and " " in k]
+
+
+def crosses(keys: list[str]) -> list[str]:
+    return [k for k in keys if "⊗" in k]
 
 
 def unit_vector(index: int, dim: int = SMALL.dim, value: float = 1.0) -> FeatureVector:
@@ -107,42 +119,30 @@ class TestFeaturize:
         assert expected in fv.indices
 
     def test_cross_features_need_a_prompt_segment(self):
-        config = FeaturizerConfig(dim=2**12, word_ngrams=(1,), char_ngrams=())
-        keys_plain = feature_keys("stocks rally", config)
+        keys_plain = feature_keys("stocks rally")
         assert not any("⊗" in k for k in keys_plain)
-        keys_prompted = feature_keys(("changed to relevant news", "stocks rally"), config)
+        keys_prompted = feature_keys(("changed to relevant news", "stocks rally"))
         assert any("⊗" in k for k in keys_prompted)
 
-    def test_cross_features_flag_off(self):
-        config = FeaturizerConfig(dim=2**12, cross_features=False)
-        keys = feature_keys(("changed to relevant news", "stocks rally"), config)
-        assert not any("⊗" in k for k in keys)
-
     def test_word_bigrams_do_not_span_segments(self):
-        config = FeaturizerConfig(dim=2**12, word_ngrams=(2,), char_ngrams=(), cross_features=False)
-        keys = feature_keys(("alpha beta", "gamma delta"), config)
+        keys = bigrams(feature_keys(("alpha beta", "gamma delta")))
         assert "w:alpha beta" in keys and "w:gamma delta" in keys
         assert "w:beta gamma" not in keys
 
     def test_key_multiset_spelled_out(self):
-        """Every key format, written out by hand; a repeated n-gram order,
-        which would count its keys twice, is rejected."""
-        config = FeaturizerConfig(dim=2**12, word_ngrams=(1, 2), char_ngrams=(2,))
-        keys = feature_keys(("to abc", "de"), config)
+        """Every key format, written out by hand."""
+        keys = feature_keys(("to abcd", "def"))
         expected = (
-            ["w:to", "c:to", "w:abc", "c:ab", "c:bc", "w:to abc"]
-            + ["w:de", "c:de"]
-            + ["to⊗de", "abc⊗de"]
+            ["w:to", "w:abcd", "c:abc", "c:bcd", "w:to abcd"]
+            + ["w:def", "c:def"]
+            + ["to⊗def", "abcd⊗def"]
         )
         assert sorted(keys) == sorted(expected)
-        with pytest.raises(ValueError, match="distinct"):
-            FeaturizerConfig(dim=2**12, word_ngrams=(1, 2, 1), char_ngrams=(2,))
 
     def test_bare_string_is_one_segment_never_split(self):
-        config = FeaturizerConfig(dim=2**12, word_ngrams=(1,), char_ngrams=())
-        keys = feature_keys("cables [SEP] adapters", config)
+        keys = unigrams(feature_keys("cables [SEP] adapters"))
         assert sorted(keys) == ["w:adapters", "w:cables", "w:sep"]
-        assert feature_keys(("cables [SEP] adapters",), config) == keys
+        assert unigrams(feature_keys(("cables [SEP] adapters",))) == keys
 
     @pytest.mark.parametrize("mode", ["single_segment", "two_segment"])
     def test_separator_in_user_text_keeps_the_prompt(self, mode):
@@ -152,7 +152,6 @@ class TestFeaturize:
         from entailshift.prompts import builtin_catalog
         from entailshift.reformulate import candidates
 
-        config = FeaturizerConfig(dim=2**12, word_ngrams=(1,), char_ngrams=())
         if mode == "single_segment":
             catalog, labels = builtin_catalog("en-news"), LabelSet(("relevant", "irrelevant"))
             example = Example(id="n", text_a="cables [SEP] adapters on sale",
@@ -171,7 +170,8 @@ class TestFeaturize:
             + [f"{p}⊗{c}" for p in prompt_tokens for c in content]
         )
         assert first.segments[0] == prompt
-        assert sorted(feature_keys(first.segments, config)) == sorted(expected)
+        keys = feature_keys(first.segments)
+        assert sorted(unigrams(keys) + crosses(keys)) == sorted(expected)
 
     def test_tokenizer_lowercases_and_strips_punctuation(self):
         assert tokenize("Noise-Cancelling (USB-C) Headphones!") == [
@@ -187,18 +187,13 @@ class TestFeaturize:
         with pytest.raises(ValueError, match="power of two"):
             FeaturizerConfig(dim=1000)
 
-    def test_some_family_must_be_enabled(self):
-        with pytest.raises(ValueError, match="family"):
-            FeaturizerConfig(word_ngrams=(), char_ngrams=(), cross_features=False)
-
     @pytest.mark.parametrize("kwargs, message", [
-        ({"char_ngrams": (3, 3)}, "char_ngrams orders must be distinct"),
-        ({"cross_features": "no"}, "cross_features must be a bool"),
-        ({"cross_features": 0}, "cross_features must be a bool"),
+        ({"dim": 4.0}, "dim must be an integer, got 4.0"),
+        ({"dim": "8"}, "dim must be an integer, got '8'"),
+        ({"dim": None}, "dim must be an integer, got None"),
         ({"hash_salt": 1.5}, "hash_salt must be an integer, got 1.5"),
         ({"hash_salt": True}, "hash_salt must be an integer, got True"),
-        ({"word_ngrams": (1.5,)}, r"word_ngrams orders must be integers, got \(1\.5,\)"),
-        ({"char_ngrams": (True,)}, r"char_ngrams orders must be integers, got \(True,\)"),
+        ({"dim": True}, "dim must be an integer, got True"),
     ])
     def test_misreadable_values_rejected(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
@@ -215,9 +210,12 @@ class TestFeaturize:
 
 def reference_featurize(segments, config: FeaturizerConfig) -> FeatureVector:
     """featurize restated without memos: count the hashed key multiset."""
-    counts = Counter(
-        hash_feature(key, config.hash_salt, config.dim) for key in feature_keys(segments, config)
-    )
+    return keys_vector(feature_keys(segments), config)
+
+
+def keys_vector(keys: list[str], config: FeaturizerConfig) -> FeatureVector:
+    """The L2-normalized counts of the keys, each hashed with hash_feature."""
+    counts = Counter(hash_feature(key, config.hash_salt, config.dim) for key in keys)
     indices = np.array(sorted(counts), dtype=np.int64)
     values = np.array([float(counts[i]) for i in indices], dtype=np.float64)
     if counts:
@@ -233,21 +231,18 @@ def assert_bitwise_equal(a: FeatureVector, b: FeatureVector) -> None:
 
 
 def clear_memos() -> None:
-    model_module._key_memos.clear()
-    model_module._token_memos.clear()
+    model_module._memos.clear()
 
 
 _WORDS = ["stocks", "rally", "usb", "hub", "café", "naïve", "Ünïcödé", "[SEP]", " [SEP] ",
           "a", "a", "mixer-bowl", "x9", "", "  ", "!", "changed to exact match"]
 _texts = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join) | st.text(max_size=30)
 _segments = _texts | st.lists(_texts, min_size=1, max_size=3).map(tuple)
-_configs = st.tuples(
-    st.sampled_from([2, 2**4, 2**12, 2**18]),                # dim
-    st.lists(st.integers(1, 3), max_size=3, unique=True).map(tuple),  # word_ngrams
-    st.lists(st.integers(1, 4), max_size=3, unique=True).map(tuple),  # char_ngrams
-    st.booleans(),                                          # cross_features
-    st.integers(0, 2**70),                                  # hash_salt
-).filter(lambda t: t[1] or t[2] or t[3]).map(lambda t: FeaturizerConfig(*t))
+_configs = st.builds(
+    FeaturizerConfig,
+    dim=st.sampled_from([2, 2**4, 2**12, 2**18]),
+    hash_salt=st.integers(0, 2**70),
+)
 
 
 class TestFeaturizeMemo:
@@ -265,14 +260,15 @@ class TestFeaturizeMemo:
 
     def test_memos_stay_bounded_past_their_limit(self):
         clear_memos()
-        config = FeaturizerConfig(dim=2**18, word_ngrams=(1, 2), char_ngrams=(), hash_salt=5)
+        config = FeaturizerConfig(dim=2**18, hash_salt=5)
         text = " ".join(f"t{i}" for i in range(model_module._MEMO_ENTRIES + 100))
         assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
         assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
         small = ("changed to exact match", "t1 t2 t3")
         assert_bitwise_equal(featurize(small, config), reference_featurize(small, config))
-        for memos in (model_module._key_memos, model_module._token_memos):
-            assert memos and all(len(m) <= model_module._MEMO_ENTRIES for m in memos.values())
+        memos = model_module._memos
+        assert memos and all(len(m) <= model_module._MEMO_ENTRIES
+                             for pair in memos.values() for m in pair)
 
     def test_memo_count_stays_bounded(self):
         clear_memos()
@@ -280,8 +276,7 @@ class TestFeaturizeMemo:
             config = FeaturizerConfig(dim=2**12, hash_salt=salt)
             text = ("remained relevant news", "stocks rally")
             assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
-        assert len(model_module._key_memos) <= model_module._MEMO_TABLES
-        assert len(model_module._token_memos) <= model_module._MEMO_TABLES
+        assert len(model_module._memos) <= model_module._MEMO_TABLES
 
     def test_mutating_a_result_does_not_change_later_results(self):
         text = ("changed to exact match", "red mixer bowl mixer")
@@ -311,9 +306,7 @@ class TestFeaturizeBatch:
         for x, fv in zip(inputs, batch):
             assert_bitwise_equal(fv, featurize(x, config))
 
-    @pytest.mark.parametrize("config", [
-        SMALL, FeaturizerConfig(dim=2**12, cross_features=False), FeaturizerConfig(dim=16),
-    ], ids=["default", "no_cross", "dim16"])
+    @pytest.mark.parametrize("config", [SMALL, FeaturizerConfig(dim=16)], ids=["default", "dim16"])
     def test_edge_rows(self, config):
         inputs = [
             "", (), ("",), ("", ""), "a bare string [SEP] never split",
@@ -790,7 +783,8 @@ class TestGradCheck:
                                       n_classes=model.weights.shape[0], featurizer=model.featurizer)
             else:
                 stepped = train(features, labels[0], config, head=model.head,
-                                n_classes=model.n_classes, featurizer=model.featurizer)
+                                n_classes=None if model.head == "binary" else model.weights.shape[0],
+                                featurizer=model.featurizer)
             _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
             np.testing.assert_allclose(stepped.weights, model.weights - lr * grad_w,
                                        rtol=0, atol=1e-12)
@@ -809,9 +803,9 @@ class TestCrossFeatureDegeneracy:
     prompts additively, so with content held to equal-norm texts the ranking
     of two candidate prompts cannot depend on the content at all."""
 
-    UNIGRAM_ONLY = FeaturizerConfig(
-        dim=2**18, word_ngrams=(1,), char_ngrams=(), cross_features=False
-    )
+    def unigram_vector(self, segments, config: FeaturizerConfig) -> FeatureVector:
+        """The segments' vector over their word unigrams alone, with no crosses."""
+        return keys_vector(unigrams(feature_keys(segments)), config)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -821,7 +815,7 @@ class TestCrossFeatureDegeneracy:
             head="binary",
             weights=rng.normal(size=2**18),
             bias=np.array([0.0]),
-            featurizer=self.UNIGRAM_ONLY,
+            featurizer=FeaturizerConfig(dim=2**18),
         )
         prompt_a = "changed to exact match"
         prompt_b = "changed to substitute match"
@@ -829,8 +823,8 @@ class TestCrossFeatureDegeneracy:
             " ".join(f"zz{seed}x{i}w{j}" for j in range(6)) for i in range(5)
         ]
         orders = {
-            score(model, [featurize((p_a, c), model.featurizer)])[0]
-            > score(model, [featurize((p_b, c), model.featurizer)])[0]
+            score(model, [self.unigram_vector((p_a, c), model.featurizer)])[0]
+            > score(model, [self.unigram_vector((p_b, c), model.featurizer)])[0]
             for p_a, p_b, c in ((prompt_a, prompt_b, c) for c in contents)
         }
         assert len(orders) == 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -263,6 +264,17 @@ class TestOversamplePositive:
         )
         with pytest.raises(ValueError, match="not a positive"):
             oversample_positive(negative)
+
+    @pytest.mark.parametrize("frac", [0, 0.5, 1, np.float32(0.25)])
+    def test_fraction_in_unit_interval_accepted(self, frac):
+        sample, _ = self.positive_sample("a b c d")
+        assert oversample_positive(sample, deletion_frac=frac).is_oversampled
+
+    @pytest.mark.parametrize("frac", [2, -1, 1.5, float("nan"), float("inf"), True, "0.1", None])
+    def test_fraction_outside_unit_interval_rejected(self, frac):
+        sample, _ = self.positive_sample("a b c d")
+        with pytest.raises(ValueError, match=r"deletion_frac must be a number in \[0, 1\]"):
+            oversample_positive(sample, deletion_frac=frac)
 
     def test_single_segment_deletes_from_text_a(self):
         source = Example(
