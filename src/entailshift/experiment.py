@@ -464,6 +464,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     ]
     groups = _group_tasks(tasks)
     batches = [[tasks[i] for i in group] for group in groups]
+    # The pool starts all its workers at once under fork: start no more than there are groups.
+    workers = min(workers, len(batches))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             ran = list(pool.map(_run_group, batches, chunksize=1))

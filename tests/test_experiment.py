@@ -336,6 +336,30 @@ class TestGridExecution:
         assert [(s.method, s.budget, s.seed) for s in serial.scores] == [
             (m, b, seed) for m in config.method_ids for b in config.budget_labels for seed in (0, 1)]
 
+    def test_pool_starts_no_more_workers_than_groups(self, monkeypatch):
+        """A stand-in pool that records its size and runs the groups in process."""
+        sizes: list[int] = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        config = base_config(methods=self.SHARED)   # one group per seed: 2 groups
+        serial = run_experiment(config, workers=1)
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_experiment(config, workers=8)
+        assert sizes == [2]
+        assert pooled.scores == serial.scores
+
     @pytest.mark.parametrize("methods_, budgets", [
         ([{"kind": "majority"}, {"kind": "finetuned"}, {"kind": "pre_shift_only"}], [8, "full"]),
         ([{"kind": "majority"}, {"kind": "finetuned"}], ["full"]),

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import pickle
 import warnings
 from collections import Counter
 
@@ -21,10 +22,7 @@ from entailshift.model import (
     _data_loss,
     _dlogits,
     _init_params,
-    _logits,
     _loss_and_grad,
-    _pack,
-    _scatter,
     _target_columns,
     featurize,
     featurize_batch,
@@ -424,6 +422,19 @@ class TestScoreBatch:
                     reference = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
                 np.testing.assert_allclose(batch[i], reference, rtol=0, atol=1e-15)
 
+    def test_many_rows_in_one_call_equal_single_rows(self):
+        """About 300 rows, empty ones included, span several full-pass blocks."""
+        rng = np.random.default_rng(5)
+        words = ["stocks", "rally", "usb", "hub", "dock", "match", "exact", "news", "team"]
+        texts = [" ".join(rng.choice(words, size=int(rng.integers(0, 7)))) for _ in range(300)]
+        fvs = [featurize(("remained relevant news", t), SMALL) if i % 3 else featurize(t, SMALL)
+               for i, t in enumerate(texts)]
+        assert sum(fv.nnz == 0 for fv in fvs) >= 10
+        for model in self.models():
+            batch = score(model, fvs)
+            single = np.array([score(model, [fv])[0] for fv in fvs])
+            assert batch.tobytes() == single.tobytes()
+
     def test_zero_rows(self):
         binary, multiclass = self.models()
         assert score(binary, []).shape == (0,)
@@ -433,6 +444,33 @@ class TestScoreBatch:
         binary, _ = self.models()
         with pytest.raises(ValueError, match="dimension"):
             score(binary, [featurize("x", FeaturizerConfig(dim=2**13))])
+
+
+def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic function as two masked branches, each side's stable form."""
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-300, -1e-300,
+               745.0, -745.0, 750.0, -750.0]
+
+    @pytest.mark.parametrize("shape", [(-1,), (-1, 1)])
+    def test_equals_two_branch_form_bit_for_bit(self, shape):
+        rng = np.random.default_rng(11)
+        draws = rng.normal(size=10_000) * 10.0 ** rng.uniform(-3, 3, size=10_000)
+        special = np.array(self.SPECIAL)
+        mixed = draws.copy()
+        mixed[rng.choice(draws.size, special.size, replace=False)] = special
+        with np.errstate(invalid="ignore"):
+            for z in (special, draws, mixed):
+                z = z.reshape(shape)
+                assert model_module._sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
 
 
 def separable_toy() -> tuple[list[FeatureVector], list[int]]:
@@ -562,6 +600,30 @@ class TestTrainBinary:
         after = resumed.train_log[-1]
         assert abs(after - before) <= 0.01 * before
 
+    @pytest.mark.parametrize("head", ["binary", "multiclass"])
+    def test_unpickled_warm_start_trains_like_the_in_process_model(self, head):
+        """An unpickled array keeps a non-canonical float64 dtype through copies
+        and fancy indexing, on which ``np.add.at`` runs about 20x slower; the
+        warm start converts it, and trains exactly as the in-process model."""
+        ds = synth_generate(preset_config("retail_shift", n_per_topic=6), seed=2)
+        features = [featurize((ex.text_a, ex.text_b), SMALL) for ex in ds]
+        labels = [ds.post_labels.index(ex.post_label) for ex in ds]
+        if head == "binary":
+            labels, k = [int(y == 0) for y in labels], None
+        else:
+            k = len(ds.post_labels)
+        base = train(features, labels, TrainConfig(epochs=2), head=head, n_classes=k,
+                     featurizer=SMALL)
+        thawed = pickle.loads(pickle.dumps(base))
+        assert thawed.weights.dtype is not np.dtype(np.float64)
+        weights, bias = _init_params(SMALL, head, k or 2, thawed)
+        assert weights.dtype is np.dtype(np.float64) and bias.dtype is np.dtype(np.float64)
+        resumed = [train(features, labels, TrainConfig(epochs=2, seed=1, warm_start=start),
+                         head=head, n_classes=k, featurizer=SMALL) for start in (base, thawed)]
+        assert resumed[0].weights.tobytes() == resumed[1].weights.tobytes()
+        assert resumed[0].bias.tobytes() == resumed[1].bias.tobytes()
+        assert resumed[0].train_log == resumed[1].train_log
+
     def test_warm_start_mismatches_rejected(self):
         features, labels = separable_toy()
         binary = train(features, labels, TrainConfig(epochs=1), head="binary", featurizer=SMALL)
@@ -654,29 +716,46 @@ class TestTrainJoint:
 
 
 def dense_reference_fit(features, columns, config: TrainConfig, head, n_classes, featurizer):
-    """Training over the full weight width: decay every weight each batch,
-    gather the batch rows and scatter into all dim columns. ``_fit`` trains
-    only the active columns and must equal this bit for bit."""
-    packed = _pack(features, featurizer.dim)
+    """Training over the full weight width, batch by batch in plain numpy:
+    decay every weight each batch, sum each row's logit entry by entry, and
+    add each entry's step into all dim columns in order. ``_fit`` gathers
+    chunks of batches, trains only the active columns and runs its full
+    passes in row blocks, and must equal this bit for bit."""
     targets = _target_columns(head, columns)
     weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
     weight_rows = np.atleast_2d(weights)
+    n_heads = weight_rows.shape[0]
+
+    def logits(rows):
+        z = np.zeros((len(rows), n_heads))
+        for i, r in enumerate(rows):
+            fv = features[r]
+            for k in range(n_heads):
+                total = 0.0
+                for j, v in zip(fv.indices.tolist(), fv.values.tolist()):
+                    total += v * float(weight_rows[k, j])
+                z[i, k] = total
+        return z + bias
+
     rng = np.random.default_rng(config.seed)
-    n = packed.n_rows
+    n = len(features)
     decay = 1.0 - config.learning_rate * config.l2_penalty
     log = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             rows = order[start : start + config.batch_size]
-            z, gathered = _logits(weight_rows, bias, packed, rows)
-            g = _dlogits(z, [y[rows] for y in targets]) / rows.size
+            g = _dlogits(logits(rows), [y[rows] for y in targets]) / rows.size
             if config.l2_penalty:
                 weights *= decay
-            _scatter(weight_rows, gathered, g, -config.learning_rate)
+            for i, r in enumerate(rows):
+                fv = features[r]
+                for k in range(n_heads):
+                    step = -config.learning_rate * float(g[i, k])
+                    for j, v in zip(fv.indices.tolist(), fv.values.tolist()):
+                        weight_rows[k, j] += step * v
             bias -= config.learning_rate * g.sum(axis=0)
-        z, _ = _logits(weight_rows, bias, packed, np.arange(n, dtype=np.int64))
-        log.append(_data_loss(z, targets))
+        log.append(_data_loss(logits(range(n)), targets))
     return weights, bias, tuple(log)
 
 
@@ -686,12 +765,12 @@ class TestActiveColumnTraining:
 
     FEAT = FeaturizerConfig(dim=2**14)
 
-    @pytest.mark.parametrize("head", ["binary", "multiclass", "joint"])
-    @pytest.mark.parametrize("l2", [0.0, 1e-3])
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_equals_dense_reference(self, head, l2, warm):
-        ds = synth_generate(preset_config("retail_shift", n_per_topic=6), seed=4)
+    def check_against_reference(self, n_per_topic, batch_size, head, l2, warm, empty_every=0):
+        ds = synth_generate(preset_config("retail_shift", n_per_topic=n_per_topic), seed=4)
         features = [featurize((ex.text_a, ex.text_b), self.FEAT) for ex in ds]
+        if empty_every:
+            features = [featurize("", self.FEAT) if i % empty_every == 0 else fv
+                        for i, fv in enumerate(features)]
         before = [fv.indices.copy() for fv in features]
         pre = [ds.pre_labels.index(ex.pre_label) for ex in ds]
         post = [ds.post_labels.index(ex.post_label) for ex in ds]
@@ -710,7 +789,8 @@ class TestActiveColumnTraining:
             hot = np.concatenate([off_support, support[::3]])
             warm_model.weights[..., hot] = rng.normal(size=warm_model.weights[..., hot].shape)
             warm_model.bias[:] = rng.normal(size=warm_model.bias.shape)
-        config = TrainConfig(epochs=3, batch_size=5, seed=9, l2_penalty=l2, warm_start=warm_model)
+        config = TrainConfig(epochs=3, batch_size=batch_size, seed=9, l2_penalty=l2,
+                             warm_start=warm_model)
         if head == "joint":
             trained = train_joint(features, pre, post, config, n_classes=k, featurizer=self.FEAT)
         else:
@@ -725,6 +805,24 @@ class TestActiveColumnTraining:
             assert np.all(off != 0) and not np.array_equal(off, start)
         for fv, indices in zip(features, before):
             assert np.array_equal(fv.indices, indices)
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass", "joint"])
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_equals_dense_reference(self, head, l2, warm):
+        self.check_against_reference(6, 5, head, l2, warm)
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass", "joint"])
+    @pytest.mark.parametrize("n_per_topic, batch_size, empty_every", [
+        (70, 6, 0),     # 280 rows: a 252-row chunk, then 4 batches and a partial one
+        (70, 1, 0),     # one-row batches over two chunks
+        (6, 1000, 0),   # one batch larger than the 24-row set
+        (70, 16, 9),    # every ninth row has no features
+    ], ids=["partial-chunk", "batch-1", "batch-over-set", "zero-rows"])
+    def test_chunk_and_block_boundaries(self, head, n_per_topic, batch_size, empty_every):
+        """Cases the 24-row set never reaches: it never leaves the first chunk
+        of batches or the first block of a full pass."""
+        self.check_against_reference(n_per_topic, batch_size, head, 1e-3, True, empty_every)
 
 
 class TestGradCheck:
