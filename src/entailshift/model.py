@@ -26,7 +26,10 @@ Training and ``score`` run one forward, ``_logits`` over packed rows, so a
 row scores the same alone or in a batch. Training gathers a chunk of whole
 mini-batches at once and takes each batch as views of it; full passes (the
 per-epoch loss, ``score``, the checked gradient) run in fixed blocks of
-consecutive rows, so no temporary grows with the data. Cross features exist because a
+consecutive rows, so no temporary grows with the data. A model holds only
+its active columns, the feature indices its training touched, and
+``score`` maps indices to them through a lookup built once per model, so
+no array is as wide as the hash space per class. Cross features exist because a
 purely additive linear model scores candidate prompts independently of the
 text they are paired with; the conjunction features are what let the binary
 head read prompts in context.
@@ -37,6 +40,7 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -222,7 +226,7 @@ def featurize_batch(
                 for x in inputs[start : start + _BLOCK_ROWS]]
         lengths = [len(row) for row in rows]
         # Tag each index with its row as row * dim + index. This fits int64: any
-        # dim whose dense weight row can be allocated keeps 64 * dim far below 2**63.
+        # dim whose per-model lookup can be allocated keeps 64 * dim far below 2**63.
         tags = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
         tags += np.repeat(np.arange(len(rows), dtype=np.int64) * dim, lengths)
         tags, counts = np.unique(tags, return_counts=True)
@@ -355,10 +359,15 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """Linear head over hashed features: logistic (binary) or softmax (K-class)."""
+    """Linear head over hashed features: logistic (binary) or softmax (K-class).
+
+    The model holds only its active columns: ``weights[:, j]`` is the weight
+    of feature index ``columns[j]``, and every other index weighs zero.
+    """
 
     head: str                         # "binary" | "multiclass"
-    weights: np.ndarray               # (dim,) binary, (K, dim) multiclass
+    columns: np.ndarray               # sorted unique feature indices in [0, dim)
+    weights: np.ndarray               # (1, len(columns)) binary, (K, len(columns)) multiclass
     bias: np.ndarray                  # (1,) binary, (K,) multiclass
     featurizer: FeaturizerConfig
     train_log: tuple[float, ...] = ()
@@ -366,33 +375,46 @@ class Model:
     def __post_init__(self) -> None:
         if self.head not in ("binary", "multiclass"):
             raise ValueError(f"unknown head {self.head!r}")
-        expected_ndim = 1 if self.head == "binary" else 2
-        if self.weights.ndim != expected_ndim:
+        columns = self.columns
+        if (not isinstance(columns, np.ndarray) or columns.ndim != 1
+                or not np.issubdtype(columns.dtype, np.integer)):
+            raise ValueError("columns must be a 1-D integer array")
+        if np.any(columns[1:] <= columns[:-1]):
+            raise ValueError("columns must be strictly increasing")
+        if columns.size and (columns[0] < 0 or columns[-1] >= self.featurizer.dim):
+            raise ValueError(f"columns must lie in [0, {self.featurizer.dim})")
+        rows = self.weights.shape[0] if self.weights.ndim == 2 else 0
+        if rows < 1 or (rows == 1) != (self.head == "binary"):
+            raise ValueError(f"{self.head} head got weights of shape {self.weights.shape}")
+        if self.weights.shape[1] != columns.size:
             raise ValueError(
-                f"{self.head} head expects {expected_ndim}-D weights, got {self.weights.ndim}-D"
-            )
-        if self.weights.shape[-1] != self.featurizer.dim:
-            raise ValueError("weight width must equal the featurizer dimension")
+                f"weight width {self.weights.shape[1]} differs from the {columns.size} columns")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("model parameters must be finite")
 
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        """Each feature index's weight column; an index outside ``columns`` reads
+        column ``len(columns)``, which ``score`` holds at zero."""
+        slots = np.full(self.featurizer.dim, self.columns.size, dtype=np.int32)
+        slots[self.columns] = np.arange(self.columns.size, dtype=np.int32)
+        return slots
+
 
 def zero_model(featurizer: FeaturizerConfig, head: str, n_classes: int | None = None) -> Model:
-    """Freshly initialized parameters (all zeros)."""
-    weights_shape, bias_shape = _param_shapes(featurizer, head, n_classes)
-    return Model(head=head, weights=np.zeros(weights_shape), bias=np.zeros(bias_shape),
-                 featurizer=featurizer)
+    """Freshly initialized parameters (all zeros): no active column yet."""
+    rows = _head_rows(head, n_classes)
+    return Model(head=head, columns=np.empty(0, dtype=np.int64), weights=np.zeros((rows, 0)),
+                 bias=np.zeros(rows), featurizer=featurizer)
 
 
-def _param_shapes(
-    featurizer: FeaturizerConfig, head: str, n_classes: int | None
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (weights, bias) shapes of a head; the multiclass head needs its arity."""
+def _head_rows(head: str, n_classes: int | None) -> int:
+    """Weight rows of a head: one for binary; the multiclass head needs its arity."""
     if head == "binary":
-        return (featurizer.dim,), (1,)
+        return 1
     if n_classes is None or n_classes < 2:
         raise ValueError("multiclass head needs n_classes >= 2")
-    return (n_classes, featurizer.dim), (n_classes,)
+    return n_classes
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -417,12 +439,12 @@ def _logits(
     gathered: tuple[np.ndarray, np.ndarray, np.ndarray],
     n: int,
 ) -> np.ndarray:
-    """(n, R) logits of an (R, dim) weight view over the gathered entries of n rows.
+    """(n, R) logits of (R, width) weights over the gathered entries of n rows.
 
-    The binary head is R=1 over ``np.atleast_2d(weights)``, a view of its
-    1-D weights, so the same forward, dL/dz and scatter serve every head.
-    Each row's logit sums its own entries in order, so a row's logit does
-    not depend on which other rows were gathered with it.
+    The gathered indices are weight columns. The binary head is R=1, so the
+    same forward, dL/dz and scatter serve every head. Each row's logit sums
+    its own entries in order, so a row's logit does not depend on which
+    other rows were gathered with it.
     """
     sample_pos, idx, vals = gathered
     z = np.empty((n, weights.shape[0]))
@@ -501,21 +523,34 @@ def _init_params(
     head: str,
     n_classes: int,
     warm_start: Model | None,
-) -> tuple[np.ndarray, np.ndarray]:
+    indices: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The active columns a fit trains and its starting weights over them and bias.
+
+    The active columns are the feature ``indices`` plus the warm start's
+    non-zero columns; without a warm start every parameter starts at zero.
+    """
+    rows = _head_rows(head, n_classes)
+    used = np.zeros(featurizer.dim, dtype=bool)
+    used[indices] = True
     if warm_start is None:
-        weights_shape, bias_shape = _param_shapes(featurizer, head, n_classes)
-        return np.zeros(weights_shape), np.zeros(bias_shape)
+        active = np.flatnonzero(used)
+        return active, np.zeros((rows, active.size)), np.zeros(rows)
     if warm_start.head != head:
         raise ValueError(f"warm start head {warm_start.head!r} does not match {head!r}")
     if warm_start.featurizer != featurizer:
         raise ValueError("warm start featurizer config does not match")
-    if head == "multiclass" and warm_start.weights.shape[0] != n_classes:
-        raise ValueError(
-            f"warm start has {warm_start.weights.shape[0]} classes, need {n_classes}"
-        )
-    # astype, not copy: an unpickled array keeps a non-canonical float64 dtype
-    # through copies and fancy indexing, on which np.add.at runs about 20x slower.
-    return warm_start.weights.astype(np.float64), warm_start.bias.astype(np.float64).reshape(-1)
+    if warm_start.weights.shape[0] != rows:
+        raise ValueError(f"warm start has {warm_start.weights.shape[0]} classes, need {n_classes}")
+    held = np.any(warm_start.weights != 0, axis=0)
+    used[warm_start.columns[held]] = True
+    active = np.flatnonzero(used)
+    # Assigned into fresh zeros, not copied: an unpickled array keeps a non-canonical
+    # float64 dtype through copies and fancy indexing, on which np.add.at runs about
+    # 20x slower.
+    weights = np.zeros((rows, active.size))
+    weights[:, np.searchsorted(active, warm_start.columns[held])] = warm_start.weights[:, held]
+    return active, weights, warm_start.bias.astype(np.float64).reshape(-1)
 
 
 def _fit(
@@ -536,22 +571,10 @@ def _fit(
         if y.size != packed.n_rows:
             raise ValueError(f"{packed.n_rows} samples but {y.size} {what} labels")
         _validate_labels(y, n_classes, what)
-    weights_shape, bias_shape = _param_shapes(featurizer, head, n_classes)
-    if config.warm_start is None:  # all zero: no column is in use yet
-        weights, bias = None, np.zeros(bias_shape)
-        used = np.zeros(featurizer.dim, dtype=bool)
-    else:
-        weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
-        used = np.atleast_2d(weights).any(axis=0)
-
-    # Train only the touched columns (see ``train``); ``packed`` is this call's own copy.
-    used[packed.indices] = True
-    active = np.flatnonzero(used)
+    # Train only the active columns (see ``train``); ``packed`` is this call's own copy.
+    active, weights, bias = _init_params(featurizer, head, n_classes, config.warm_start,
+                                         packed.indices)
     packed.indices[:] = np.searchsorted(active, packed.indices)
-    if weights is None:
-        weight_rows = np.zeros((bias.size, active.size))
-    else:
-        weight_rows = np.ascontiguousarray(np.atleast_2d(weights)[:, active])
     rng = np.random.default_rng(config.seed)
     n, batch_size = packed.n_rows, config.batch_size
     chunk_size = max(1, _CHUNK_ROWS // batch_size) * batch_size
@@ -567,17 +590,15 @@ def _fit(
                 stop = min(start + batch_size, rows.size)
                 a, b = offsets[start], offsets[stop]
                 gathered = sample_pos[a:b], idx[a:b], vals[a:b]
-                z = _logits(weight_rows, bias, gathered, stop - start)
+                z = _logits(weights, bias, gathered, stop - start)
                 g = _dlogits(z, [y[start:stop] for y in labels]) / (stop - start)
                 if config.l2_penalty:
-                    weight_rows *= decay
-                _scatter(weight_rows, gathered, g, -config.learning_rate)
+                    weights *= decay
+                _scatter(weights, gathered, g, -config.learning_rate)
                 bias -= config.learning_rate * g.sum(axis=0)
-        log.append(_data_loss(_full_logits(weight_rows, bias, packed), targets))
-    if weights is None:  # a fresh start holds no dense weights while it trains
-        weights = np.zeros(weights_shape)
-    np.atleast_2d(weights)[:, active] = weight_rows
-    return Model(head=head, weights=weights, bias=bias, featurizer=featurizer, train_log=tuple(log))
+        log.append(_data_loss(_full_logits(weights, bias, packed), targets))
+    return Model(head=head, columns=active, weights=weights, bias=bias, featurizer=featurizer,
+                 train_log=tuple(log))
 
 
 def train(
@@ -599,8 +620,8 @@ def train(
     enters as per-batch multiplicative weight decay, which is exactly
     gradient descent on meanCE + (l2/2)*||w||^2; the bias is not decayed.
     Descent and decay run on the active columns only, those the samples
-    touch or the warm start holds non-zero; every all-zero column stays
-    exactly zero, as under full decay. ``train_log`` records the
+    touch or the warm start holds non-zero, and the model holds only those:
+    every other column is exactly zero, as under full decay. ``train_log`` records the
     full-dataset mean cross-entropy per epoch, from a forward over blocks of
     ``_CHUNK_ROWS`` consecutive rows. ``featurizer``, the config that made
     ``features``, is recorded in the model.
@@ -643,12 +664,18 @@ def train_joint(
 def score(model: Model, features: Sequence[FeatureVector]) -> np.ndarray:
     """Probabilities of the rows: (n,) for the binary head, (n, K) rows summing to 1 otherwise.
 
-    The rows are packed and run through the training forward ``_logits``
-    in blocks of ``_CHUNK_ROWS`` consecutive rows, whose indices and values
-    are views of the packed arrays; a row's probability does not depend on
-    the other rows of the call.
+    The rows are packed, their feature indices mapped to weight columns
+    through the model's cached lookup (an index outside ``model.columns``
+    reads one zero column, so every logit keeps its terms), and run through
+    the training forward ``_logits`` in blocks of ``_CHUNK_ROWS`` consecutive
+    rows, whose indices and values are views of the packed arrays; a row's
+    probability does not depend on the other rows of the call.
     """
-    z = _full_logits(np.atleast_2d(model.weights), model.bias, _pack(features, model.featurizer.dim))
+    packed = _pack(features, model.featurizer.dim)
+    packed.indices[:] = model._slots[packed.indices]
+    weights = np.zeros((model.weights.shape[0], model.columns.size + 1))
+    weights[:, :-1] = model.weights
+    z = _full_logits(weights, model.bias, packed)
     return _sigmoid(z[:, 0]) if model.head == "binary" else _softmax(z)
 
 
@@ -664,31 +691,45 @@ def make_binary_scorer(model: Model):
 # ---------------------------------------------------------------------------
 
 
+def _widen(model: Model, indices: np.ndarray) -> Model:
+    """A float64 copy of ``model`` over its non-zero columns plus ``indices``."""
+    columns, weights, bias = _init_params(model.featurizer, model.head, model.weights.shape[0],
+                                          model, indices)
+    return Model(head=model.head, columns=columns, weights=weights, bias=bias,
+                 featurizer=model.featurizer)
+
+
 def _loss_and_grad(
     model: Model,
     features: Sequence[FeatureVector],
     labels: Sequence[Sequence[int]],
     l2: float,
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Full-objective value and analytic gradient for any head.
 
     ``labels`` is one column for plain heads and two for the joint loss.
-    The objective is the mean data loss plus (l2/2)*||w||^2. The gradient
-    is the one a full-batch training step applies: the same forward, dL/dz
-    and scatter, here into zeros with scale 1.
+    The objective is the mean data loss plus (l2/2)*||w||^2. It runs over
+    the model's non-zero columns plus the samples' support, and returns the
+    loss, those columns, and the weight gradient over them and the bias
+    gradient.
+    The gradient is the one a full-batch training step applies: the same
+    forward, dL/dz and scatter, here into zeros with scale 1.
     """
     if not features:
         raise ValueError("no samples to check")
     packed = _pack(features, model.featurizer.dim)
     targets = _target_columns(model.head, labels)
-    z = _full_logits(np.atleast_2d(model.weights), model.bias, packed)
+    model = _widen(model, packed.indices)
+    packed.indices[:] = np.searchsorted(model.columns, packed.indices)
+    weights = model.weights
+    z = _full_logits(weights, model.bias, packed)
     g = _dlogits(z, targets) / packed.n_rows
-    grad_w = np.zeros_like(model.weights)
+    grad_w = np.zeros(weights.shape)
     for rows, gathered in _blocks(packed):
-        _scatter(np.atleast_2d(grad_w), gathered, g[rows], 1.0)
-    grad_w += l2 * model.weights
-    loss = _data_loss(z, targets) + 0.5 * l2 * float(np.sum(model.weights**2))
-    return loss, grad_w, g.sum(axis=0)
+        _scatter(grad_w, gathered, g[rows], 1.0)
+    grad_w += l2 * weights
+    loss = _data_loss(z, targets) + 0.5 * l2 * float(np.sum(weights**2))
+    return loss, model.columns, grad_w, g.sum(axis=0)
 
 
 def grad_check(
@@ -705,19 +746,22 @@ def grad_check(
     The analytic gradient comes from ``_loss_and_grad``, which runs the
     training kernel, so this checks the gradient the optimizer applies.
     Coordinates are sampled from the feature support of the given samples
-    plus the bias entries, so every checked coordinate carries signal.
+    plus the bias entries, so every checked coordinate carries signal. The
+    differences perturb a copy of the model over ``_loss_and_grad``'s
+    columns; ``model`` itself is not touched.
     """
     if not 0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
-    _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
-    weights, grad_w = np.atleast_2d(model.weights), np.atleast_2d(grad_w)
+    _, columns, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
+    model = _widen(model, columns)
+    weights = model.weights
 
-    support = sorted({int(i) for fv in features for i in fv.indices})
+    support = np.searchsorted(columns, sorted({int(i) for fv in features for i in fv.indices}))
     rng = np.random.default_rng(seed)
     coords: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = []
-    if support:
-        for pick in rng.integers(0, len(support), size=max(n_coords, 1)):
-            where = (int(rng.integers(0, weights.shape[0])), support[int(pick)])
+    if support.size:
+        for pick in rng.integers(0, support.size, size=max(n_coords, 1)):
+            where = (int(rng.integers(0, weights.shape[0])), int(support[pick]))
             coords.append((weights, grad_w, where))
     coords += [(model.bias, grad_b, (b,)) for b in range(model.bias.size)]
 
@@ -726,9 +770,9 @@ def grad_check(
         analytic = grad[where]
         original = array[where]
         array[where] = original + epsilon
-        up, _, _ = _loss_and_grad(model, features, labels, l2)
+        up, _, _, _ = _loss_and_grad(model, features, labels, l2)
         array[where] = original - epsilon
-        down, _, _ = _loss_and_grad(model, features, labels, l2)
+        down, _, _, _ = _loss_and_grad(model, features, labels, l2)
         array[where] = original
         fd = (up - down) / (2.0 * epsilon)
         rel = abs(analytic - fd) / max(abs(analytic) + abs(fd), 1e-8)

@@ -186,11 +186,13 @@ class TestAcceptance:
                     indices=indices, values=rng.normal(size=nnz), dim=feat.dim))
             k = int(rng.integers(2, 5))
             if head == "binary":
-                model = Model(head="binary", weights=rng.normal(size=feat.dim) * 0.5,
+                model = Model(head="binary", columns=np.arange(feat.dim),
+                              weights=rng.normal(size=(1, feat.dim)) * 0.5,
                               bias=rng.normal(size=1), featurizer=feat)
                 labels = [list(rng.integers(0, 2, size=n))]
             else:
-                model = Model(head="multiclass", weights=rng.normal(size=(k, feat.dim)) * 0.5,
+                model = Model(head="multiclass", columns=np.arange(feat.dim),
+                              weights=rng.normal(size=(k, feat.dim)) * 0.5,
                               bias=rng.normal(size=k), featurizer=feat)
                 labels = [list(rng.integers(0, k, size=n))]
                 if head == "joint":

@@ -332,8 +332,9 @@ class TestFeaturizeBatch:
         catalog = builtin_catalog("en-retail")
         batch = [c for ex in ds for c in candidates(ex, ds.post_labels, catalog)][:100]
         rng = np.random.default_rng(5)
-        model = Model(head="binary", weights=rng.normal(size=SMALL.dim),
-                      bias=np.array([0.1]), featurizer=SMALL)
+        model = Model(head="binary", columns=np.arange(SMALL.dim),
+                      weights=rng.normal(size=(1, SMALL.dim)), bias=np.array([0.1]),
+                      featurizer=SMALL)
         expected = score(model, [featurize(c.segments, SMALL) for c in batch])
         assert make_binary_scorer(model)(batch).tobytes() == expected.tobytes()
 
@@ -352,6 +353,7 @@ class TestScore:
         rng = np.random.default_rng(0)
         model = Model(
             head="multiclass",
+            columns=np.arange(SMALL.dim),
             weights=rng.normal(size=(5, SMALL.dim)),
             bias=rng.normal(size=5),
             featurizer=SMALL,
@@ -364,14 +366,18 @@ class TestScore:
         rng = np.random.default_rng(1)
         weights = rng.normal(size=(3, SMALL.dim))
         fv = featurize("x y z", SMALL)
-        base = Model(head="multiclass", weights=weights, bias=np.zeros(3), featurizer=SMALL)
-        lifted = Model(head="multiclass", weights=weights, bias=np.full(3, 7.5), featurizer=SMALL)
+        every = np.arange(SMALL.dim)
+        base = Model(head="multiclass", columns=every, weights=weights, bias=np.zeros(3),
+                     featurizer=SMALL)
+        lifted = Model(head="multiclass", columns=every, weights=weights, bias=np.full(3, 7.5),
+                       featurizer=SMALL)
         np.testing.assert_allclose(score(base, [fv])[0], score(lifted, [fv])[0], atol=1e-12)
 
     def test_sigmoid_stays_inside_open_interval(self):
         model = Model(
             head="binary",
-            weights=np.full(SMALL.dim, 10.0),
+            columns=np.arange(SMALL.dim),
+            weights=np.full((1, SMALL.dim), 10.0),
             bias=np.array([0.0]),
             featurizer=SMALL,
         )
@@ -397,9 +403,10 @@ class TestScoreBatch:
 
     def models(self):
         rng = np.random.default_rng(3)
-        yield Model(head="binary", weights=rng.normal(size=SMALL.dim),
+        every = np.arange(SMALL.dim)
+        yield Model(head="binary", columns=every, weights=rng.normal(size=(1, SMALL.dim)),
                     bias=np.array([0.3]), featurizer=SMALL)
-        yield Model(head="multiclass", weights=rng.normal(size=(4, SMALL.dim)),
+        yield Model(head="multiclass", columns=every, weights=rng.normal(size=(4, SMALL.dim)),
                     bias=rng.normal(size=4), featurizer=SMALL)
 
     def rows(self):
@@ -444,6 +451,121 @@ class TestScoreBatch:
         binary, _ = self.models()
         with pytest.raises(ValueError, match="dimension"):
             score(binary, [featurize("x", FeaturizerConfig(dim=2**13))])
+
+
+class TestCompactScore:
+    """A model holds only its columns; ``score`` reads every other index as
+    zero. The oracle sums each row's entries against the dense weights, one
+    ``bincount`` per row, and must equal ``score`` bit for bit."""
+
+    FEAT = FeaturizerConfig(dim=2**10)
+
+    def models(self):
+        rng = np.random.default_rng(8)
+        columns = np.sort(rng.choice(self.FEAT.dim, size=300, replace=False))
+        yield Model(head="binary", columns=columns, weights=rng.normal(size=(1, 300)),
+                    bias=np.array([-0.2]), featurizer=self.FEAT)
+        yield Model(head="multiclass", columns=columns, weights=rng.normal(size=(4, 300)),
+                    bias=rng.normal(size=4), featurizer=self.FEAT)
+
+    def rows(self, columns):
+        rng = np.random.default_rng(9)
+        outside = np.setdiff1d(np.arange(self.FEAT.dim), columns)
+
+        def row(pool_in, pool_out):
+            indices = np.sort(np.concatenate([rng.choice(columns, pool_in, replace=False),
+                                              rng.choice(outside, pool_out, replace=False)]))
+            return FeatureVector(indices=indices, values=rng.normal(size=indices.size),
+                                 dim=self.FEAT.dim)
+
+        inside = [row(n, 0) for n in (1, 7, 40)]
+        partly = [row(n, m) for n, m in ((1, 1), (5, 30), (30, 5))]
+        wholly = [row(0, n) for n in (1, 12)]
+        empty = [featurize("", self.FEAT)]
+        edges = [FeatureVector(indices=np.array([0, self.FEAT.dim - 1]),
+                               values=np.array([0.6, -0.8]), dim=self.FEAT.dim)]
+        return empty + inside + wholly + empty + partly + edges + empty
+
+    def reference(self, model, fvs):
+        dense = densify(model)
+        z = np.empty((len(fvs), dense.shape[0]))
+        for i, fv in enumerate(fvs):
+            for k in range(dense.shape[0]):
+                entries = np.zeros(fv.nnz, dtype=np.int64)
+                z[i, k] = np.bincount(entries, weights=fv.values * dense[k][fv.indices],
+                                      minlength=1)[0] + model.bias[k]
+        if model.head == "binary":
+            return model_module._sigmoid(z[:, 0])
+        return model_module._softmax(z)
+
+    def test_equals_dense_bincount_reference_bit_for_bit(self):
+        for model in self.models():
+            fvs = self.rows(model.columns)
+            assert score(model, fvs).tobytes() == self.reference(model, fvs).tobytes()
+
+    def test_rows_outside_the_columns_score_the_bias_alone(self):
+        for model in self.models():
+            outside = [fv for fv in self.rows(model.columns)
+                       if not np.isin(fv.indices, model.columns).any()]
+            assert len(outside) == 5
+            expected = score(model, [featurize("", self.FEAT)])
+            for fv in outside:
+                assert score(model, [fv]).tobytes() == expected.tobytes()
+
+    def test_lookup_is_built_once_per_model(self):
+        model = next(self.models())
+        assert "_slots" not in vars(model)
+        fvs = self.rows(model.columns)
+        score(model, fvs)
+        slots = vars(model)["_slots"]
+        assert slots.dtype == np.int32 and slots.shape == (self.FEAT.dim,)
+        score(model, fvs[:3])
+        assert model._slots is slots
+
+
+class TestModelColumns:
+    """``Model`` refuses columns it could not score through."""
+
+    def model(self, columns, width=None):
+        width = len(columns) if width is None else width
+        return Model(head="multiclass", columns=columns, weights=np.zeros((3, width)),
+                     bias=np.zeros(3), featurizer=SMALL)
+
+    def test_valid_columns_accepted(self):
+        assert self.model(np.array([0, 5, SMALL.dim - 1])).weights.shape == (3, 3)
+        assert self.model(np.empty(0, dtype=np.int64)).weights.shape == (3, 0)
+
+    @pytest.mark.parametrize("columns", [
+        np.array([1.0, 2.0]), np.array([[1, 2]]), np.array([True, False]), [1, 2], np.int64(3),
+    ], ids=["float", "2-D", "bool", "list", "scalar"])
+    def test_columns_not_1d_integers_rejected(self, columns):
+        with pytest.raises(ValueError, match="columns must be a 1-D integer array"):
+            self.model(columns, width=2)
+
+    @pytest.mark.parametrize("columns", [[3, 1], [2, 2], [0, 4, 4, 9]],
+                             ids=["descending", "repeated", "repeated-inside"])
+    def test_columns_not_strictly_increasing_rejected(self, columns):
+        with pytest.raises(ValueError, match="columns must be strictly increasing"):
+            self.model(np.array(columns))
+
+    @pytest.mark.parametrize("columns", [[-1, 3], [0, SMALL.dim], [SMALL.dim + 5]],
+                             ids=["negative", "dim", "past-dim"])
+    def test_columns_outside_the_hash_space_rejected(self, columns):
+        with pytest.raises(ValueError, match=rf"columns must lie in \[0, {SMALL.dim}\)"):
+            self.model(np.array(columns))
+
+    @pytest.mark.parametrize("width", [0, 2, 4])
+    def test_weight_width_must_equal_the_column_count(self, width):
+        with pytest.raises(ValueError, match=f"weight width {width} differs from the 3 columns"):
+            self.model(np.array([1, 2, 3]), width=width)
+
+    @pytest.mark.parametrize("head, shape", [
+        ("binary", (2, 3)), ("binary", (3,)), ("multiclass", (1, 3)), ("multiclass", (3,)),
+    ])
+    def test_weight_rows_must_fit_the_head(self, head, shape):
+        with pytest.raises(ValueError, match=f"{head} head got weights of shape"):
+            Model(head=head, columns=np.array([1, 2, 3]), weights=np.zeros(shape),
+                  bias=np.zeros(shape[0]), featurizer=SMALL)
 
 
 def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -616,7 +738,7 @@ class TestTrainBinary:
                      featurizer=SMALL)
         thawed = pickle.loads(pickle.dumps(base))
         assert thawed.weights.dtype is not np.dtype(np.float64)
-        weights, bias = _init_params(SMALL, head, k or 2, thawed)
+        _, weights, bias = _init_params(SMALL, head, k or 2, thawed, np.empty(0, dtype=np.int64))
         assert weights.dtype is np.dtype(np.float64) and bias.dtype is np.dtype(np.float64)
         resumed = [train(features, labels, TrainConfig(epochs=2, seed=1, warm_start=start),
                          head=head, n_classes=k, featurizer=SMALL) for start in (base, thawed)]
@@ -704,15 +826,26 @@ class TestTrainJoint:
         post = list(rng.integers(0, 3, size=8))
         model = Model(
             head="multiclass",
+            columns=np.arange(SMALL.dim),
             weights=rng.normal(size=(3, SMALL.dim)) * 0.1,
             bias=rng.normal(size=3) * 0.1,
             featurizer=SMALL,
         )
-        _, gw_pre, gb_pre = _loss_and_grad(model, features, [pre], l2=0.0)
-        _, gw_post, gb_post = _loss_and_grad(model, features, [post], l2=0.0)
-        _, gw_joint, gb_joint = _loss_and_grad(model, features, [pre, post], l2=0.0)
+        _, _, gw_pre, gb_pre = _loss_and_grad(model, features, [pre], l2=0.0)
+        _, _, gw_post, gb_post = _loss_and_grad(model, features, [post], l2=0.0)
+        _, _, gw_joint, gb_joint = _loss_and_grad(model, features, [pre, post], l2=0.0)
         np.testing.assert_allclose(gw_joint, gw_pre + gw_post, atol=1e-12)
         np.testing.assert_allclose(gb_joint, gb_pre + gb_post, atol=1e-12)
+
+
+def densify(model: Model, columns=None, weights=None) -> np.ndarray:
+    """``weights`` over ``columns`` (by default the model's own) scattered into
+    zeros of shape (rows, dim), the layout of a model over every column."""
+    if columns is None:
+        columns, weights = model.columns, model.weights
+    dense = np.zeros((weights.shape[0], model.featurizer.dim))
+    dense[:, columns] = weights
+    return dense
 
 
 def dense_reference_fit(features, columns, config: TrainConfig, head, n_classes, featurizer):
@@ -722,7 +855,8 @@ def dense_reference_fit(features, columns, config: TrainConfig, head, n_classes,
     chunks of batches, trains only the active columns and runs its full
     passes in row blocks, and must equal this bit for bit."""
     targets = _target_columns(head, columns)
-    weights, bias = _init_params(featurizer, head, n_classes, config.warm_start)
+    _, weights, bias = _init_params(featurizer, head, n_classes, config.warm_start,
+                                    np.arange(featurizer.dim))
     weight_rows = np.atleast_2d(weights)
     n_heads = weight_rows.shape[0]
 
@@ -785,7 +919,10 @@ class TestActiveColumnTraining:
             rng = np.random.default_rng(0)
             outside = np.setdiff1d(np.arange(self.FEAT.dim), support)
             off_support = rng.choice(outside, 40, replace=False)
-            warm_model = zero_model(self.FEAT, kind, k if kind == "multiclass" else None)
+            rows = k if kind == "multiclass" else 1
+            warm_model = Model(head=kind, columns=np.arange(self.FEAT.dim),
+                               weights=np.zeros((rows, self.FEAT.dim)), bias=np.zeros(rows),
+                               featurizer=self.FEAT)
             hot = np.concatenate([off_support, support[::3]])
             warm_model.weights[..., hot] = rng.normal(size=warm_model.weights[..., hot].shape)
             warm_model.bias[:] = rng.normal(size=warm_model.bias.shape)
@@ -797,11 +934,15 @@ class TestActiveColumnTraining:
             trained = train(features, columns[0], config, head=kind,
                             n_classes=k if kind == "multiclass" else None, featurizer=self.FEAT)
         weights, bias, log = dense_reference_fit(features, columns, config, kind, k, self.FEAT)
-        assert np.array_equal(trained.weights, weights)
+        assert np.array_equal(densify(trained), weights)
         assert np.array_equal(trained.bias, bias)
         assert trained.train_log == log
+        held = warm_model.columns[np.any(warm_model.weights != 0, axis=0)] if warm else []
+        active = np.unique(np.concatenate([held, *(fv.indices for fv in features)]))
+        assert trained.weights.shape[1] == active.size
+        assert np.array_equal(trained.columns, active)
         if warm and l2:
-            off, start = trained.weights[..., off_support], warm_model.weights[..., off_support]
+            off, start = densify(trained)[..., off_support], warm_model.weights[..., off_support]
             assert np.all(off != 0) and not np.array_equal(off, start)
         for fv, indices in zip(features, before):
             assert np.array_equal(fv.indices, indices)
@@ -837,11 +978,13 @@ class TestGradCheck:
             )
         k = int(rng.integers(2, 5))
         if head == "binary":
-            model = Model(head="binary", weights=rng.normal(size=SMALL.dim) * 0.5,
+            model = Model(head="binary", columns=np.arange(SMALL.dim),
+                          weights=rng.normal(size=(1, SMALL.dim)) * 0.5,
                           bias=rng.normal(size=1), featurizer=SMALL)
             labels = [list(rng.integers(0, 2, size=n))]
         else:
-            model = Model(head="multiclass", weights=rng.normal(size=(k, SMALL.dim)) * 0.5,
+            model = Model(head="multiclass", columns=np.arange(SMALL.dim),
+                          weights=rng.normal(size=(k, SMALL.dim)) * 0.5,
                           bias=rng.normal(size=k), featurizer=SMALL)
             labels = [list(rng.integers(0, k, size=n))]
             if head == "joint":
@@ -852,7 +995,8 @@ class TestGradCheck:
         """At w = 0 the logistic gradient collapses to (1/2 - y) x."""
         model = zero_model(SMALL, "binary")
         fv = unit_vector(17, value=0.8)
-        _, grad_w, grad_b = _loss_and_grad(model, [fv], [[1]], l2=0.0)
+        _, columns, grad_w, grad_b = _loss_and_grad(model, [fv], [[1]], l2=0.0)
+        grad_w = densify(model, columns, grad_w)[0]
         assert abs(grad_w[17] - (0.5 - 1.0) * 0.8) < 1e-12
         assert abs(grad_b[0] - (0.5 - 1.0)) < 1e-12
 
@@ -883,12 +1027,46 @@ class TestGradCheck:
                 stepped = train(features, labels[0], config, head=model.head,
                                 n_classes=None if model.head == "binary" else model.weights.shape[0],
                                 featurizer=model.featurizer)
-            _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
+            _, _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
             np.testing.assert_allclose(stepped.weights, model.weights - lr * grad_w,
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(stepped.bias, model.bias - lr * grad_b,
                                        rtol=0, atol=1e-12)
             assert grad_check(model, features, labels, l2=l2, seed=trial) < 1e-4
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass"])
+    def test_unpickled_model_checks_like_the_in_process_model(self, head):
+        """An unpickled model's non-canonical float64 dtype must not reach the
+        gradient, where ``np.add.at`` would take its slow path."""
+        ds = synth_generate(preset_config("retail_shift", n_per_topic=6), seed=3)
+        features = [featurize((ex.text_a, ex.text_b), SMALL) for ex in ds]
+        labels = [ds.post_labels.index(ex.post_label) for ex in ds]
+        if head == "binary":
+            labels, k = [int(y == 0) for y in labels], None
+        else:
+            k = len(ds.post_labels)
+        base = train(features, labels, TrainConfig(epochs=2), head=head, n_classes=k,
+                     featurizer=SMALL)
+        thawed = pickle.loads(pickle.dumps(base))
+        assert thawed.weights.dtype is not np.dtype(np.float64)
+        _, _, grad_w, grad_b = _loss_and_grad(thawed, features, [labels], 1e-4)
+        assert grad_w.dtype is np.dtype(np.float64) and grad_b.dtype is np.dtype(np.float64)
+        checked = [grad_check(model, features, [labels], l2=1e-4, seed=2)
+                   for model in (base, thawed)]
+        assert checked[0] == checked[1] < 1e-4
+
+    def test_compact_model_checks_and_stays_untouched(self):
+        """The checked copy spans the samples' support, which the compact model
+        mostly lacks; neither model is perturbed in place."""
+        model, features, labels = self.random_case(np.random.default_rng(4), "multiclass")
+        weights, bias = model.weights.copy(), model.bias.copy()
+        compact = Model(head="binary", columns=np.array([3, 9]), weights=np.array([[0.5, -1.0]]),
+                        bias=np.array([0.1]), featurizer=SMALL)
+        assert grad_check(model, features, labels, l2=1e-4) < 1e-4
+        assert grad_check(compact, features, [[y % 2 for y in labels[0]]]) < 1e-4
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+        assert compact.columns.tolist() == [3, 9] and compact.weights.tolist() == [[0.5, -1.0]]
 
     def test_epsilon_bounds(self):
         model = zero_model(SMALL, "binary")
@@ -911,7 +1089,8 @@ class TestCrossFeatureDegeneracy:
         rng = np.random.default_rng(seed)
         model = Model(
             head="binary",
-            weights=rng.normal(size=2**18),
+            columns=np.arange(2**18),
+            weights=rng.normal(size=(1, 2**18)),
             bias=np.array([0.0]),
             featurizer=FeaturizerConfig(dim=2**18),
         )
@@ -928,11 +1107,12 @@ class TestCrossFeatureDegeneracy:
         assert len(orders) == 1
 
     def test_crosses_recover_content_dependence(self):
-        model = zero_model(FeaturizerConfig(dim=2**12), "binary")
+        model = Model(head="binary", columns=np.arange(2**12), weights=np.zeros((1, 2**12)),
+                      bias=np.zeros(1), featurizer=FeaturizerConfig(dim=2**12))
         key_a = hash_feature("exact⊗widget", 0, 2**12)
         key_b = hash_feature("substitute⊗gadget", 0, 2**12)
-        model.weights[key_a] = 10.0
-        model.weights[key_b] = 10.0
+        model.weights[:, key_a] = 10.0
+        model.weights[:, key_b] = 10.0
         a = score(model, [featurize(("changed to exact match", "widget thing"), model.featurizer)])[0]
         b = score(model, [featurize(("changed to substitute match", "widget thing"), model.featurizer)])[0]
         assert a > b
