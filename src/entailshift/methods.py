@@ -22,7 +22,9 @@ post-shift label per test id:
 Every method reads an example's text as ``Example.segments``, ``(text_a,)``
 or ``(text_a, text_b)``: the multiclass heads featurize those segments and
 entail puts each candidate's prompt in front of them, so the layout follows
-each example and no method has a layout setting.
+each example and no method has a layout setting. Rows are featurized under
+the spec's ``featurizer``; a trained model takes that config from its rows
+and predicts through it, so no method passes it to training.
 
 The four multiclass kinds are one softmax head trained by one helper on
 different rows and label columns: ``fit_pre_shift`` fits ``pre_shift_only``
@@ -175,10 +177,8 @@ def _fit_multiclass(
     targets = [_post_label_indices(dataset, column) for column in columns]
     n_classes = len(dataset.post_labels)
     if len(columns) == 2:
-        return train_joint(features, *targets, config, n_classes=n_classes, featurizer=featurizer)
-    return train(
-        features, targets[0], config, head="multiclass", n_classes=n_classes, featurizer=featurizer
-    )
+        return train_joint(features, *targets, config, n_classes)
+    return train(features, targets[0], config, n_classes)
 
 
 # The kinds whose head is, or warm-starts from, the pre-shift model.
@@ -261,7 +261,7 @@ def run_method(
     )
     features = [featurize(s.segments, spec.featurizer) for s in aug]
     labels = [s.binary_label for s in aug]
-    model = train(features, labels, cfg, head="binary", featurizer=spec.featurizer)
+    model = train(features, labels, cfg)
     return predict_dataset(make_binary_scorer(model), test, catalog)
 
 

@@ -22,6 +22,10 @@ the same vectors for many inputs: in blocks of 64 rows it tokenizes and
 keys each distinct segment once, so the K candidates of one example share
 their content's work, and one ``np.unique`` and one norm pass finish the
 block. The scorers featurize through it; training featurizes row by row.
+A ``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every
+entry point packs its rows through ``_pack``, which refuses a row from
+another (dim, hash_salt) space or an index outside [0, dim); training takes
+its featurizer from its rows, and a model's weight rows decide its head.
 Training and ``score`` run one forward, ``_logits`` over packed rows, so a
 row scores the same alone or in a batch. Training gathers a chunk of whole
 mini-batches at once and takes each batch as views of it; full passes (the
@@ -29,10 +33,10 @@ per-epoch loss, ``score``, the checked gradient) run in fixed blocks of
 consecutive rows, so no temporary grows with the data. A model holds only
 its active columns, the feature indices its training touched, and
 ``score`` maps indices to them through a lookup built once per model, so
-no array is as wide as the hash space per class. Cross features exist because a
-purely additive linear model scores candidate prompts independently of the
-text they are paired with; the conjunction features are what let the binary
-head read prompts in context.
+no array is as wide as the hash space per class. Cross features exist
+because a purely additive linear model scores candidate prompts
+independently of the text they are paired with; the conjunction features
+are what let the binary head read prompts in context.
 """
 from __future__ import annotations
 
@@ -67,11 +71,11 @@ class FeaturizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """Sparse unit-norm vector: sorted unique indices with their values."""
+    """Sparse unit-norm vector in ``featurizer``'s hash space: sorted unique indices with their values."""
 
     indices: np.ndarray
     values: np.ndarray
-    dim: int
+    featurizer: FeaturizerConfig
 
     def __post_init__(self) -> None:
         if self.indices.shape != self.values.shape:
@@ -196,12 +200,12 @@ def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> Featur
         return FeatureVector(
             indices=np.empty(0, dtype=np.int64),
             values=np.empty(0, dtype=np.float64),
-            dim=config.dim,
+            featurizer=config,
         )
     indices, counts = np.unique(np.array(idx, dtype=np.int64), return_counts=True)
     values = counts.astype(np.float64)
     values /= np.linalg.norm(values)
-    return FeatureVector(indices=indices, values=values, dim=config.dim)
+    return FeatureVector(indices=indices, values=values, featurizer=config)
 
 
 # Rows per block of ``featurize_batch``: the scorers' candidate batch size.
@@ -236,7 +240,7 @@ def featurize_batch(
         # equals np.linalg.norm of each row bit for bit. Empty rows own no entries.
         values /= np.sqrt(np.bincount(row, weights=values * values, minlength=len(rows)))[row]
         bounds = np.searchsorted(row, np.arange(len(rows) + 1)).tolist()
-        out.extend(FeatureVector(indices=indices[a:b], values=values[a:b], dim=dim)
+        out.extend(FeatureVector(indices=indices[a:b], values=values[a:b], featurizer=config)
                    for a, b in zip(bounds, bounds[1:]))
     return out
 
@@ -259,16 +263,22 @@ class _Packed:
         return int(self.indptr.size - 1)
 
 
-def _pack(features: Sequence[FeatureVector], dim: int) -> _Packed:
-    """Pack the rows, all of hash dimension ``dim``; zero rows pack too."""
-    for fv in features:
-        if fv.dim != dim:
-            raise ValueError("feature vectors do not match the featurizer dimension")
+def _pack(features: Sequence[FeatureVector], featurizer: FeaturizerConfig) -> _Packed:
+    """Pack the rows, each made by ``featurizer`` with indices in [0, dim); zero rows pack too."""
+    for i, fv in enumerate(features):
+        # Rows of one batch share their config object, so identity settles most rows.
+        if fv.featurizer is not featurizer and fv.featurizer != featurizer:
+            raise ValueError(f"feature row {i} was made by {fv.featurizer}, not {featurizer}")
     lengths = np.array([fv.nnz for fv in features], dtype=np.int64)
     indptr = np.zeros(len(features) + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    indices = np.concatenate([np.empty(0, dtype=np.int64), *(fv.indices for fv in features)])
+    indices = np.concatenate([np.empty(0, dtype=np.int64), *(fv.indices for fv in features)],
+                             dtype=np.int64)
     values = np.concatenate([np.empty(0, dtype=np.float64), *(fv.values for fv in features)])
+    # A negative index reads as a huge unsigned one, so one max checks both ends.
+    if indices.size and indices.view(np.uint64).max() >= featurizer.dim:
+        bad = indices[(indices < 0) | (indices >= featurizer.dim)][0]
+        raise ValueError(f"feature index {int(bad)} outside [0, {featurizer.dim})")
     return _Packed(indptr=indptr, indices=indices, values=values)
 
 
@@ -359,22 +369,19 @@ class TrainConfig:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """Linear head over hashed features: logistic (binary) or softmax (K-class).
+    """Linear head over hashed features: one weight row is logistic, K >= 2 rows a softmax.
 
     The model holds only its active columns: ``weights[:, j]`` is the weight
     of feature index ``columns[j]``, and every other index weighs zero.
     """
 
-    head: str                         # "binary" | "multiclass"
     columns: np.ndarray               # sorted unique feature indices in [0, dim)
-    weights: np.ndarray               # (1, len(columns)) binary, (K, len(columns)) multiclass
-    bias: np.ndarray                  # (1,) binary, (K,) multiclass
+    weights: np.ndarray               # (1 or K, len(columns))
+    bias: np.ndarray                  # (1 or K,), one per weight row
     featurizer: FeaturizerConfig
     train_log: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.head not in ("binary", "multiclass"):
-            raise ValueError(f"unknown head {self.head!r}")
         columns = self.columns
         if (not isinstance(columns, np.ndarray) or columns.ndim != 1
                 or not np.issubdtype(columns.dtype, np.integer)):
@@ -383,14 +390,21 @@ class Model:
             raise ValueError("columns must be strictly increasing")
         if columns.size and (columns[0] < 0 or columns[-1] >= self.featurizer.dim):
             raise ValueError(f"columns must lie in [0, {self.featurizer.dim})")
-        rows = self.weights.shape[0] if self.weights.ndim == 2 else 0
-        if rows < 1 or (rows == 1) != (self.head == "binary"):
-            raise ValueError(f"{self.head} head got weights of shape {self.weights.shape}")
+        if self.weights.ndim != 2 or self.weights.shape[0] < 1:
+            raise ValueError(f"weights must be 2-D with at least one row, got shape {self.weights.shape}")
         if self.weights.shape[1] != columns.size:
             raise ValueError(
                 f"weight width {self.weights.shape[1]} differs from the {columns.size} columns")
+        if self.bias.shape != self.weights.shape[:1]:
+            raise ValueError(
+                f"bias of shape {self.bias.shape} does not match the {self.weights.shape[0]} weight rows")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValueError("model parameters must be finite")
+
+    @property
+    def head(self) -> str:
+        """"binary" for one weight row, "multiclass" for more."""
+        return "binary" if self.weights.shape[0] == 1 else "multiclass"
 
     @cached_property
     def _slots(self) -> np.ndarray:
@@ -399,22 +413,6 @@ class Model:
         slots = np.full(self.featurizer.dim, self.columns.size, dtype=np.int32)
         slots[self.columns] = np.arange(self.columns.size, dtype=np.int32)
         return slots
-
-
-def zero_model(featurizer: FeaturizerConfig, head: str, n_classes: int | None = None) -> Model:
-    """Freshly initialized parameters (all zeros): no active column yet."""
-    rows = _head_rows(head, n_classes)
-    return Model(head=head, columns=np.empty(0, dtype=np.int64), weights=np.zeros((rows, 0)),
-                 bias=np.zeros(rows), featurizer=featurizer)
-
-
-def _head_rows(head: str, n_classes: int | None) -> int:
-    """Weight rows of a head: one for binary; the multiclass head needs its arity."""
-    if head == "binary":
-        return 1
-    if n_classes is None or n_classes < 2:
-        raise ValueError("multiclass head needs n_classes >= 2")
-    return n_classes
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -506,10 +504,10 @@ def _scatter(
         np.add.at(weights[k], idx, scale * g[:, k][sample_pos] * vals)
 
 
-def _target_columns(head: str, columns: Iterable[Sequence[int]]) -> list[np.ndarray]:
-    """Label columns as _dlogits reads them: float for binary, int64 otherwise."""
+def _target_columns(rows: int, columns: Iterable[Sequence[int]]) -> list[np.ndarray]:
+    """Label columns as _dlogits reads them: float for one weight row, int64 otherwise."""
     cols = [np.asarray(c, dtype=np.int64) for c in columns]
-    return [cols[0].astype(np.float64)] if head == "binary" else cols
+    return [cols[0].astype(np.float64)] if rows == 1 else cols
 
 
 def _validate_labels(labels: np.ndarray, arity: int, what: str) -> None:
@@ -520,8 +518,7 @@ def _validate_labels(labels: np.ndarray, arity: int, what: str) -> None:
 
 def _init_params(
     featurizer: FeaturizerConfig,
-    head: str,
-    n_classes: int,
+    rows: int,
     warm_start: Model | None,
     indices: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -530,18 +527,17 @@ def _init_params(
     The active columns are the feature ``indices`` plus the warm start's
     non-zero columns; without a warm start every parameter starts at zero.
     """
-    rows = _head_rows(head, n_classes)
     used = np.zeros(featurizer.dim, dtype=bool)
     used[indices] = True
     if warm_start is None:
         active = np.flatnonzero(used)
         return active, np.zeros((rows, active.size)), np.zeros(rows)
-    if warm_start.head != head:
-        raise ValueError(f"warm start head {warm_start.head!r} does not match {head!r}")
     if warm_start.featurizer != featurizer:
-        raise ValueError("warm start featurizer config does not match")
+        raise ValueError(
+            f"warm start featurizer {warm_start.featurizer} does not match {featurizer}")
     if warm_start.weights.shape[0] != rows:
-        raise ValueError(f"warm start has {warm_start.weights.shape[0]} classes, need {n_classes}")
+        raise ValueError(
+            f"warm start head has {warm_start.weights.shape[0]} weight rows, this head needs {rows}")
     held = np.any(warm_start.weights != 0, axis=0)
     used[warm_start.columns[held]] = True
     active = np.flatnonzero(used)
@@ -550,29 +546,32 @@ def _init_params(
     # 20x slower.
     weights = np.zeros((rows, active.size))
     weights[:, np.searchsorted(active, warm_start.columns[held])] = warm_start.weights[:, held]
-    return active, weights, warm_start.bias.astype(np.float64).reshape(-1)
+    return active, weights, warm_start.bias.astype(np.float64)
 
 
 def _fit(
     features: Sequence[FeatureVector],
     columns: dict[str, Sequence[int]],
     config: TrainConfig,
-    head: str,
-    n_classes: int,
-    *,
-    featurizer: FeaturizerConfig,
+    n_classes: int | None,
 ) -> Model:
-    """Mini-batch descent on the summed cross-entropy of the named label columns."""
+    """Mini-batch descent on the summed cross-entropy of the named label columns.
+
+    ``n_classes`` None is the logistic head, one weight row over 0/1 labels.
+    """
     if not features:
         raise ValueError("no samples to train on")
-    packed = _pack(features, featurizer.dim)
-    targets = _target_columns(head, columns.values())
+    if n_classes is not None and n_classes < 2:
+        raise ValueError(f"a softmax head needs n_classes >= 2, got {n_classes}")
+    featurizer = features[0].featurizer
+    packed = _pack(features, featurizer)
+    targets = _target_columns(n_classes or 1, columns.values())
     for what, y in zip(columns, targets):
         if y.size != packed.n_rows:
             raise ValueError(f"{packed.n_rows} samples but {y.size} {what} labels")
-        _validate_labels(y, n_classes, what)
+        _validate_labels(y, n_classes or 2, what)
     # Train only the active columns (see ``train``); ``packed`` is this call's own copy.
-    active, weights, bias = _init_params(featurizer, head, n_classes, config.warm_start,
+    active, weights, bias = _init_params(featurizer, n_classes or 1, config.warm_start,
                                          packed.indices)
     packed.indices[:] = np.searchsorted(active, packed.indices)
     rng = np.random.default_rng(config.seed)
@@ -597,21 +596,20 @@ def _fit(
                 _scatter(weights, gathered, g, -config.learning_rate)
                 bias -= config.learning_rate * g.sum(axis=0)
         log.append(_data_loss(_full_logits(weights, bias, packed), targets))
-    return Model(head=head, columns=active, weights=weights, bias=bias, featurizer=featurizer,
-                 train_log=tuple(log))
+    return Model(active, weights, bias, featurizer, train_log=tuple(log))
 
 
 def train(
     features: Sequence[FeatureVector],
     labels: Sequence[int],
     config: TrainConfig,
-    head: str = "binary",
     n_classes: int | None = None,
-    *,
-    featurizer: FeaturizerConfig,
 ) -> Model:
     """Mini-batch gradient descent on mean cross-entropy plus L2.
 
+    ``n_classes`` None trains the logistic head on 0/1 labels; an integer
+    >= 2 trains a softmax over that many classes. The model records the
+    featurizer that made ``features``, and every row must share it.
     Every head trains through one kernel: ``_logits`` forward, ``_dlogits``
     for dL/dz and ``_scatter`` into the weights; ``_loss_and_grad`` (and so
     ``grad_check``) runs the same three. Each epoch's shuffled rows are
@@ -621,20 +619,13 @@ def train(
     gradient descent on meanCE + (l2/2)*||w||^2; the bias is not decayed.
     Descent and decay run on the active columns only, those the samples
     touch or the warm start holds non-zero, and the model holds only those:
-    every other column is exactly zero, as under full decay. ``train_log`` records the
-    full-dataset mean cross-entropy per epoch, from a forward over blocks of
-    ``_CHUNK_ROWS`` consecutive rows. ``featurizer``, the config that made
-    ``features``, is recorded in the model.
-    ``config.warm_start`` initializes from a prior model of the same head
-    and featurizer (fine-tuning); otherwise parameters start at zero.
+    every other column is exactly zero, as under full decay. ``train_log``
+    records the full-dataset mean cross-entropy per epoch, from a forward
+    over blocks of ``_CHUNK_ROWS`` consecutive rows. ``config.warm_start``
+    initializes from a prior model with as many weight rows and the same
+    featurizer (fine-tuning); otherwise parameters start at zero.
     """
-    if head == "binary":
-        n_classes = 2
-    elif head != "multiclass":
-        raise ValueError(f"unknown head {head!r}")
-    elif n_classes is None:
-        raise ValueError("multiclass training requires explicit n_classes")
-    return _fit(features, {head: labels}, config, head, n_classes, featurizer=featurizer)
+    return _fit(features, {"training": labels}, config, n_classes)
 
 
 def train_joint(
@@ -643,17 +634,17 @@ def train_joint(
     post_labels: Sequence[int],
     config: TrainConfig,
     n_classes: int,
-    *,
-    featurizer: FeaturizerConfig,
 ) -> Model:
     """Minimize CE(prediction, pre label) + CE(prediction, post label).
 
-    One shared softmax head serves both terms, so the per-logit gradient is
-    2*softmax - onehot(pre) - onehot(post). ``train_log`` records the summed
-    two-term mean cross-entropy per epoch.
+    One shared softmax head over ``n_classes`` >= 2 serves both terms, so
+    the per-logit gradient is 2*softmax - onehot(pre) - onehot(post).
+    ``train_log`` records the summed two-term mean cross-entropy per epoch.
     """
+    if n_classes is None:
+        raise ValueError("joint training needs n_classes >= 2")
     columns = {"pre-shift": pre_labels, "post-shift": post_labels}
-    return _fit(features, columns, config, "multiclass", n_classes, featurizer=featurizer)
+    return _fit(features, columns, config, n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +662,7 @@ def score(model: Model, features: Sequence[FeatureVector]) -> np.ndarray:
     rows, whose indices and values are views of the packed arrays; a row's
     probability does not depend on the other rows of the call.
     """
-    packed = _pack(features, model.featurizer.dim)
+    packed = _pack(features, model.featurizer)
     packed.indices[:] = model._slots[packed.indices]
     weights = np.zeros((model.weights.shape[0], model.columns.size + 1))
     weights[:, :-1] = model.weights
@@ -693,10 +684,8 @@ def make_binary_scorer(model: Model):
 
 def _widen(model: Model, indices: np.ndarray) -> Model:
     """A float64 copy of ``model`` over its non-zero columns plus ``indices``."""
-    columns, weights, bias = _init_params(model.featurizer, model.head, model.weights.shape[0],
-                                          model, indices)
-    return Model(head=model.head, columns=columns, weights=weights, bias=bias,
-                 featurizer=model.featurizer)
+    columns, weights, bias = _init_params(model.featurizer, model.weights.shape[0], model, indices)
+    return Model(columns, weights, bias, model.featurizer)
 
 
 def _loss_and_grad(
@@ -717,8 +706,8 @@ def _loss_and_grad(
     """
     if not features:
         raise ValueError("no samples to check")
-    packed = _pack(features, model.featurizer.dim)
-    targets = _target_columns(model.head, labels)
+    packed = _pack(features, model.featurizer)
+    targets = _target_columns(model.weights.shape[0], labels)
     model = _widen(model, packed.indices)
     packed.indices[:] = np.searchsorted(model.columns, packed.indices)
     weights = model.weights

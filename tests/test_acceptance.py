@@ -183,15 +183,15 @@ class TestAcceptance:
                 nnz = int(rng.integers(2, 12))
                 indices = np.sort(rng.choice(feat.dim, size=nnz, replace=False)).astype(np.int64)
                 features.append(FeatureVector(
-                    indices=indices, values=rng.normal(size=nnz), dim=feat.dim))
+                    indices=indices, values=rng.normal(size=nnz), featurizer=feat))
             k = int(rng.integers(2, 5))
             if head == "binary":
-                model = Model(head="binary", columns=np.arange(feat.dim),
+                model = Model(columns=np.arange(feat.dim),
                               weights=rng.normal(size=(1, feat.dim)) * 0.5,
                               bias=rng.normal(size=1), featurizer=feat)
                 labels = [list(rng.integers(0, 2, size=n))]
             else:
-                model = Model(head="multiclass", columns=np.arange(feat.dim),
+                model = Model(columns=np.arange(feat.dim),
                               weights=rng.normal(size=(k, feat.dim)) * 0.5,
                               bias=rng.normal(size=k), featurizer=feat)
                 labels = [list(rng.integers(0, k, size=n))]
@@ -342,7 +342,7 @@ class TestAcceptance:
         feat = FeaturizerConfig(dim=2**16)
         features = [featurize(s.segments, feat) for s in aug_train]
         model = train(features, [s.binary_label for s in aug_train],
-                      TrainConfig(epochs=10, seed=0), head="binary", featurizer=feat)
+                      TrainConfig(epochs=10, seed=0))
         scorer = make_binary_scorer(model)
 
         in_process = predict_dataset(scorer, ds, catalog)

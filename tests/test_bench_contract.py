@@ -38,7 +38,8 @@ def test_traced_methods_reach_every_layer():
     config = TrainConfig(epochs=2)
     with tracing.Tracer().installed() as tracer:
         for spec in (methods.MethodSpec(kind="entail", catalog_id="en-retail", train_config=config),
-                     methods.MethodSpec(kind="finetuned", train_config=config)):
+                     methods.MethodSpec(kind="finetuned", train_config=config),
+                     methods.MethodSpec(kind="l1l2", train_config=config)):
             predictions = methods.run_method(spec, train_ds, post_train, test_ds)
             assert set(predictions) == {ex.id for ex in test_ds}
     names = {span[0] for span in tracer.spans}
@@ -46,10 +47,18 @@ def test_traced_methods_reach_every_layer():
             "reformulate.augment", "reformulate.predict"} <= names
     assert tracer.missing == []
     # One score call per batch of at most 64 test candidates, plus one for
-    # the whole multiclass test set.
+    # the whole test set of each multiclass method.
     k = len(test_ds.post_labels)
     candidates = len(test_ds) * k
-    assert tracer.usage.counts["model.score_calls"] == math.ceil(candidates / 64) + 1
+    assert tracer.usage.counts["model.score_calls"] == math.ceil(candidates / 64) + 2
+    # The train counter finds its config among the positional arguments of
+    # train (entail, finetuned's pre-shift and post-shift fits) and of
+    # train_joint (l1l2).
+    fits = [(k + 1) * len(post_train), len(train_ds), len(post_train), len(post_train)]
+    assert tracer.usage.counts["model.train_calls"] == len(fits)
+    assert tracer.usage.counts["model.train_samples"] == sum(fits)
+    assert tracer.usage.counts["model.train_batches"] == sum(
+        config.epochs * math.ceil(n / config.batch_size) for n in fits)
     # The counters read augment_dataset's return value and predict_dataset's
     # dataset argument: K samples plus one oversampled positive per training
     # example, and K candidates per test example.
@@ -57,9 +66,8 @@ def test_traced_methods_reach_every_layer():
     assert tracer.usage.counts["reformulate.candidates_scored"] == candidates
     # Prediction featurizes through model.featurize_batch, which the tracer
     # does not wrap, so the featurize layer counts the training rows alone:
-    # entail's augmented samples, then finetuned's pre-shift and post-shift sets.
-    assert tracer.usage.counts["model.featurize_calls"] == (
-        (k + 1) * len(post_train) + len(train_ds) + len(post_train))
+    # one per sample of every fit.
+    assert tracer.usage.counts["model.featurize_calls"] == sum(fits)
 
 
 def test_traced_grid_reaches_every_experiment_layer(tmp_path):

@@ -20,12 +20,12 @@ from entailshift.methods import (
 )
 from entailshift.model import (
     FeaturizerConfig,
+    Model,
     TrainConfig,
     featurize,
     score,
     train,
     train_joint,
-    zero_model,
 )
 from entailshift.stats import confusion_from_predictions, macro_f1
 from entailshift.synth import preset_config, synth_generate
@@ -166,7 +166,9 @@ class TestMulticlassMethods:
 
     def test_pre_shift_only_predicts_with_the_given_model(self):
         train_ds, post_train, test_ds = retail_splits(per_topic=8, n_shot=8)
-        third = zero_model(FAST_FEAT, "multiclass", n_classes=len(test_ds.post_labels))
+        k = len(test_ds.post_labels)
+        third = Model(columns=np.empty(0, dtype=np.int64), weights=np.zeros((k, 0)),
+                      bias=np.zeros(k), featurizer=FAST_FEAT)
         third.bias[2] = 5.0
         predictions = run_method(spec_for("pre_shift_only"), train_ds, post_train, test_ds,
                                  pre_shift=third)
@@ -337,20 +339,16 @@ def reference_multiclass(kind: str, pre_train: Dataset, post_train: Dataset, tes
 
     k = len(post_train.post_labels)
     if kind == "pre_shift_only":
-        model = train(features(pre_train), targets(pre_train, "pre"), cfg,
-                      head="multiclass", n_classes=k, featurizer=feat)
+        model = train(features(pre_train), targets(pre_train, "pre"), cfg, n_classes=k)
     elif kind == "finetuned":
-        warm = train(features(pre_train), targets(pre_train, "pre"), cfg,
-                     head="multiclass", n_classes=k, featurizer=feat)
+        warm = train(features(pre_train), targets(pre_train, "pre"), cfg, n_classes=k)
         model = train(features(post_train), targets(post_train, "post"),
-                      replace(cfg, warm_start=warm), head="multiclass", n_classes=k,
-                      featurizer=feat)
+                      replace(cfg, warm_start=warm), n_classes=k)
     elif kind == "finetuned_post_only":
-        model = train(features(post_train), targets(post_train, "post"), cfg,
-                      head="multiclass", n_classes=k, featurizer=feat)
+        model = train(features(post_train), targets(post_train, "post"), cfg, n_classes=k)
     else:
         model = train_joint(features(post_train), targets(post_train, "pre"),
-                            targets(post_train, "post"), cfg, n_classes=k, featurizer=feat)
+                            targets(post_train, "post"), cfg, n_classes=k)
     return {
         ex.id: test.post_labels.labels[int(score(model, [featurize(segments(ex), feat)])[0].argmax())]
         for ex in test

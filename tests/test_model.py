@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import math
 import pickle
+import re
 import warnings
 from collections import Counter
 
@@ -33,7 +34,6 @@ from entailshift.model import (
     tokenize,
     train,
     train_joint,
-    zero_model,
 )
 from entailshift.prompts import builtin_catalog
 from entailshift.reformulate import Candidate, augment_dataset, candidates
@@ -84,12 +84,18 @@ def crosses(keys: list[str]) -> list[str]:
     return [k for k in keys if "⊗" in k]
 
 
-def unit_vector(index: int, dim: int = SMALL.dim, value: float = 1.0) -> FeatureVector:
+def unit_vector(index: int, featurizer: FeaturizerConfig = SMALL, value: float = 1.0) -> FeatureVector:
     return FeatureVector(
         indices=np.array([index], dtype=np.int64),
         values=np.array([value], dtype=np.float64),
-        dim=dim,
+        featurizer=featurizer,
     )
+
+
+def fresh_model(rows: int, featurizer: FeaturizerConfig = SMALL) -> Model:
+    """All-zero parameters with no active column: one row is the logistic head."""
+    return Model(columns=np.empty(0, dtype=np.int64), weights=np.zeros((rows, 0)),
+                 bias=np.zeros(rows), featurizer=featurizer)
 
 
 class TestFeaturize:
@@ -218,11 +224,11 @@ def keys_vector(keys: list[str], config: FeaturizerConfig) -> FeatureVector:
     values = np.array([float(counts[i]) for i in indices], dtype=np.float64)
     if counts:
         values /= np.linalg.norm(values)
-    return FeatureVector(indices=indices, values=values, dim=config.dim)
+    return FeatureVector(indices=indices, values=values, featurizer=config)
 
 
 def assert_bitwise_equal(a: FeatureVector, b: FeatureVector) -> None:
-    assert a.dim == b.dim
+    assert a.featurizer == b.featurizer
     assert a.indices.dtype == b.indices.dtype and a.values.dtype == b.values.dtype
     assert a.indices.tobytes() == b.indices.tobytes()
     assert a.values.tobytes() == b.values.tobytes()
@@ -332,7 +338,7 @@ class TestFeaturizeBatch:
         catalog = builtin_catalog("en-retail")
         batch = [c for ex in ds for c in candidates(ex, ds.post_labels, catalog)][:100]
         rng = np.random.default_rng(5)
-        model = Model(head="binary", columns=np.arange(SMALL.dim),
+        model = Model(columns=np.arange(SMALL.dim),
                       weights=rng.normal(size=(1, SMALL.dim)), bias=np.array([0.1]),
                       featurizer=SMALL)
         expected = score(model, [featurize(c.segments, SMALL) for c in batch])
@@ -341,18 +347,17 @@ class TestFeaturizeBatch:
 
 class TestScore:
     def test_zero_binary_model_scores_half(self):
-        model = zero_model(SMALL, "binary")
+        model = fresh_model(1)
         assert score(model, [featurize("anything at all", SMALL)])[0] == 0.5
 
     def test_zero_multiclass_model_is_uniform(self):
-        model = zero_model(SMALL, "multiclass", n_classes=4)
+        model = fresh_model(4)
         probs = score(model, [featurize("anything", SMALL)])[0]
         np.testing.assert_allclose(probs, np.full(4, 0.25), atol=1e-12)
 
     def test_multiclass_sums_to_one(self):
         rng = np.random.default_rng(0)
         model = Model(
-            head="multiclass",
             columns=np.arange(SMALL.dim),
             weights=rng.normal(size=(5, SMALL.dim)),
             bias=rng.normal(size=5),
@@ -367,15 +372,14 @@ class TestScore:
         weights = rng.normal(size=(3, SMALL.dim))
         fv = featurize("x y z", SMALL)
         every = np.arange(SMALL.dim)
-        base = Model(head="multiclass", columns=every, weights=weights, bias=np.zeros(3),
+        base = Model(columns=every, weights=weights, bias=np.zeros(3),
                      featurizer=SMALL)
-        lifted = Model(head="multiclass", columns=every, weights=weights, bias=np.full(3, 7.5),
+        lifted = Model(columns=every, weights=weights, bias=np.full(3, 7.5),
                        featurizer=SMALL)
         np.testing.assert_allclose(score(base, [fv])[0], score(lifted, [fv])[0], atol=1e-12)
 
     def test_sigmoid_stays_inside_open_interval(self):
         model = Model(
-            head="binary",
             columns=np.arange(SMALL.dim),
             weights=np.full((1, SMALL.dim), 10.0),
             bias=np.array([0.0]),
@@ -387,12 +391,12 @@ class TestScore:
 
     def test_scorer_adapter(self):
         features, labels = separable_toy()
-        model = train(features, labels, TrainConfig(epochs=5), head="binary", featurizer=SMALL)
+        model = train(features, labels, TrainConfig(epochs=5))
         scorer = make_binary_scorer(model)
         candidate = Candidate("x", 1, ("changed to exact match", "some text"))
         assert scorer([candidate])[0] == score(model, [featurize(candidate.segments, SMALL)])[0]
         assert 0.0 <= scorer([candidate])[0] <= 1.0
-        multi = zero_model(SMALL, "multiclass", n_classes=3)
+        multi = fresh_model(3)
         with pytest.raises(ValueError, match="binary"):
             make_binary_scorer(multi)
 
@@ -404,9 +408,9 @@ class TestScoreBatch:
     def models(self):
         rng = np.random.default_rng(3)
         every = np.arange(SMALL.dim)
-        yield Model(head="binary", columns=every, weights=rng.normal(size=(1, SMALL.dim)),
+        yield Model(columns=every, weights=rng.normal(size=(1, SMALL.dim)),
                     bias=np.array([0.3]), featurizer=SMALL)
-        yield Model(head="multiclass", columns=every, weights=rng.normal(size=(4, SMALL.dim)),
+        yield Model(columns=every, weights=rng.normal(size=(4, SMALL.dim)),
                     bias=rng.normal(size=4), featurizer=SMALL)
 
     def rows(self):
@@ -449,7 +453,8 @@ class TestScoreBatch:
 
     def test_dimension_mismatch_rejected(self):
         binary, _ = self.models()
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"made by FeaturizerConfig\(dim=8192, hash_salt=0\), "
+                                              r"not FeaturizerConfig\(dim=4096"):
             score(binary, [featurize("x", FeaturizerConfig(dim=2**13))])
 
 
@@ -463,9 +468,9 @@ class TestCompactScore:
     def models(self):
         rng = np.random.default_rng(8)
         columns = np.sort(rng.choice(self.FEAT.dim, size=300, replace=False))
-        yield Model(head="binary", columns=columns, weights=rng.normal(size=(1, 300)),
+        yield Model(columns=columns, weights=rng.normal(size=(1, 300)),
                     bias=np.array([-0.2]), featurizer=self.FEAT)
-        yield Model(head="multiclass", columns=columns, weights=rng.normal(size=(4, 300)),
+        yield Model(columns=columns, weights=rng.normal(size=(4, 300)),
                     bias=rng.normal(size=4), featurizer=self.FEAT)
 
     def rows(self, columns):
@@ -476,14 +481,14 @@ class TestCompactScore:
             indices = np.sort(np.concatenate([rng.choice(columns, pool_in, replace=False),
                                               rng.choice(outside, pool_out, replace=False)]))
             return FeatureVector(indices=indices, values=rng.normal(size=indices.size),
-                                 dim=self.FEAT.dim)
+                                 featurizer=self.FEAT)
 
         inside = [row(n, 0) for n in (1, 7, 40)]
         partly = [row(n, m) for n, m in ((1, 1), (5, 30), (30, 5))]
         wholly = [row(0, n) for n in (1, 12)]
         empty = [featurize("", self.FEAT)]
         edges = [FeatureVector(indices=np.array([0, self.FEAT.dim - 1]),
-                               values=np.array([0.6, -0.8]), dim=self.FEAT.dim)]
+                               values=np.array([0.6, -0.8]), featurizer=self.FEAT)]
         return empty + inside + wholly + empty + partly + edges + empty
 
     def reference(self, model, fvs):
@@ -524,11 +529,11 @@ class TestCompactScore:
 
 
 class TestModelColumns:
-    """``Model`` refuses columns it could not score through."""
+    """``Model`` refuses columns and parameters it could not score through."""
 
     def model(self, columns, width=None):
         width = len(columns) if width is None else width
-        return Model(head="multiclass", columns=columns, weights=np.zeros((3, width)),
+        return Model(columns=columns, weights=np.zeros((3, width)),
                      bias=np.zeros(3), featurizer=SMALL)
 
     def test_valid_columns_accepted(self):
@@ -559,13 +564,28 @@ class TestModelColumns:
         with pytest.raises(ValueError, match=f"weight width {width} differs from the 3 columns"):
             self.model(np.array([1, 2, 3]), width=width)
 
-    @pytest.mark.parametrize("head, shape", [
-        ("binary", (2, 3)), ("binary", (3,)), ("multiclass", (1, 3)), ("multiclass", (3,)),
-    ])
-    def test_weight_rows_must_fit_the_head(self, head, shape):
-        with pytest.raises(ValueError, match=f"{head} head got weights of shape"):
-            Model(head=head, columns=np.array([1, 2, 3]), weights=np.zeros(shape),
+    @pytest.mark.parametrize("shape", [(3,), (0, 3), (1, 1, 3)], ids=["1-D", "no-rows", "3-D"])
+    def test_weights_must_be_2d_with_rows(self, shape):
+        with pytest.raises(ValueError, match="weights must be 2-D with at least one row, got shape"):
+            Model(columns=np.array([1, 2, 3]), weights=np.zeros(shape),
                   bias=np.zeros(shape[0]), featurizer=SMALL)
+
+    @pytest.mark.parametrize("rows, head", [(1, "binary"), (2, "multiclass"), (4, "multiclass")])
+    def test_weight_rows_decide_the_head(self, rows, head):
+        model = Model(columns=np.array([1, 2, 3]), weights=np.zeros((rows, 3)),
+                      bias=np.zeros(rows), featurizer=SMALL)
+        assert model.head == head
+        assert score(model, [unit_vector(2)]).shape == ((1,) if rows == 1 else (1, rows))
+
+    @pytest.mark.parametrize("rows, bias_shape", [(4, (1,)), (3, (4,)), (1, ()), (2, (2, 1))],
+                             ids=["short", "long", "scalar", "2-D"])
+    def test_bias_must_match_the_weight_rows(self, rows, bias_shape):
+        """A length-1 bias once broadcast to every class of a 4-row model, and
+        a long one failed only inside ``score``."""
+        with pytest.raises(ValueError, match=(rf"bias of shape {re.escape(str(bias_shape))} "
+                                              rf"does not match the {rows} weight rows")):
+            Model(columns=np.array([1, 2, 3]), weights=np.zeros((rows, 3)),
+                  bias=np.zeros(bias_shape), featurizer=SMALL)
 
 
 def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -609,14 +629,14 @@ class TestTrainBinary:
     def test_separable_toy_reaches_confident_probability(self):
         features, labels = separable_toy()
         config = TrainConfig(epochs=200, learning_rate=0.5, batch_size=2, l2_penalty=0.0)
-        model = train(features, labels, config, head="binary", featurizer=SMALL)
+        model = train(features, labels, config)
         assert score(model, [features[0]])[0] > 0.9
         assert score(model, [features[1]])[0] < 0.1
 
     def test_loss_log_non_increasing_on_separable_toy(self):
         features, labels = separable_toy()
         config = TrainConfig(epochs=50, learning_rate=0.5, batch_size=2, l2_penalty=0.0)
-        model = train(features, labels, config, head="binary", featurizer=SMALL)
+        model = train(features, labels, config)
         log = np.array(model.train_log)
         assert log.size == 50
         assert np.all(np.diff(log) <= 1e-12)
@@ -624,8 +644,8 @@ class TestTrainBinary:
     def test_bit_deterministic_given_seed(self):
         features, labels = separable_toy()
         config = TrainConfig(epochs=10, learning_rate=0.3, batch_size=1, seed=7)
-        a = train(features, labels, config, head="binary", featurizer=SMALL)
-        b = train(features, labels, config, head="binary", featurizer=SMALL)
+        a = train(features, labels, config)
+        b = train(features, labels, config)
         np.testing.assert_array_equal(a.weights, b.weights)
         assert a.train_log == b.train_log
 
@@ -678,7 +698,7 @@ class TestTrainBinary:
         config = TrainConfig(epochs=1, learning_rate=1e308, l2_penalty=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            model = train(features, [s.binary_label for s in aug], config, head="binary", featurizer=feat)
+            model = train(features, [s.binary_label for s in aug], config)
         assert math.isfinite(model.train_log[0]) and model.train_log[0] > 1e300
 
     @pytest.mark.parametrize("head", ["binary", "multiclass", "joint"])
@@ -702,21 +722,19 @@ class TestTrainBinary:
     def test_binary_labels_validated(self):
         features, _ = separable_toy()
         with pytest.raises(ValueError, match="arity"):
-            train(features, [1, 2], TrainConfig(epochs=1), head="binary", featurizer=SMALL)
+            train(features, [1, 2], TrainConfig(epochs=1))
 
     def test_warm_start_keeps_converged_loss(self):
         """Resuming from a converged model with the same data must not move
         the loss by more than 1%."""
         features, labels = biased_coin_toy()
         base_config = TrainConfig(epochs=300, learning_rate=0.5, batch_size=4, l2_penalty=0.0)
-        converged = train(features, labels, base_config, head="binary", featurizer=SMALL)
+        converged = train(features, labels, base_config)
         resumed = train(
             features,
             labels,
             TrainConfig(epochs=50, learning_rate=0.5, batch_size=4,
                         l2_penalty=0.0, warm_start=converged),
-            head="binary",
-            featurizer=SMALL,
         )
         before = converged.train_log[-1]
         after = resumed.train_log[-1]
@@ -734,42 +752,38 @@ class TestTrainBinary:
             labels, k = [int(y == 0) for y in labels], None
         else:
             k = len(ds.post_labels)
-        base = train(features, labels, TrainConfig(epochs=2), head=head, n_classes=k,
-                     featurizer=SMALL)
+        base = train(features, labels, TrainConfig(epochs=2), n_classes=k)
         thawed = pickle.loads(pickle.dumps(base))
         assert thawed.weights.dtype is not np.dtype(np.float64)
-        _, weights, bias = _init_params(SMALL, head, k or 2, thawed, np.empty(0, dtype=np.int64))
+        _, weights, bias = _init_params(SMALL, k or 1, thawed, np.empty(0, dtype=np.int64))
         assert weights.dtype is np.dtype(np.float64) and bias.dtype is np.dtype(np.float64)
         resumed = [train(features, labels, TrainConfig(epochs=2, seed=1, warm_start=start),
-                         head=head, n_classes=k, featurizer=SMALL) for start in (base, thawed)]
+                         n_classes=k) for start in (base, thawed)]
         assert resumed[0].weights.tobytes() == resumed[1].weights.tobytes()
         assert resumed[0].bias.tobytes() == resumed[1].bias.tobytes()
         assert resumed[0].train_log == resumed[1].train_log
 
     def test_warm_start_mismatches_rejected(self):
         features, labels = separable_toy()
-        binary = train(features, labels, TrainConfig(epochs=1), head="binary", featurizer=SMALL)
-        with pytest.raises(ValueError, match="head"):
-            train(features, labels, TrainConfig(epochs=1, warm_start=binary),
-                  head="multiclass", n_classes=3, featurizer=SMALL)
+        binary = train(features, labels, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="warm start head has 1 weight rows, this head needs 3"):
+            train(features, labels, TrainConfig(epochs=1, warm_start=binary), n_classes=3)
         wide = FeaturizerConfig(dim=2**13)
         wide_features = [
-            unit_vector(5, dim=wide.dim, value=1.0),
-            unit_vector(5, dim=wide.dim, value=-1.0),
+            unit_vector(5, featurizer=wide, value=1.0),
+            unit_vector(5, featurizer=wide, value=-1.0),
         ]
-        other_feat = train(
-            wide_features, labels, TrainConfig(epochs=1), head="binary", featurizer=wide,
-        )
+        other_feat = train(wide_features, labels, TrainConfig(epochs=1))
         with pytest.raises(ValueError, match="featurizer"):
-            train(features, labels, TrainConfig(epochs=1, warm_start=other_feat),
-                  head="binary", featurizer=SMALL)
+            train(features, labels, TrainConfig(epochs=1, warm_start=other_feat))
 
 
 class TestTrainMulticlass:
     def test_requires_explicit_arity(self):
+        """``n_classes`` None is the logistic head; a softmax needs two classes or more."""
         features, labels = separable_toy()
-        with pytest.raises(ValueError, match="n_classes"):
-            train(features, labels, TrainConfig(epochs=1), head="multiclass", featurizer=SMALL)
+        with pytest.raises(ValueError, match="n_classes >= 2, got 1"):
+            train(features, labels, TrainConfig(epochs=1), n_classes=1)
 
     def test_capacity_on_noiseless_synthetic_data(self):
         """Sanity check that the head can memorize cleanly separable data:
@@ -778,8 +792,7 @@ class TestTrainMulticlass:
         ds = synth_generate(config, seed=0)
         labels = [ds.post_labels.index(ex.post_label) for ex in ds]
         features = [featurize((ex.text_a, ex.text_b), SMALL) for ex in ds]
-        model = train(features, labels, TrainConfig(), head="multiclass",
-                      n_classes=4, featurizer=SMALL)
+        model = train(features, labels, TrainConfig(), n_classes=4)
         hits = sum(
             int(np.argmax(score(model, [fv])[0])) == y for fv, y in zip(features, labels)
         )
@@ -787,16 +800,21 @@ class TestTrainMulticlass:
 
 
 class TestTrainJoint:
+    @pytest.mark.parametrize("n_classes", [None, 1])
+    def test_requires_a_softmax_arity(self, n_classes):
+        """One weight row would be the logistic head, which reads one label column."""
+        features, labels = separable_toy()
+        with pytest.raises(ValueError, match="n_classes >= 2"):
+            train_joint(features, labels, labels, TrainConfig(epochs=1), n_classes)
+
     def test_agreeing_labels_double_the_loss(self):
         """With pre == post everywhere, the two-term loss at any parameter
         point is exactly twice the one-term loss; compare the first logged
         epoch under a vanishing learning rate, where both sit at zero."""
         features, labels = separable_toy()
         tiny = dict(epochs=1, learning_rate=1e-9, batch_size=2, l2_penalty=0.0)
-        single = train(features, labels, TrainConfig(**tiny), head="multiclass",
-                       n_classes=2, featurizer=SMALL)
-        joint = train_joint(features, labels, labels, TrainConfig(**tiny),
-                            n_classes=2, featurizer=SMALL)
+        single = train(features, labels, TrainConfig(**tiny), n_classes=2)
+        joint = train_joint(features, labels, labels, TrainConfig(**tiny), n_classes=2)
         assert abs(single.train_log[0] - math.log(2)) < 1e-6
         assert abs(joint.train_log[0] - 2 * single.train_log[0]) < 1e-6
 
@@ -808,7 +826,7 @@ class TestTrainJoint:
         pre = [0] * 12
         post = [1] * 12
         config = TrainConfig(epochs=120, learning_rate=0.5, batch_size=4, l2_penalty=0.0)
-        model = train_joint(features, pre, post, config, n_classes=2, featurizer=SMALL)
+        model = train_joint(features, pre, post, config, n_classes=2)
         assert model.train_log[-1] >= 2 * math.log(2) - 1e-9
         assert model.train_log[-1] < 2 * math.log(2) + 0.01
 
@@ -818,14 +836,13 @@ class TestTrainJoint:
             FeatureVector(
                 indices=np.sort(rng.choice(SMALL.dim, size=6, replace=False)).astype(np.int64),
                 values=rng.normal(size=6),
-                dim=SMALL.dim,
+                featurizer=SMALL,
             )
             for _ in range(8)
         ]
         pre = list(rng.integers(0, 3, size=8))
         post = list(rng.integers(0, 3, size=8))
         model = Model(
-            head="multiclass",
             columns=np.arange(SMALL.dim),
             weights=rng.normal(size=(3, SMALL.dim)) * 0.1,
             bias=rng.normal(size=3) * 0.1,
@@ -838,6 +855,65 @@ class TestTrainJoint:
         np.testing.assert_allclose(gb_joint, gb_pre + gb_post, atol=1e-12)
 
 
+class TestFeatureSpaceGate:
+    """Every entry point packs its rows through ``_pack``, which refuses a row
+    made in another (dim, hash_salt) space and an index outside [0, dim).
+    Training takes its space from its first row, scoring and checking from
+    the model."""
+
+    OTHERS = {"salt": FeaturizerConfig(dim=SMALL.dim, hash_salt=1),
+              "dim": FeaturizerConfig(dim=2**13)}
+
+    @staticmethod
+    def call(entry: str, features: list[FeatureVector]):
+        labels = [i % 2 for i in range(len(features))]
+        if entry == "train":
+            return train(features, labels, TrainConfig(epochs=1))
+        if entry == "train_joint":
+            return train_joint(features, labels, labels[::-1], TrainConfig(epochs=1), 2)
+        if entry == "score":
+            return score(fresh_model(1), features)
+        return grad_check(fresh_model(1), features, [labels])
+
+    @pytest.mark.parametrize("entry", ["train", "train_joint", "score", "grad_check"])
+    @pytest.mark.parametrize("other", ["salt", "dim"])
+    def test_row_from_another_space_refused(self, entry, other):
+        other = self.OTHERS[other]
+        rows = [featurize("stocks rally", SMALL), featurize("stocks rally", other)]
+        self.call(entry, rows[:1])
+        with pytest.raises(ValueError) as caught:
+            self.call(entry, rows)
+        assert str(caught.value) == f"feature row 1 was made by {other}, not {SMALL}"
+
+    @pytest.mark.parametrize("other", ["salt", "dim"])
+    def test_training_records_its_rows_featurizer(self, other):
+        other = self.OTHERS[other]
+        model = train([featurize("stocks rally", other), featurize("", other)], [1, 0],
+                      TrainConfig(epochs=1))
+        assert model.featurizer == other
+        assert score(model, [featurize("stocks rally", other)]).shape == (1,)
+
+    @pytest.mark.parametrize("other", ["salt", "dim"])
+    def test_training_rows_from_two_spaces_refused(self, other):
+        """The first row decides the space, so either order is refused."""
+        other = self.OTHERS[other]
+        rows = [featurize("stocks rally", other), featurize("usb hub", SMALL)]
+        with pytest.raises(ValueError, match=re.escape(f"made by {SMALL}, not {other}")):
+            train(rows, [1, 0], TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match=re.escape(f"made by {other}, not {SMALL}")):
+            train(rows[::-1], [1, 0], TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("entry", ["train", "train_joint", "score", "grad_check"])
+    @pytest.mark.parametrize("index", [-1, SMALL.dim, 2**40])
+    def test_index_outside_the_space_refused(self, entry, index):
+        """Index -1 once trained the column of another index, and an index
+        >= dim raised a bare IndexError from the lookup."""
+        bad = FeatureVector(indices=np.array([5, index]) if index > 5 else np.array([index, 5]),
+                            values=np.array([0.6, 0.8]), featurizer=SMALL)
+        with pytest.raises(ValueError, match=re.escape(f"feature index {index} outside [0, {SMALL.dim})")):
+            self.call(entry, [unit_vector(1), bad])
+
+
 def densify(model: Model, columns=None, weights=None) -> np.ndarray:
     """``weights`` over ``columns`` (by default the model's own) scattered into
     zeros of shape (rows, dim), the layout of a model over every column."""
@@ -848,15 +924,14 @@ def densify(model: Model, columns=None, weights=None) -> np.ndarray:
     return dense
 
 
-def dense_reference_fit(features, columns, config: TrainConfig, head, n_classes, featurizer):
+def dense_reference_fit(features, columns, config: TrainConfig, rows, featurizer):
     """Training over the full weight width, batch by batch in plain numpy:
     decay every weight each batch, sum each row's logit entry by entry, and
     add each entry's step into all dim columns in order. ``_fit`` gathers
     chunks of batches, trains only the active columns and runs its full
     passes in row blocks, and must equal this bit for bit."""
-    targets = _target_columns(head, columns)
-    _, weights, bias = _init_params(featurizer, head, n_classes, config.warm_start,
-                                    np.arange(featurizer.dim))
+    targets = _target_columns(rows, columns)
+    _, weights, bias = _init_params(featurizer, rows, config.warm_start, np.arange(featurizer.dim))
     weight_rows = np.atleast_2d(weights)
     n_heads = weight_rows.shape[0]
 
@@ -908,7 +983,7 @@ class TestActiveColumnTraining:
         before = [fv.indices.copy() for fv in features]
         pre = [ds.pre_labels.index(ex.pre_label) for ex in ds]
         post = [ds.post_labels.index(ex.post_label) for ex in ds]
-        kind, k = ("binary", 2) if head == "binary" else ("multiclass", 4)
+        k = None if head == "binary" else 4
         columns = {"binary": [[int(p == 0) for p in post]], "multiclass": [post],
                    "joint": [pre, post]}[head]
         warm_model, off_support = None, np.empty(0, dtype=np.int64)
@@ -919,9 +994,8 @@ class TestActiveColumnTraining:
             rng = np.random.default_rng(0)
             outside = np.setdiff1d(np.arange(self.FEAT.dim), support)
             off_support = rng.choice(outside, 40, replace=False)
-            rows = k if kind == "multiclass" else 1
-            warm_model = Model(head=kind, columns=np.arange(self.FEAT.dim),
-                               weights=np.zeros((rows, self.FEAT.dim)), bias=np.zeros(rows),
+            warm_model = Model(columns=np.arange(self.FEAT.dim),
+                               weights=np.zeros((k or 1, self.FEAT.dim)), bias=np.zeros(k or 1),
                                featurizer=self.FEAT)
             hot = np.concatenate([off_support, support[::3]])
             warm_model.weights[..., hot] = rng.normal(size=warm_model.weights[..., hot].shape)
@@ -929,11 +1003,10 @@ class TestActiveColumnTraining:
         config = TrainConfig(epochs=3, batch_size=batch_size, seed=9, l2_penalty=l2,
                              warm_start=warm_model)
         if head == "joint":
-            trained = train_joint(features, pre, post, config, n_classes=k, featurizer=self.FEAT)
+            trained = train_joint(features, pre, post, config, n_classes=k)
         else:
-            trained = train(features, columns[0], config, head=kind,
-                            n_classes=k if kind == "multiclass" else None, featurizer=self.FEAT)
-        weights, bias, log = dense_reference_fit(features, columns, config, kind, k, self.FEAT)
+            trained = train(features, columns[0], config, n_classes=k)
+        weights, bias, log = dense_reference_fit(features, columns, config, k or 1, self.FEAT)
         assert np.array_equal(densify(trained), weights)
         assert np.array_equal(trained.bias, bias)
         assert trained.train_log == log
@@ -974,16 +1047,16 @@ class TestGradCheck:
             nnz = int(rng.integers(2, 12))
             indices = np.sort(rng.choice(SMALL.dim, size=nnz, replace=False)).astype(np.int64)
             features.append(
-                FeatureVector(indices=indices, values=rng.normal(size=nnz), dim=SMALL.dim)
+                FeatureVector(indices=indices, values=rng.normal(size=nnz), featurizer=SMALL)
             )
         k = int(rng.integers(2, 5))
         if head == "binary":
-            model = Model(head="binary", columns=np.arange(SMALL.dim),
+            model = Model(columns=np.arange(SMALL.dim),
                           weights=rng.normal(size=(1, SMALL.dim)) * 0.5,
                           bias=rng.normal(size=1), featurizer=SMALL)
             labels = [list(rng.integers(0, 2, size=n))]
         else:
-            model = Model(head="multiclass", columns=np.arange(SMALL.dim),
+            model = Model(columns=np.arange(SMALL.dim),
                           weights=rng.normal(size=(k, SMALL.dim)) * 0.5,
                           bias=rng.normal(size=k), featurizer=SMALL)
             labels = [list(rng.integers(0, k, size=n))]
@@ -993,7 +1066,7 @@ class TestGradCheck:
 
     def test_logistic_gradient_at_zero_matches_closed_form(self):
         """At w = 0 the logistic gradient collapses to (1/2 - y) x."""
-        model = zero_model(SMALL, "binary")
+        model = fresh_model(1)
         fv = unit_vector(17, value=0.8)
         _, columns, grad_w, grad_b = _loss_and_grad(model, [fv], [[1]], l2=0.0)
         grad_w = densify(model, columns, grad_w)[0]
@@ -1021,12 +1094,10 @@ class TestGradCheck:
             config = TrainConfig(epochs=1, learning_rate=lr, batch_size=len(features),
                                  l2_penalty=l2, seed=trial, warm_start=model)
             if head == "joint":
-                stepped = train_joint(features, *labels, config,
-                                      n_classes=model.weights.shape[0], featurizer=model.featurizer)
+                stepped = train_joint(features, *labels, config, n_classes=model.weights.shape[0])
             else:
-                stepped = train(features, labels[0], config, head=model.head,
-                                n_classes=None if model.head == "binary" else model.weights.shape[0],
-                                featurizer=model.featurizer)
+                stepped = train(features, labels[0], config,
+                                n_classes=None if model.head == "binary" else model.weights.shape[0])
             _, _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
             np.testing.assert_allclose(stepped.weights, model.weights - lr * grad_w,
                                        rtol=0, atol=1e-12)
@@ -1045,8 +1116,7 @@ class TestGradCheck:
             labels, k = [int(y == 0) for y in labels], None
         else:
             k = len(ds.post_labels)
-        base = train(features, labels, TrainConfig(epochs=2), head=head, n_classes=k,
-                     featurizer=SMALL)
+        base = train(features, labels, TrainConfig(epochs=2), n_classes=k)
         thawed = pickle.loads(pickle.dumps(base))
         assert thawed.weights.dtype is not np.dtype(np.float64)
         _, _, grad_w, grad_b = _loss_and_grad(thawed, features, [labels], 1e-4)
@@ -1060,7 +1130,7 @@ class TestGradCheck:
         mostly lacks; neither model is perturbed in place."""
         model, features, labels = self.random_case(np.random.default_rng(4), "multiclass")
         weights, bias = model.weights.copy(), model.bias.copy()
-        compact = Model(head="binary", columns=np.array([3, 9]), weights=np.array([[0.5, -1.0]]),
+        compact = Model(columns=np.array([3, 9]), weights=np.array([[0.5, -1.0]]),
                         bias=np.array([0.1]), featurizer=SMALL)
         assert grad_check(model, features, labels, l2=1e-4) < 1e-4
         assert grad_check(compact, features, [[y % 2 for y in labels[0]]]) < 1e-4
@@ -1069,7 +1139,7 @@ class TestGradCheck:
         assert compact.columns.tolist() == [3, 9] and compact.weights.tolist() == [[0.5, -1.0]]
 
     def test_epsilon_bounds(self):
-        model = zero_model(SMALL, "binary")
+        model = fresh_model(1)
         with pytest.raises(ValueError, match="epsilon"):
             grad_check(model, [unit_vector(0)], [[1]], epsilon=1e-2)
 
@@ -1088,7 +1158,6 @@ class TestCrossFeatureDegeneracy:
     def test_no_cross_ranking_ignores_content(self, seed):
         rng = np.random.default_rng(seed)
         model = Model(
-            head="binary",
             columns=np.arange(2**18),
             weights=rng.normal(size=(1, 2**18)),
             bias=np.array([0.0]),
@@ -1107,7 +1176,7 @@ class TestCrossFeatureDegeneracy:
         assert len(orders) == 1
 
     def test_crosses_recover_content_dependence(self):
-        model = Model(head="binary", columns=np.arange(2**12), weights=np.zeros((1, 2**12)),
+        model = Model(columns=np.arange(2**12), weights=np.zeros((1, 2**12)),
                       bias=np.zeros(1), featurizer=FeaturizerConfig(dim=2**12))
         key_a = hash_feature("exact⊗widget", 0, 2**12)
         key_b = hash_feature("substitute⊗gadget", 0, 2**12)
