@@ -570,6 +570,18 @@ class TestModelColumns:
             Model(columns=np.array([1, 2, 3]), weights=np.zeros(shape),
                   bias=np.zeros(shape[0]), featurizer=SMALL)
 
+    @pytest.mark.parametrize("head, rows", [("binary", 1), ("multiclass", 2)],
+                             ids=["binary-shape1", "multiclass-shape3"])
+    def test_weight_rows_must_fit_the_head(self, head, rows):
+        """Flat weights are refused whichever head their rows would give;
+        the same values as a 2-D row block make a model of that head."""
+        flat = np.zeros(rows * 3)
+        with pytest.raises(ValueError, match="weights must be 2-D with at least one row, got shape"):
+            Model(columns=np.array([1, 2, 3]), weights=flat, bias=np.zeros(rows), featurizer=SMALL)
+        model = Model(columns=np.array([1, 2, 3]), weights=flat.reshape(rows, 3),
+                      bias=np.zeros(rows), featurizer=SMALL)
+        assert model.head == head
+
     @pytest.mark.parametrize("rows, head", [(1, "binary"), (2, "multiclass"), (4, "multiclass")])
     def test_weight_rows_decide_the_head(self, rows, head):
         model = Model(columns=np.array([1, 2, 3]), weights=np.zeros((rows, 3)),
