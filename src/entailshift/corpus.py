@@ -169,9 +169,7 @@ class ShiftSpec:
         object.__setattr__(self, "rules", dict(self.rules))
 
     def lookup(self, topic: str | None, pre_label: str) -> str:
-        post = self.rules.get((topic, pre_label))
-        if post is None:
-            post = self.default
+        post = self.rules.get((topic, pre_label), self.default)
         if post is None:
             raise ShiftCoverageError(
                 f"no shift rule for (topic={topic!r}, pre_label={pre_label!r}) and no default"
@@ -180,14 +178,24 @@ class ShiftSpec:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ShiftSpec":
-        """A rule file; invalid JSON or a malformed rule is a DatasetError naming the file."""
+        """A rule file; invalid JSON or a malformed rule is a DatasetError naming the file.
+
+        Labels and the default are strings; a rule's topic and the default may be null.
+        """
         raw = read_json(path, DatasetError)
         try:
             rules = {(rule.get("topic"), rule["pre_label"]): rule["post_label"]
                      for rule in raw.get("rules", [])}
-            return cls(rules=rules, default=raw.get("default"))
+            spec = cls(rules=rules, default=raw.get("default"))
         except (AttributeError, KeyError, TypeError) as exc:
             raise DatasetError(f"{path}: malformed shift rules ({exc!r})") from exc
+        for (topic, pre), post in spec.rules.items():
+            if not (isinstance(pre, str) and isinstance(post, str) and isinstance(topic, (str, type(None)))):
+                raise DatasetError(f"{path}: shift rule (topic={topic!r}, pre_label={pre!r}) -> "
+                                   f"{post!r} needs string labels and a string or null topic")
+        if not isinstance(spec.default, (str, type(None))):
+            raise DatasetError(f"{path}: default must be a label string or null, got {spec.default!r}")
+        return spec
 
     def to_file(self, path: str | Path) -> None:
         rows = [{"topic": t, "pre_label": pre, "post_label": post} for (t, pre), post in self.rules.items()]
@@ -330,27 +338,23 @@ def save_dataset(dataset: Dataset, path: str | Path, format: str | None = None) 
 def apply_shift(dataset: Dataset, spec: ShiftSpec) -> Dataset:
     """Relabel every example's post_label through the shift spec.
 
-    Pre labels, ids, texts, and example order are untouched. Raises
-    :class:`ShiftCoverageError` listing every uncovered (topic, pre_label)
-    pair before touching anything.
+    Pre labels, ids, texts, and example order are untouched. Each distinct
+    (topic, pre_label) pair goes through ``spec.lookup`` once; the pairs it
+    finds no label for raise one :class:`ShiftCoverageError` listing them all.
     """
+    posts: dict[tuple[str | None, str], str] = {}
     uncovered: list[tuple[str | None, str]] = []
-    seen: set[tuple[str | None, str]] = set()
-    for ex in dataset:
-        pair = (ex.topic, ex.pre_label)
-        if pair in seen:
-            continue
-        seen.add(pair)
-        if pair not in spec.rules and spec.default is None:
+    for pair in dict.fromkeys((ex.topic, ex.pre_label) for ex in dataset):
+        try:
+            posts[pair] = spec.lookup(*pair)
+        except ShiftCoverageError:
             uncovered.append(pair)
     if uncovered:
         pairs = ", ".join(f"(topic={t!r}, pre_label={l!r})" for t, l in sorted(
             uncovered, key=lambda p: (p[0] or "", p[1])))
         raise ShiftCoverageError(f"shift spec does not cover: {pairs}")
 
-    shifted = tuple(
-        replace(ex, post_label=spec.lookup(ex.topic, ex.pre_label)) for ex in dataset
-    )
+    shifted = tuple(replace(ex, post_label=posts[ex.topic, ex.pre_label]) for ex in dataset)
     return Dataset(
         examples=shifted,
         pre_labels=dataset.pre_labels,

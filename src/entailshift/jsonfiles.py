@@ -65,10 +65,10 @@ def read_keyed_jsonl(path: str | Path, parse: Callable[[dict], tuple], error: ty
     return values
 
 
-def typed_field(row: dict, key: str, kind: type) -> Any:
-    """``row[key]``, which must be exactly a ``kind``: a JSON bool is not an int."""
-    if type(row[key]) is not kind:
-        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {row[key]!r}")
+def typed_field(row: dict, key: str, *kinds: type) -> Any:
+    """``row[key]``, which must be exactly one of ``kinds``: a JSON bool is not an int."""
+    if type(row[key]) not in kinds:
+        raise TypeError(f"{key} must be a JSON {' or '.join(k.__name__ for k in kinds)}, got {row[key]!r}")
     return row[key]
 
 

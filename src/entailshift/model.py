@@ -26,6 +26,7 @@ A ``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every
 entry point packs its rows through ``_pack``, which refuses a row from
 another (dim, hash_salt) space or an index outside [0, dim); training takes
 its featurizer from its rows, and a model's weight rows decide its head.
+Training and ``grad_check`` share one set-up, ``_problem``, and one label gate.
 Training and ``score`` run one forward, ``_logits`` over packed rows, so a
 row scores the same alone or in a batch. Training gathers a chunk of whole
 mini-batches at once and takes each batch as views of it; full passes (the
@@ -46,7 +47,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -504,16 +505,27 @@ def _scatter(
         np.add.at(weights[k], idx, scale * g[:, k][sample_pos] * vals)
 
 
-def _target_columns(rows: int, columns: Iterable[Sequence[int]]) -> list[np.ndarray]:
-    """Label columns as _dlogits reads them: float for one weight row, int64 otherwise."""
-    cols = [np.asarray(c, dtype=np.int64) for c in columns]
-    return [cols[0].astype(np.float64)] if rows == 1 else cols
+def _label_columns(columns: dict[str, Sequence[int]], n: int, rows: int) -> list[np.ndarray]:
+    """The named label columns as ``_dlogits`` reads them: floats for one weight row, else int64.
 
-
-def _validate_labels(labels: np.ndarray, arity: int, what: str) -> None:
-    if labels.size and (labels.min() < 0 or labels.max() >= arity):
-        bad = labels[(labels < 0) | (labels >= arity)][0]
-        raise ValueError(f"{what} label {int(bad)} outside head arity {arity}")
+    Each must hold one integer per row inside the head's arity (2 for one
+    weight row), and one weight row reads exactly one column; else a
+    ValueError names the column.
+    """
+    if not columns or (rows == 1 and len(columns) > 1):
+        raise ValueError(f"a head of {rows} weight rows cannot read {len(columns)} label columns")
+    arity, targets = max(rows, 2), []
+    for what, column in columns.items():
+        try:
+            y = np.asarray(column)
+        except ValueError as exc:
+            raise ValueError(f"{what} labels are not one integer per row: {exc}") from exc
+        if y.shape != (n,) or not np.issubdtype(y.dtype, np.integer):
+            raise ValueError(f"{what} labels must be {n} integers, got {y.dtype} of shape {y.shape}")
+        if y.min() < 0 or y.max() >= arity:
+            raise ValueError(f"{what} label {int(y[(y < 0) | (y >= arity)][0])} outside head arity {arity}")
+        targets.append(y.astype(np.float64 if rows == 1 else np.int64))
+    return targets
 
 
 def _init_params(
@@ -549,6 +561,24 @@ def _init_params(
     return active, weights, warm_start.bias.astype(np.float64)
 
 
+def _problem(features: Sequence[FeatureVector], featurizer: FeaturizerConfig | None,
+             columns: dict[str, Sequence[int]], rows: int, start: Model | None):
+    """The set-up training runs on and ``grad_check`` checks, for a head of ``rows`` weight rows.
+
+    Returns the rows packed in ``featurizer``'s space (None: the first row's)
+    with indices mapped onto ``_init_params``'s active columns, the
+    ``_label_columns``, the active columns, and its own starting weights and bias.
+    """
+    if not features:
+        raise ValueError("no samples")
+    featurizer = featurizer or features[0].featurizer
+    packed = _pack(features, featurizer)
+    targets = _label_columns(columns, packed.n_rows, rows)
+    active, weights, bias = _init_params(featurizer, rows, start, packed.indices)
+    packed.indices[:] = np.searchsorted(active, packed.indices)  # this call's own copy
+    return packed, targets, active, weights, bias
+
+
 def _fit(
     features: Sequence[FeatureVector],
     columns: dict[str, Sequence[int]],
@@ -558,22 +588,12 @@ def _fit(
     """Mini-batch descent on the summed cross-entropy of the named label columns.
 
     ``n_classes`` None is the logistic head, one weight row over 0/1 labels.
+    Descent runs on the ``_problem`` set-up started at ``config.warm_start``.
     """
-    if not features:
-        raise ValueError("no samples to train on")
     if n_classes is not None and n_classes < 2:
         raise ValueError(f"a softmax head needs n_classes >= 2, got {n_classes}")
-    featurizer = features[0].featurizer
-    packed = _pack(features, featurizer)
-    targets = _target_columns(n_classes or 1, columns.values())
-    for what, y in zip(columns, targets):
-        if y.size != packed.n_rows:
-            raise ValueError(f"{packed.n_rows} samples but {y.size} {what} labels")
-        _validate_labels(y, n_classes or 2, what)
-    # Train only the active columns (see ``train``); ``packed`` is this call's own copy.
-    active, weights, bias = _init_params(featurizer, n_classes or 1, config.warm_start,
-                                         packed.indices)
-    packed.indices[:] = np.searchsorted(active, packed.indices)
+    packed, targets, active, weights, bias = _problem(features, None, columns, n_classes or 1,
+                                                      config.warm_start)
     rng = np.random.default_rng(config.seed)
     n, batch_size = packed.n_rows, config.batch_size
     chunk_size = max(1, _CHUNK_ROWS // batch_size) * batch_size
@@ -596,7 +616,7 @@ def _fit(
                 _scatter(weights, gathered, g, -config.learning_rate)
                 bias -= config.learning_rate * g.sum(axis=0)
         log.append(_data_loss(_full_logits(weights, bias, packed), targets))
-    return Model(active, weights, bias, featurizer, train_log=tuple(log))
+    return Model(active, weights, bias, features[0].featurizer, train_log=tuple(log))
 
 
 def train(
@@ -608,22 +628,21 @@ def train(
     """Mini-batch gradient descent on mean cross-entropy plus L2.
 
     ``n_classes`` None trains the logistic head on 0/1 labels; an integer
-    >= 2 trains a softmax over that many classes. The model records the
-    featurizer that made ``features``, and every row must share it.
-    Every head trains through one kernel: ``_logits`` forward, ``_dlogits``
-    for dL/dz and ``_scatter`` into the weights; ``_loss_and_grad`` (and so
-    ``grad_check``) runs the same three. Each epoch's shuffled rows are
-    gathered a chunk of about ``_CHUNK_ROWS`` rows (whole batches) at a
-    time, and each batch's entries are views of its chunk's. The L2 penalty
-    enters as per-batch multiplicative weight decay, which is exactly
-    gradient descent on meanCE + (l2/2)*||w||^2; the bias is not decayed.
-    Descent and decay run on the active columns only, those the samples
-    touch or the warm start holds non-zero, and the model holds only those:
-    every other column is exactly zero, as under full decay. ``train_log``
-    records the full-dataset mean cross-entropy per epoch, from a forward
-    over blocks of ``_CHUNK_ROWS`` consecutive rows. ``config.warm_start``
-    initializes from a prior model with as many weight rows and the same
-    featurizer (fine-tuning); otherwise parameters start at zero.
+    >= 2 trains a softmax over that many classes. ``labels`` holds one
+    integer per row inside that arity, or a ValueError names the column.
+    The model records the featurizer that made ``features``, and every row
+    must share it. Every head trains through one kernel: ``_logits``
+    forward, ``_dlogits`` for dL/dz and ``_scatter`` into the weights;
+    ``_loss_and_grad`` (and so ``grad_check``) runs the same three. The L2
+    penalty enters as per-batch multiplicative weight decay, which is
+    exactly gradient descent on meanCE + (l2/2)*||w||^2; the bias is not
+    decayed. Descent and decay run on the active columns only, those the
+    samples touch or the warm start holds non-zero, and the model holds
+    only those: every other column is exactly zero, as under full decay.
+    ``train_log`` records the full-dataset mean cross-entropy per epoch.
+    ``config.warm_start`` initializes from a prior model with as many weight
+    rows and the same featurizer (fine-tuning); otherwise parameters start
+    at zero.
     """
     return _fit(features, {"training": labels}, config, n_classes)
 
@@ -682,43 +701,22 @@ def make_binary_scorer(model: Model):
 # ---------------------------------------------------------------------------
 
 
-def _widen(model: Model, indices: np.ndarray) -> Model:
-    """A float64 copy of ``model`` over its non-zero columns plus ``indices``."""
-    columns, weights, bias = _init_params(model.featurizer, model.weights.shape[0], model, indices)
-    return Model(columns, weights, bias, model.featurizer)
+def _loss_and_grad(weights: np.ndarray, bias: np.ndarray, packed: _Packed,
+                   targets: Sequence[np.ndarray], l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """The mean data loss plus (l2/2)*||w||^2, its weight gradient and its bias gradient.
 
-
-def _loss_and_grad(
-    model: Model,
-    features: Sequence[FeatureVector],
-    labels: Sequence[Sequence[int]],
-    l2: float,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Full-objective value and analytic gradient for any head.
-
-    ``labels`` is one column for plain heads and two for the joint loss.
-    The objective is the mean data loss plus (l2/2)*||w||^2. It runs over
-    the model's non-zero columns plus the samples' support, and returns the
-    loss, those columns, and the weight gradient over them and the bias
-    gradient.
-    The gradient is the one a full-batch training step applies: the same
-    forward, dL/dz and scatter, here into zeros with scale 1.
+    ``packed`` and ``targets`` are a ``_problem`` set-up's rows and label
+    columns. The gradient is the one a full-batch training step applies: the
+    same forward, dL/dz and scatter, here into zeros with scale 1.
     """
-    if not features:
-        raise ValueError("no samples to check")
-    packed = _pack(features, model.featurizer)
-    targets = _target_columns(model.weights.shape[0], labels)
-    model = _widen(model, packed.indices)
-    packed.indices[:] = np.searchsorted(model.columns, packed.indices)
-    weights = model.weights
-    z = _full_logits(weights, model.bias, packed)
+    z = _full_logits(weights, bias, packed)
     g = _dlogits(z, targets) / packed.n_rows
     grad_w = np.zeros(weights.shape)
     for rows, gathered in _blocks(packed):
         _scatter(grad_w, gathered, g[rows], 1.0)
     grad_w += l2 * weights
     loss = _data_loss(z, targets) + 0.5 * l2 * float(np.sum(weights**2))
-    return loss, model.columns, grad_w, g.sum(axis=0)
+    return loss, grad_w, g.sum(axis=0)
 
 
 def grad_check(
@@ -732,38 +730,35 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The analytic gradient comes from ``_loss_and_grad``, which runs the
-    training kernel, so this checks the gradient the optimizer applies.
-    Coordinates are sampled from the feature support of the given samples
-    plus the bias entries, so every checked coordinate carries signal. The
-    differences perturb a copy of the model over ``_loss_and_grad``'s
-    columns; ``model`` itself is not touched.
+    It checks the ``_problem`` set-up a fit warm-started from ``model``
+    trains on (label columns named "column 0", ...), and ``_loss_and_grad``
+    runs the training kernel, so this checks the gradient the optimizer
+    applies. Coordinates are sampled from the samples' feature support plus
+    the bias entries, so every checked coordinate carries signal. The
+    differences perturb the set-up's own weights and bias, not ``model``.
     """
     if not 0 < epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in (0, 1e-3], got {epsilon}")
-    _, columns, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
-    model = _widen(model, columns)
-    weights = model.weights
+    columns = {f"column {i}": y for i, y in enumerate(labels)}
+    packed, targets, _, weights, bias = _problem(features, model.featurizer, columns,
+                                                 model.weights.shape[0], model)
+    _, grad_w, grad_b = _loss_and_grad(weights, bias, packed, targets, l2)
 
-    support = np.searchsorted(columns, sorted({int(i) for fv in features for i in fv.indices}))
+    support = np.unique(packed.indices)
     rng = np.random.default_rng(seed)
-    coords: list[tuple[np.ndarray, np.ndarray, tuple[int, ...]]] = []
-    if support.size:
-        for pick in rng.integers(0, support.size, size=max(n_coords, 1)):
-            where = (int(rng.integers(0, weights.shape[0])), int(support[pick]))
-            coords.append((weights, grad_w, where))
-    coords += [(model.bias, grad_b, (b,)) for b in range(model.bias.size)]
+    picks = rng.integers(0, support.size, size=max(n_coords, 1)) if support.size else []
+    coords = [(weights, grad_w, (int(rng.integers(0, weights.shape[0])), int(support[pick])))
+              for pick in picks]
+    coords += [(bias, grad_b, (b,)) for b in range(bias.size)]
 
     max_rel = 0.0
     for array, grad, where in coords:
-        analytic = grad[where]
         original = array[where]
         array[where] = original + epsilon
-        up, _, _, _ = _loss_and_grad(model, features, labels, l2)
+        up, _, _ = _loss_and_grad(weights, bias, packed, targets, l2)
         array[where] = original - epsilon
-        down, _, _, _ = _loss_and_grad(model, features, labels, l2)
+        down, _, _ = _loss_and_grad(weights, bias, packed, targets, l2)
         array[where] = original
         fd = (up - down) / (2.0 * epsilon)
-        rel = abs(analytic - fd) / max(abs(analytic) + abs(fd), 1e-8)
-        max_rel = max(max_rel, rel)
+        max_rel = max(max_rel, abs(grad[where] - fd) / max(abs(grad[where]) + abs(fd), 1e-8))
     return max_rel

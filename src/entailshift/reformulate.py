@@ -203,7 +203,7 @@ def augment_dataset(
 def _checked_probability(value: float, context: str) -> float:
     prob = float(value)
     if not 0.0 <= prob <= 1.0:
-        raise ValueError(f"scorer returned {prob!r} for {context}; probabilities must be in [0, 1]")
+        raise ValueError(f"probability {prob!r} for {context} is not in [0, 1]")
     return prob
 
 
@@ -284,14 +284,14 @@ def export_scores(
 
 def _score_from_row(row: dict[str, Any]) -> tuple[tuple[str, int], float]:
     key = (str(row["source_id"]), typed_field(row, "candidate_index", int))
-    return key, _checked_probability(row["probability"], context=repr(key))
+    return key, _checked_probability(typed_field(row, "probability", int, float), context=repr(key))
 
 
 def import_scores(path: str | Path) -> dict[tuple[str, int], float]:
     """Per-candidate probabilities keyed by (source_id, candidate_index).
 
-    A malformed row or a second row for the same key is a ValueError that
-    names the file and the line(s).
+    A malformed row (a probability not a JSON number in [0, 1] included) or a
+    second row for the same key is a ValueError naming the file and line(s).
     """
     return read_keyed_jsonl(path, _score_from_row, ValueError)
 

@@ -223,6 +223,19 @@ class TestApplyShift:
         with pytest.raises(ShiftCoverageError, match="sports"):
             apply_shift(fixture, spec)
 
+    @pytest.mark.parametrize("default", [None, "relevant"])
+    def test_coverage_is_what_lookup_finds(self, default):
+        """A rule whose label is None finds no label, default or not, so its
+        pair is listed as uncovered before any example is relabeled."""
+        fixture = TestLoadSave().news_fixture()
+        pairs = {(ex.topic, ex.pre_label) for ex in fixture}
+        spec = ShiftSpec(rules={pair: None for pair in pairs}, default=default)
+        with pytest.raises(ShiftCoverageError) as err:
+            apply_shift(fixture, spec)
+        for topic, pre_label in pairs:
+            assert f"(topic={topic!r}, pre_label={pre_label!r})" in str(err.value)
+        assert str(err.value).startswith("shift spec does not cover: ")
+
     def test_default_rule_covers_everything(self):
         fixture = TestLoadSave().news_fixture()
         spec = ShiftSpec(rules={}, default="irrelevant")
@@ -242,7 +255,13 @@ class TestApplyShift:
         '{"rules": [{"topic": "world", "pre_label": "relevant"}]}',
         '[{"pre_label": "relevant", "post_label": "irrelevant"}]',
         '{"rules": [',
-    ], ids=["rule_without_post_label", "top_level_list", "invalid_json"])
+        '{"rules": [{"topic": "world", "pre_label": "relevant", "post_label": null}]}',
+        '{"rules": [{"pre_label": "relevant", "post_label": null}], "default": "relevant"}',
+        '{"rules": [{"pre_label": 1, "post_label": "relevant"}]}',
+        '{"rules": [{"topic": 3, "pre_label": "relevant", "post_label": "relevant"}]}',
+        '{"rules": [], "default": true}',
+    ], ids=["rule_without_post_label", "top_level_list", "invalid_json", "null_post_label",
+            "null_post_label_with_default", "number_pre_label", "number_topic", "bool_default"])
     def test_malformed_spec_file_names_the_file(self, tmp_path, text):
         path = tmp_path / "broken-shift.json"
         path.write_text(text)

@@ -23,8 +23,9 @@ from entailshift.model import (
     _data_loss,
     _dlogits,
     _init_params,
+    _label_columns,
     _loss_and_grad,
-    _target_columns,
+    _problem,
     featurize,
     featurize_batch,
     grad_check,
@@ -96,6 +97,16 @@ def fresh_model(rows: int, featurizer: FeaturizerConfig = SMALL) -> Model:
     """All-zero parameters with no active column: one row is the logistic head."""
     return Model(columns=np.empty(0, dtype=np.int64), weights=np.zeros((rows, 0)),
                  bias=np.zeros(rows), featurizer=featurizer)
+
+
+def loss_and_grad(model: Model, features, labels, l2: float):
+    """The objective at ``model`` over the ``_problem`` set-up that ``grad_check``
+    builds: (loss, active columns, weight gradient over them, bias gradient)."""
+    columns = {f"column {i}": y for i, y in enumerate(labels)}
+    packed, targets, active, weights, bias = _problem(features, model.featurizer, columns,
+                                                      model.weights.shape[0], model)
+    loss, grad_w, grad_b = _loss_and_grad(weights, bias, packed, targets, l2)
+    return loss, active, grad_w, grad_b
 
 
 class TestFeaturize:
@@ -860,9 +871,9 @@ class TestTrainJoint:
             bias=rng.normal(size=3) * 0.1,
             featurizer=SMALL,
         )
-        _, _, gw_pre, gb_pre = _loss_and_grad(model, features, [pre], l2=0.0)
-        _, _, gw_post, gb_post = _loss_and_grad(model, features, [post], l2=0.0)
-        _, _, gw_joint, gb_joint = _loss_and_grad(model, features, [pre, post], l2=0.0)
+        _, _, gw_pre, gb_pre = loss_and_grad(model, features, [pre], l2=0.0)
+        _, _, gw_post, gb_post = loss_and_grad(model, features, [post], l2=0.0)
+        _, _, gw_joint, gb_joint = loss_and_grad(model, features, [pre, post], l2=0.0)
         np.testing.assert_allclose(gw_joint, gw_pre + gw_post, atol=1e-12)
         np.testing.assert_allclose(gb_joint, gb_pre + gb_post, atol=1e-12)
 
@@ -926,6 +937,47 @@ class TestFeatureSpaceGate:
             self.call(entry, [unit_vector(1), bad])
 
 
+class TestLabelGate:
+    """``train``, ``train_joint`` and ``grad_check`` read their label columns
+    through one gate: a column holds exactly one integer per row inside the
+    head's arity, or a ValueError names the column."""
+
+    # case -> (bad column, n_classes); None is the logistic head
+    BAD = {
+        "fraction": ([0, 1, 2.7], 3),        # once trained as [0, 1, 2]
+        "strings": (["0", "1", "1"], None),  # once trained
+        "negative": ([0, 1, -1], 3),         # grad_check once read -1 as class 2
+        "past-binary": ([0, 1, 2], None),    # grad_check once reported a loss
+        "short": ([0, 1], 3),                # once a bare numpy IndexError
+        "nested": ([[0], [1], [1]], 3),
+    }
+    NAMES = {"train": "training", "train_joint": "post-shift", "grad_check": "column 0"}
+
+    @staticmethod
+    def call(entry: str, labels, n_classes: int | None):
+        features = [unit_vector(i) for i in range(3)]
+        if entry == "train":
+            return train(features, labels, TrainConfig(epochs=1), n_classes)
+        if entry == "train_joint":
+            return train_joint(features, [0, 1, 0], labels, TrainConfig(epochs=1), n_classes or 2)
+        return grad_check(fresh_model(n_classes or 1), features, [labels])
+
+    @pytest.mark.parametrize("entry", ["train", "train_joint", "grad_check"])
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_label_column_refused(self, entry, case):
+        labels, n_classes = self.BAD[case]
+        self.call(entry, [0, 1, 0], n_classes)
+        with pytest.raises(ValueError, match=f"^{self.NAMES[entry]} label"):
+            self.call(entry, labels, n_classes)
+
+    @pytest.mark.parametrize("rows, columns", [(1, 0), (1, 2), (3, 0)])
+    def test_head_reads_its_number_of_columns(self, rows, columns):
+        """A logistic head reads exactly one label column, a softmax at least one."""
+        features = [unit_vector(i) for i in range(3)]
+        with pytest.raises(ValueError, match=f"cannot read {columns} label columns"):
+            grad_check(fresh_model(rows), features, [[0, 1, 0]] * columns)
+
+
 def densify(model: Model, columns=None, weights=None) -> np.ndarray:
     """``weights`` over ``columns`` (by default the model's own) scattered into
     zeros of shape (rows, dim), the layout of a model over every column."""
@@ -942,7 +994,7 @@ def dense_reference_fit(features, columns, config: TrainConfig, rows, featurizer
     add each entry's step into all dim columns in order. ``_fit`` gathers
     chunks of batches, trains only the active columns and runs its full
     passes in row blocks, and must equal this bit for bit."""
-    targets = _target_columns(rows, columns)
+    targets = _label_columns(dict(enumerate(columns)), len(features), rows)
     _, weights, bias = _init_params(featurizer, rows, config.warm_start, np.arange(featurizer.dim))
     weight_rows = np.atleast_2d(weights)
     n_heads = weight_rows.shape[0]
@@ -1080,7 +1132,7 @@ class TestGradCheck:
         """At w = 0 the logistic gradient collapses to (1/2 - y) x."""
         model = fresh_model(1)
         fv = unit_vector(17, value=0.8)
-        _, columns, grad_w, grad_b = _loss_and_grad(model, [fv], [[1]], l2=0.0)
+        _, columns, grad_w, grad_b = loss_and_grad(model, [fv], [[1]], l2=0.0)
         grad_w = densify(model, columns, grad_w)[0]
         assert abs(grad_w[17] - (0.5 - 1.0) * 0.8) < 1e-12
         assert abs(grad_b[0] - (0.5 - 1.0)) < 1e-12
@@ -1110,7 +1162,7 @@ class TestGradCheck:
             else:
                 stepped = train(features, labels[0], config,
                                 n_classes=None if model.head == "binary" else model.weights.shape[0])
-            _, _, grad_w, grad_b = _loss_and_grad(model, features, labels, l2)
+            _, _, grad_w, grad_b = loss_and_grad(model, features, labels, l2)
             np.testing.assert_allclose(stepped.weights, model.weights - lr * grad_w,
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(stepped.bias, model.bias - lr * grad_b,
@@ -1131,7 +1183,7 @@ class TestGradCheck:
         base = train(features, labels, TrainConfig(epochs=2), n_classes=k)
         thawed = pickle.loads(pickle.dumps(base))
         assert thawed.weights.dtype is not np.dtype(np.float64)
-        _, _, grad_w, grad_b = _loss_and_grad(thawed, features, [labels], 1e-4)
+        _, _, grad_w, grad_b = loss_and_grad(thawed, features, [labels], 1e-4)
         assert grad_w.dtype is np.dtype(np.float64) and grad_b.dtype is np.dtype(np.float64)
         checked = [grad_check(model, features, [labels], l2=1e-4, seed=2)
                    for model in (base, thawed)]

@@ -456,22 +456,29 @@ class TestFileBridge:
     def test_import_rejects_out_of_range_probability(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"source_id": "a", "candidate_index": 1, "probability": 2.0}\n')
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match="line 1") as err:
             import_scores(path)
+        assert "scorer" not in str(err.value)
 
     @pytest.mark.parametrize("loader, field, value", [
         (import_scores, "candidate_index", "x"),
         (import_scores, "candidate_index", 1.7),
         (import_scores, "candidate_index", True),
+        (import_scores, "probability", "0.5"),
+        (import_scores, "probability", True),
+        (import_scores, "probability", None),
         (import_augmented, "candidate_index", 1.7),
         (import_augmented, "binary_label", 1.0),
         (import_augmented, "binary_label", True),
         (import_augmented, "is_oversampled", "false"),
         (import_augmented, "is_oversampled", 0),
-    ], ids=["scores-index-string", "scores-index-float", "scores-index-bool", "sample-index-float",
+    ], ids=["scores-index-string", "scores-index-float", "scores-index-bool",
+            "scores-probability-string", "scores-probability-bool", "scores-probability-null",
+            "sample-index-float",
             "sample-label-float", "sample-label-bool", "sample-flag-string", "sample-flag-int"])
     def test_import_rejects_mistyped_field(self, tmp_path, loader, field, value):
-        """A JSON int field takes no float or bool, and a bool field no string or int."""
+        """A JSON int field takes no float or bool, a number field no string, bool
+        or null, and a bool field no string or int."""
         valid = ({"source_id": "a", "candidate_index": 1, "probability": 0.5}
                  if loader is import_scores else
                  {"source_id": "a", "candidate_index": 1, "input_text": "p [SEP] x",
