@@ -18,6 +18,7 @@ ranking and significance marks are derived from its scores in one place.
 """
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
 import io
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import Dataset, ShiftSpec, apply_shift, fewshot_sample, load_dataset, rebalance, split
-from .jsonfiles import read_json
+from .jsonfiles import read_json, typed_field
 from .methods import PRE_SHIFT_KINDS, MethodSpec, check_inputs, fit_pre_shift, resolve_catalog, run_method
 from .model import FeaturizerConfig, Model, TrainConfig
 from .seeding import derive_seed
@@ -511,12 +512,21 @@ def save_result(result: ExperimentResult, output_dir: str | Path) -> Path:
     return path
 
 
+def _typed_items(payload: dict, key: str, container: type, kind: type) -> list | dict:
+    """``payload[key]``, a JSON ``container`` whose items (an object's values) are each exactly ``kind``."""
+    items = typed_field(payload, key, container)
+    if any(type(v) is not kind for v in (items.values() if container is dict else items)):
+        raise TypeError(f"every item of {key} must be a JSON {kind.__name__}, got {items!r}")
+    return items
+
+
 def load_result(output_dir: str | Path) -> ExperimentResult:
     """The result saved in ``output_dir``; a malformed file is a ValueError naming it.
 
     Only the grid is read back: aggregates and significance are recomputed
-    from the scores, never taken from the file. A score or failure row holds
-    exactly its dataclass's fields.
+    from the scores, never taken from the file. The labels, ids and
+    provenance values are strings and the seed indices integers; a score or
+    failure row holds exactly its dataclass's fields.
     """
     path = Path(output_dir) / RESULT_FILENAME
     if not path.exists():
@@ -524,11 +534,12 @@ def load_result(output_dir: str | Path) -> ExperimentResult:
     payload = read_json(path, ValueError)
     try:
         return ExperimentResult(
-            name=payload["name"],
-            **{k: tuple(payload[k]) for k in ("method_ids", "budget_labels", "seed_indices", "class_labels")},
+            name=typed_field(payload, "name", str),
+            **{k: tuple(_typed_items(payload, k, list, int if k == "seed_indices" else str))
+               for k in ("method_ids", "budget_labels", "seed_indices", "class_labels")},
             scores=tuple(RunScore(**row) for row in payload["scores"]),
             failures=tuple(CellFailure(**row) for row in payload["failures"]),
-            provenance=payload["provenance"],
+            provenance=_typed_items(payload, "provenance", dict, str),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed result ({exc!r})") from exc
@@ -550,13 +561,12 @@ def _format_cell(agg: Aggregate | None, n_seeds: int) -> str:
 
 
 def render_raw_grid(result: ExperimentResult) -> str:
-    """CSV of every RunScore; floats use repr so re-parsing is lossless."""
+    """CSV of every RunScore, quoted where a field needs it; floats use repr so re-parsing is lossless."""
     out = io.StringIO()
-    f1_columns = ",".join(f"f1_{label}" for label in result.class_labels)
-    out.write(f"method,budget,seed,macro_f1,{f1_columns}\n")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["method", "budget", "seed", "macro_f1", *(f"f1_{label}" for label in result.class_labels)])
     for s in result.scores:
-        per_class = ",".join(repr(float(v)) for v in s.per_class_f1)
-        out.write(f"{s.method},{s.budget},{s.seed},{repr(float(s.macro_f1))},{per_class}\n")
+        writer.writerow([s.method, s.budget, s.seed, *(repr(float(v)) for v in (s.macro_f1, *s.per_class_f1))])
     return out.getvalue()
 
 

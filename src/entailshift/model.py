@@ -12,20 +12,21 @@ An input is a tuple of text segments, the way a PLM tokenizer receives
 ``text_a`` of a plain pair) is crossed with the rest. A bare string is one
 segment and is never split, so no separator inside user text is special.
 
-Hashing uses BLAKE2b (64-bit digests) with the salt mixed in as the keyed
-hash key, reduced modulo the table size; ``hash_feature`` is its only
-definition. ``featurize`` hashes each distinct key once: bounded memos,
-one pair per (salt, dim), map keys to indices and tokens to the indices of
-their unigram and character trigram keys, so its vectors equal hashing
-every key of the input's key multiset bit for bit. ``featurize_batch`` gives
-the same vectors for many inputs: in blocks of 64 rows it tokenizes and
-keys each distinct segment once, so the K candidates of one example share
-their content's work, and one ``np.unique`` and one norm pass finish the
-block. The scorers featurize through it; training featurizes row by row.
-A ``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every
+A feature space is its ``dim`` alone, a power of two up to 2**30, and a
+key's index is its BLAKE2b-64 digest (``_digest``) modulo ``dim``
+(``hash_feature``). ``featurize`` hashes each distinct key once: one pair
+of bounded memos, shared by every ``dim``, maps keys to digests and tokens
+to their unigram and character trigram keys' digests, and one ``&= dim - 1``
+makes a row's digests indices, so its vectors equal hashing every key of
+the input's key multiset bit for bit. ``featurize_batch`` gives the same
+vectors for many inputs: in blocks of 64 rows it tokenizes and keys each
+distinct segment once, so the K candidates of one example share their
+content's work, and one ``np.unique`` and one norm pass finish the block.
+The scorers featurize through it; training featurizes row by row. A
+``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every
 entry point packs its rows through ``_pack``, which refuses a row from
-another (dim, hash_salt) space or an index outside [0, dim); training takes
-its featurizer from its rows, and a model's weight rows decide its head.
+another space or an index outside [0, dim); training takes its featurizer
+from its rows, and a model's weight rows decide its head.
 Training and ``grad_check`` share one set-up, ``_problem``, and one label gate.
 Training and ``score`` run one forward, ``_logits`` over packed rows, so a
 row scores the same alone or in a batch. Training gathers a chunk of whole
@@ -47,7 +48,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 
@@ -56,18 +57,17 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 @dataclass(frozen=True)
 class FeaturizerConfig:
-    """Hash dimension and hash salt; the feature families are fixed."""
+    """The hash dimension, a power of two from 2 to 2**30; the feature families are fixed."""
 
     dim: int = 2**18
-    hash_salt: int = 0
+    # Not a field: the benchmark tracer keys its seen-index table on it; goes with ROADMAP item 3.
+    hash_salt: ClassVar[int] = 0
 
     def __post_init__(self) -> None:
-        for name in ("dim", "hash_salt"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.dim < 2 or self.dim & (self.dim - 1):
-            raise ValueError(f"dim must be a power of two, got {self.dim}")
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
+        if not 2 <= self.dim <= 2**30 or self.dim & (self.dim - 1):
+            raise ValueError(f"dim must be a power of two from 2 to 2**30, got {self.dim}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,14 +87,19 @@ class FeatureVector:
         return int(self.indices.size)
 
 
-def hash_feature(key: str, salt: int, dim: int) -> int:
-    """BLAKE2b-64 of the feature key, salt-mixed, modulo the table size."""
-    digest = hashlib.blake2b(
-        key.encode("utf-8"),
-        digest_size=8,
-        key=(salt % 2**64).to_bytes(8, "little"),
-    ).digest()
-    return int.from_bytes(digest, "little") % dim
+def _digest(key: str) -> int:
+    """The low 30 bits of the key's BLAKE2b-64 digest, keyed with eight zero bytes.
+
+    For a power-of-two dim up to 2**30 they reduce to the full digest modulo
+    dim, and CPython holds them in one digit, which ``np.fromiter`` reads fastest.
+    """
+    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8, key=bytes(8)).digest()
+    return int.from_bytes(digest, "little") & (2**30 - 1)
+
+
+def hash_feature(key: str, dim: int) -> int:
+    """The key's index in a ``FeaturizerConfig`` space of ``dim``: its BLAKE2b-64 modulo ``dim``."""
+    return _digest(key) & (dim - 1)
 
 
 def tokenize(text: str) -> list[str]:
@@ -108,11 +113,9 @@ def _token_keys(token: str) -> list[str]:
 
 
 # Memos that make ``featurize`` hash each distinct key once. They hold only
-# values ``hash_feature`` defines, so they change no result. A memo is cleared
-# when it reaches _MEMO_ENTRIES entries, and every (salt, dim) pair is dropped
-# when one more would exceed _MEMO_TABLES.
+# ``_digest`` values, which no dim changes, so they change no result. A memo is
+# cleared when it reaches _MEMO_ENTRIES entries.
 _MEMO_ENTRIES = 2**16
-_MEMO_TABLES = 8
 
 
 class _Memo(dict):
@@ -129,42 +132,23 @@ class _Memo(dict):
         return value
 
 
-# (salt, dim) -> (key -> index, token -> the indices of its ``_token_keys``)
-_memos: dict[tuple[int, int], tuple[_Memo, _Memo]] = {}
+# (key -> digest, token -> the digests of its ``_token_keys``)
+_memos = (_Memo(_digest), _Memo(lambda token: tuple(map(_digest, _token_keys(token)))))
 
 
-def _index_memos(config: FeaturizerConfig) -> tuple[_Memo, _Memo]:
-    """The memos of ``config``'s (salt, dim): key -> index, and token -> its keys' indices."""
-    space = salt, dim = config.hash_salt, config.dim
-    memos = _memos.get(space)
-    if memos is None:
-        if len(_memos) >= _MEMO_TABLES:
-            _memos.clear()
-        memos = _memos[space] = (
-            _Memo(lambda key: hash_feature(key, salt, dim)),
-            _Memo(lambda token: tuple(hash_feature(key, salt, dim) for key in _token_keys(token))),
-        )
-    return memos
+def _row_digests(segments: str | Sequence[str], segment_cache: dict, cross_cache: dict) -> list[int]:
+    """The ``_digest`` of every key of one input's key multiset, in no particular order.
 
-
-def _row_indices(
-    segments: str | Sequence[str],
-    memos: tuple[_Memo, _Memo],
-    segment_cache: dict,
-    cross_cache: dict,
-) -> list[int]:
-    """The hashed indices of one input's key multiset, in no particular order.
-
-    ``segment_cache`` maps a segment's text to ``(tokens, indices of its
+    ``segment_cache`` maps a segment's text to ``(tokens, digests of its
     token keys and "w:tok1 tok2" bigrams)``; ``cross_cache`` maps a prompt
-    segment's text to a dict from content token to the indices of its
+    segment's text to a dict from content token to the digests of its
     "ptok⊗ctok" keys over the prompt's tokens. Both are local to one call or
     block, so inputs that share a segment tokenize and key it once.
     """
-    keys, tokens_index = memos
+    keys, tokens_index = _memos
     if isinstance(segments, str):
         segments = (segments,)
-    idx: list[int] = []
+    digests: list[int] = []
     token_lists = []
     for text in segments:
         cached = segment_cache.get(text)
@@ -174,7 +158,7 @@ def _row_indices(
             own.extend(keys[f"w:{a} {b}"] for a, b in zip(tokens, tokens[1:]))
             cached = segment_cache[text] = (tokens, own)
         token_lists.append(cached[0])
-        idx.extend(cached[1])
+        digests.extend(cached[1])
     if len(segments) > 1:
         prompt = token_lists[0]
         crosses = cross_cache.get(segments[0])
@@ -185,25 +169,21 @@ def _row_indices(
                 hit = crosses.get(c)
                 if hit is None:
                     hit = crosses[c] = tuple([keys[f"{p}⊗{c}"] for p in prompt])
-                idx.extend(hit)
-    return idx
+                digests.extend(hit)
+    return digests
 
 
 def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> FeatureVector:
     """Hash the key multiset and L2-normalize the counts; empty -> zero vector.
 
     The keys are each segment's ``_token_keys`` and "w:tok1 tok2" bigrams,
-    and every first-segment x later-segment "ptok⊗ctok" cross, each hashed
-    with ``hash_feature``; bounded memos hash each distinct key once.
+    and every first-segment x later-segment "ptok⊗ctok" cross, each at its
+    ``hash_feature`` index: the memos digest each distinct key once, and one
+    ``&= dim - 1`` reduces the row's digests to indices.
     """
-    idx = _row_indices(segments, _index_memos(config), {}, {})
-    if not idx:
-        return FeatureVector(
-            indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0, dtype=np.float64),
-            featurizer=config,
-        )
-    indices, counts = np.unique(np.array(idx, dtype=np.int64), return_counts=True)
+    idx = np.array(_row_digests(segments, {}, {}), dtype=np.int64)
+    idx &= config.dim - 1
+    indices, counts = np.unique(idx, return_counts=True)
     values = counts.astype(np.float64)
     values /= np.linalg.norm(values)
     return FeatureVector(indices=indices, values=values, featurizer=config)
@@ -219,20 +199,21 @@ def featurize_batch(
     """``[featurize(x, config) for x in inputs]``, bit for bit, a block at a time.
 
     Within a block of ``_BLOCK_ROWS`` inputs each distinct segment is
-    tokenized and keyed once, and one ``np.unique`` and one norm pass serve
-    every row. A row's vector does not depend on the other rows.
+    tokenized and keyed once, and one ``&= dim - 1``, one ``np.unique`` and
+    one norm pass serve every row. A row's vector does not depend on the
+    other rows.
     """
-    memos, dim = _index_memos(config), config.dim
+    dim = config.dim
     out: list[FeatureVector] = []
     for start in range(0, len(inputs), _BLOCK_ROWS):
         segment_cache: dict = {}
         cross_cache: dict = {}
-        rows = [_row_indices(x, memos, segment_cache, cross_cache)
-                for x in inputs[start : start + _BLOCK_ROWS]]
+        rows = [_row_digests(x, segment_cache, cross_cache) for x in inputs[start : start + _BLOCK_ROWS]]
         lengths = [len(row) for row in rows]
-        # Tag each index with its row as row * dim + index. This fits int64: any
-        # dim whose per-model lookup can be allocated keeps 64 * dim far below 2**63.
+        # Tag each index with its row as row * dim + index. This fits int64:
+        # dim <= 2**30 keeps 64 * dim far below 2**63.
         tags = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
+        tags &= dim - 1
         tags += np.repeat(np.arange(len(rows), dtype=np.int64) * dim, lengths)
         tags, counts = np.unique(tags, return_counts=True)
         row, indices = np.divmod(tags, dim)

@@ -201,6 +201,8 @@ def augment_dataset(
 
 
 def _checked_probability(value: float, context: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"probability {value!r} for {context} is not a real number")
     prob = float(value)
     if not 0.0 <= prob <= 1.0:
         raise ValueError(f"probability {prob!r} for {context} is not in [0, 1]")
@@ -306,8 +308,8 @@ def predict_from_scores(
     The keys must be exactly the (example id, candidate index) pairs: gaps,
     and rows for unknown ids or out-of-range candidate indices, raise
     :class:`ScoreCoverageError` listing every one of them. A value that is
-    not a probability in [0, 1] (NaN included) raises ValueError naming its
-    pair, and two examples that share an id raise one naming the id.
+    not a real number in [0, 1] (NaN, a bool, a string) raises ValueError
+    naming its pair, and two examples that share an id raise one naming it.
     """
     indices = range(1, len(labels) + 1)
     expected = [(ex.id, k) for ex in examples for k in indices]

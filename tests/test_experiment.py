@@ -1,6 +1,8 @@
 """Experiment grid runner, aggregation, and report emission."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import fields, replace
 from pathlib import Path
@@ -135,7 +137,7 @@ class TestConfigParsing:
          r"methods\[0\]\.train: learning_rate must be a finite number, got nan"),
         ({"train": {"learning_rate": True}}, r"methods\[0\]\.train: learning_rate must be a finite"),
         ({"train": {"l2_penalty": True}}, r"methods\[0\]\.train: l2_penalty must be a finite"),
-        ({"featurizer": {"hash_salt": 1.5}}, r"methods\[0\]\.featurizer: hash_salt must be an integer"),
+        ({"featurizer": {"hash_salt": 0}}, r"methods\[0\]\.featurizer: unknown keys \['hash_salt'\]"),
         ({"featurizer": {"dim": None}}, r"methods\[0\]\.featurizer: dim must be an integer, got None"),
         ({"master_seed": True}, "master_seed must be an integer"),
         ({"train": {"epochs": 2, "seed": 1}}, r"methods\[0\]\.train: unknown keys \['seed'\]"),
@@ -437,6 +439,21 @@ class TestResultPersistence:
         with pytest.raises(FileNotFoundError):
             load_result(tmp_path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("name", 3), ("method_ids", "majority"), ("budget_labels", [8]), ("class_labels", "ab"),
+        ("seed_indices", [True]), ("seed_indices", ["0"]), ("provenance", ["a"]),
+        ("provenance", {"version": 1}),
+    ], ids=["name-number", "method_ids-string", "budget_labels-number", "class_labels-string",
+            "seed_indices-bool", "seed_indices-string", "provenance-list", "provenance-number"])
+    def test_mistyped_header_field_is_malformed(self, tmp_path, key, value):
+        """A string is not a list of its characters, and provenance is an object of strings."""
+        path = save_result(crafted_result(), tmp_path)
+        payload = json.loads(path.read_text())
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=rf"result\.json: malformed result \(TypeError\(.*{key}"):
+            load_result(tmp_path)
+
     def test_no_timestamps_in_artifact(self, tmp_path):
         result = run_experiment(base_config())
         path = save_result(result, tmp_path)
@@ -525,6 +542,16 @@ class TestReportRendering:
         assert "| majority | failed |" in text
         assert "| finetuned_post_only | failed |" in text
         assert "## Failures" in text
+
+    def test_raw_grid_quotes_labels_that_need_it(self):
+        """A label with a comma, a quote or a line break stays one column."""
+        assert render_raw_grid(crafted_result()).splitlines()[0] == "method,budget,seed,macro_f1,f1_a,f1_b"
+        result = replace(crafted_result(), class_labels=("a,b", 'say "hi"\nthere'))
+        rows = list(csv.reader(io.StringIO(render_raw_grid(result))))
+        assert rows[0] == ["method", "budget", "seed", "macro_f1", "f1_a,b", 'f1_say "hi"\nthere']
+        assert len(rows) == 1 + len(result.scores)
+        assert {len(row) for row in rows} == {6}
+        assert [float(row[3]) for row in rows[1:]] == [s.macro_f1 for s in result.scores]
 
     def test_series_lists_every_aggregate(self):
         result = crafted_result()

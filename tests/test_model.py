@@ -7,6 +7,7 @@ import pickle
 import re
 import warnings
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -43,9 +44,9 @@ from entailshift.synth import preset_config, synth_generate
 SMALL = FeaturizerConfig(dim=2**12)
 
 
-def reference_hash(key: str, salt: int, dim: int) -> int:
+def reference_hash(key: str, dim: int) -> int:
     """Independent restatement of the documented hashing scheme."""
-    h = hashlib.blake2b(key.encode("utf-8"), digest_size=8, key=salt.to_bytes(8, "little"))
+    h = hashlib.blake2b(key.encode("utf-8"), digest_size=8, key=bytes(8))
     return int.from_bytes(h.digest(), "little") % dim
 
 
@@ -126,11 +127,11 @@ class TestFeaturize:
 
     def test_cross_feature_lands_at_documented_hash(self):
         """The prompt-token x content-token pair must hash exactly where the
-        documented scheme says: blake2b-64 of "ptok<U+2297>ctok", salt-keyed,
-        mod dim."""
-        config = FeaturizerConfig(dim=2**14, hash_salt=99)
+        documented scheme says: blake2b-64 of "ptok<U+2297>ctok", keyed with
+        eight zero bytes, mod dim."""
+        config = FeaturizerConfig(dim=2**14)
         fv = featurize(("changed to relevant news", "stocks rally"), config)
-        expected = reference_hash("relevant⊗stocks", 99, config.dim)
+        expected = reference_hash("relevant⊗stocks", config.dim)
         assert expected in fv.indices
 
     def test_cross_features_need_a_prompt_segment(self):
@@ -193,21 +194,27 @@ class TestFeaturize:
             "noise", "cancelling", "usb", "c", "headphones",
         ]
 
-    def test_salt_moves_indices(self):
-        a = featurize("same text here", FeaturizerConfig(dim=2**12, hash_salt=0))
-        b = featurize("same text here", FeaturizerConfig(dim=2**12, hash_salt=1))
-        assert not np.array_equal(a.indices, b.indices)
-
     def test_dim_must_be_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             FeaturizerConfig(dim=1000)
+
+    def test_largest_dim_accepted(self):
+        """A 30-bit digest is the full digest mod dim up to 2**30 (2**31 is refused below)."""
+        assert FeaturizerConfig(dim=2**30).dim == 2**30
+
+    def test_dim_is_the_only_field(self):
+        """The salt is a class constant 0, not a setting."""
+        assert FeaturizerConfig.hash_salt == 0
+        assert [f.name for f in fields(FeaturizerConfig)] == ["dim"]
+        with pytest.raises(TypeError, match="hash_salt"):
+            FeaturizerConfig(hash_salt=1)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"dim": 4.0}, "dim must be an integer, got 4.0"),
         ({"dim": "8"}, "dim must be an integer, got '8'"),
         ({"dim": None}, "dim must be an integer, got None"),
-        ({"hash_salt": 1.5}, "hash_salt must be an integer, got 1.5"),
-        ({"hash_salt": True}, "hash_salt must be an integer, got True"),
+        ({"dim": 2**31}, r"dim must be a power of two from 2 to 2\*\*30, got 2147483648"),
+        ({"dim": 1}, r"dim must be a power of two from 2 to 2\*\*30, got 1"),
         ({"dim": True}, "dim must be an integer, got True"),
     ])
     def test_misreadable_values_rejected(self, kwargs, message):
@@ -230,7 +237,7 @@ def reference_featurize(segments, config: FeaturizerConfig) -> FeatureVector:
 
 def keys_vector(keys: list[str], config: FeaturizerConfig) -> FeatureVector:
     """The L2-normalized counts of the keys, each hashed with hash_feature."""
-    counts = Counter(hash_feature(key, config.hash_salt, config.dim) for key in keys)
+    counts = Counter(hash_feature(key, config.dim) for key in keys)
     indices = np.array(sorted(counts), dtype=np.int64)
     values = np.array([float(counts[i]) for i in indices], dtype=np.float64)
     if counts:
@@ -246,18 +253,15 @@ def assert_bitwise_equal(a: FeatureVector, b: FeatureVector) -> None:
 
 
 def clear_memos() -> None:
-    model_module._memos.clear()
+    for memo in model_module._memos:
+        memo.clear()
 
 
 _WORDS = ["stocks", "rally", "usb", "hub", "café", "naïve", "Ünïcödé", "[SEP]", " [SEP] ",
           "a", "a", "mixer-bowl", "x9", "", "  ", "!", "changed to exact match"]
 _texts = st.lists(st.sampled_from(_WORDS), max_size=12).map(" ".join) | st.text(max_size=30)
 _segments = _texts | st.lists(_texts, min_size=1, max_size=3).map(tuple)
-_configs = st.builds(
-    FeaturizerConfig,
-    dim=st.sampled_from([2, 2**4, 2**12, 2**18]),
-    hash_salt=st.integers(0, 2**70),
-)
+_configs = st.builds(FeaturizerConfig, dim=st.integers(1, 30).map(lambda bits: 2**bits))
 
 
 class TestFeaturizeMemo:
@@ -275,23 +279,27 @@ class TestFeaturizeMemo:
 
     def test_memos_stay_bounded_past_their_limit(self):
         clear_memos()
-        config = FeaturizerConfig(dim=2**18, hash_salt=5)
+        config = FeaturizerConfig(dim=2**18)
         text = " ".join(f"t{i}" for i in range(model_module._MEMO_ENTRIES + 100))
         assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
         assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
         small = ("changed to exact match", "t1 t2 t3")
         assert_bitwise_equal(featurize(small, config), reference_featurize(small, config))
-        memos = model_module._memos
-        assert memos and all(len(m) <= model_module._MEMO_ENTRIES
-                             for pair in memos.values() for m in pair)
+        assert all(0 < len(m) <= model_module._MEMO_ENTRIES for m in model_module._memos)
 
     def test_memo_count_stays_bounded(self):
+        """One memo pair serves every dim: featurizing in three spaces in turn
+        keeps the same two memos, each within its bound."""
         clear_memos()
-        for salt in range(3 * model_module._MEMO_TABLES):
-            config = FeaturizerConfig(dim=2**12, hash_salt=salt)
-            text = ("remained relevant news", "stocks rally")
+        key_memo, token_memo = model_module._memos
+        text = ("remained relevant news", "stocks rally mixer bowl")
+        for dim in (2**4, 2**12, 2**18):
+            config = FeaturizerConfig(dim=dim)
             assert_bitwise_equal(featurize(text, config), reference_featurize(text, config))
-        assert len(model_module._memos) <= model_module._MEMO_TABLES
+            assert_bitwise_equal(featurize_batch([text, "stocks"], config)[0],
+                                 reference_featurize(text, config))
+            assert model_module._memos[0] is key_memo and model_module._memos[1] is token_memo
+            assert all(0 < len(m) <= model_module._MEMO_ENTRIES for m in model_module._memos)
 
     def test_mutating_a_result_does_not_change_later_results(self):
         text = ("changed to exact match", "red mixer bowl mixer")
@@ -464,7 +472,7 @@ class TestScoreBatch:
 
     def test_dimension_mismatch_rejected(self):
         binary, _ = self.models()
-        with pytest.raises(ValueError, match=r"made by FeaturizerConfig\(dim=8192, hash_salt=0\), "
+        with pytest.raises(ValueError, match=r"made by FeaturizerConfig\(dim=8192\), "
                                               r"not FeaturizerConfig\(dim=4096"):
             score(binary, [featurize("x", FeaturizerConfig(dim=2**13))])
 
@@ -880,12 +888,11 @@ class TestTrainJoint:
 
 class TestFeatureSpaceGate:
     """Every entry point packs its rows through ``_pack``, which refuses a row
-    made in another (dim, hash_salt) space and an index outside [0, dim).
+    made in another space, one of another dim, and an index outside [0, dim).
     Training takes its space from its first row, scoring and checking from
     the model."""
 
-    OTHERS = {"salt": FeaturizerConfig(dim=SMALL.dim, hash_salt=1),
-              "dim": FeaturizerConfig(dim=2**13)}
+    OTHERS = {"dim": FeaturizerConfig(dim=2**13)}
 
     @staticmethod
     def call(entry: str, features: list[FeatureVector]):
@@ -899,7 +906,7 @@ class TestFeatureSpaceGate:
         return grad_check(fresh_model(1), features, [labels])
 
     @pytest.mark.parametrize("entry", ["train", "train_joint", "score", "grad_check"])
-    @pytest.mark.parametrize("other", ["salt", "dim"])
+    @pytest.mark.parametrize("other", ["dim"])
     def test_row_from_another_space_refused(self, entry, other):
         other = self.OTHERS[other]
         rows = [featurize("stocks rally", SMALL), featurize("stocks rally", other)]
@@ -908,7 +915,7 @@ class TestFeatureSpaceGate:
             self.call(entry, rows)
         assert str(caught.value) == f"feature row 1 was made by {other}, not {SMALL}"
 
-    @pytest.mark.parametrize("other", ["salt", "dim"])
+    @pytest.mark.parametrize("other", ["dim"])
     def test_training_records_its_rows_featurizer(self, other):
         other = self.OTHERS[other]
         model = train([featurize("stocks rally", other), featurize("", other)], [1, 0],
@@ -916,7 +923,7 @@ class TestFeatureSpaceGate:
         assert model.featurizer == other
         assert score(model, [featurize("stocks rally", other)]).shape == (1,)
 
-    @pytest.mark.parametrize("other", ["salt", "dim"])
+    @pytest.mark.parametrize("other", ["dim"])
     def test_training_rows_from_two_spaces_refused(self, other):
         """The first row decides the space, so either order is refused."""
         other = self.OTHERS[other]
@@ -1242,8 +1249,8 @@ class TestCrossFeatureDegeneracy:
     def test_crosses_recover_content_dependence(self):
         model = Model(columns=np.arange(2**12), weights=np.zeros((1, 2**12)),
                       bias=np.zeros(1), featurizer=FeaturizerConfig(dim=2**12))
-        key_a = hash_feature("exact⊗widget", 0, 2**12)
-        key_b = hash_feature("substitute⊗gadget", 0, 2**12)
+        key_a = hash_feature("exact⊗widget", 2**12)
+        key_b = hash_feature("substitute⊗gadget", 2**12)
         model.weights[:, key_a] = 10.0
         model.weights[:, key_b] = 10.0
         a = score(model, [featurize(("changed to exact match", "widget thing"), model.featurizer)])[0]

@@ -418,14 +418,21 @@ class TestFileBridge:
         with pytest.raises(ValueError, match="duplicate example id 'dup'"):
             predict_from_scores(scores, examples, labels)
 
-    @pytest.mark.parametrize("bad", [float("nan"), 7.0, -0.1])
+    @pytest.mark.parametrize("bad", [float("nan"), 7.0, -0.1, "0.2", True, None])
     def test_mapping_values_must_be_probabilities(self, bad):
         """A NaN can never win an argmax and an out-of-range value always
-        does, so mapping values are checked like scores read from a file."""
+        does, so mapping values are checked like scores read from a file;
+        a string, a bool or None is no probability even where float() reads it."""
         labels = LabelSet(("a", "b"))
         examples = [Example(id="x", text_a="t", pre_label="a", post_label="a")]
         with pytest.raises(ValueError, match=r"\('x', k=1\)"):
             predict_from_scores({("x", 1): bad, ("x", 2): 0.1}, examples, labels)
+
+    def test_numpy_floats_are_probabilities(self):
+        labels = LabelSet(("a", "b"))
+        examples = [Example(id="x", text_a="t", pre_label="a", post_label="a")]
+        scores = {("x", 1): np.float32(0.25), ("x", 2): np.float64(0.75)}
+        assert predict_from_scores(scores, examples, labels) == {"x": "b"}
 
     @pytest.mark.parametrize("two_segment", [False, True])
     def test_separator_in_user_text_round_trips(self, tmp_path, two_segment):
