@@ -25,7 +25,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -87,7 +87,7 @@ def _section_config(cls: Callable[..., Any], keys: Sequence[str], template: Mapp
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description plus the raw dict it came from."""
+    """A parsed experiment file: values that share no object with its dict, and that dict's hash."""
 
     name: str
     data: Mapping[str, Any]
@@ -96,7 +96,7 @@ class ExperimentConfig:
     seed_indices: tuple[int, ...]
     master_seed: int
     output_dir: str
-    raw: Mapping[str, Any] = field(repr=False)
+    config_sha256: str
 
     @property
     def method_ids(self) -> tuple[str, ...]:
@@ -104,7 +104,7 @@ class ExperimentConfig:
 
     @property
     def budget_labels(self) -> tuple[str, ...]:
-        return tuple(budget_label(b) for b in self.budgets)
+        return tuple(str(b) for b in self.budgets)
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ExperimentConfig":
@@ -134,7 +134,7 @@ class ExperimentConfig:
                 budgets.append(b)
             else:
                 raise ConfigError(f"invalid budget {b!r}: use a positive int or 'full'")
-        labels = [budget_label(b) for b in budgets]
+        labels = [str(b) for b in budgets]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"duplicate budgets in {labels}")
 
@@ -195,7 +195,7 @@ class ExperimentConfig:
             seed_indices=seed_indices,
             master_seed=master_seed,
             output_dir=output_dir,
-            raw=dict(raw),
+            config_sha256=config_hash(raw),
         )
 
     @classmethod
@@ -206,10 +206,6 @@ class ExperimentConfig:
             return cls.from_dict(raw)
         except ConfigError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
-
-
-def budget_label(budget: int | str) -> str:
-    return budget if budget == "full" else str(budget)
 
 
 def config_hash(raw: Mapping[str, Any]) -> str:
@@ -241,7 +237,7 @@ def _synth_config(synth: Any) -> SynthConfig:
 
 
 def _check_data(data: Any) -> dict[str, Any]:
-    """The ``data`` section with its defaults filled in; a bad one is rejected before any cell runs."""
+    """The ``data`` section parsed (``synth`` a SynthConfig, ``files`` a new dict), defaults filled in."""
     if not isinstance(data, Mapping):
         raise ConfigError("data section is required and must be an object")
     _check_keys(data, ("synth", "files", "shift", "test_fraction", "rebalance_test"), "data")
@@ -249,18 +245,21 @@ def _check_data(data: Any) -> dict[str, Any]:
     if ("synth" in data) == ("files" in data):
         raise ConfigError("data must name exactly one source: synth or files")
     if "synth" in data:
-        _synth_config(data["synth"])
+        data["synth"] = _synth_config(data["synth"])
     else:
         files = data["files"]
         if not isinstance(files, Mapping) or "train" not in files or "test" not in files:
             raise ConfigError("data.files must name 'train' and 'test' paths")
         _check_keys(files, ("train", "test", "format"), "data.files")
-        if not isinstance(files["train"], str) or not isinstance(files["test"], str):
-            raise ConfigError("data.files: 'train' and 'test' must be path strings")
+        for key in ("train", "test"):
+            if not isinstance(files[key], str) or not files[key]:
+                raise ConfigError(f"data.files: 'train' and 'test' must be non-empty path strings; "
+                                  f"{key} is {files[key]!r}")
         if files.get("format") not in (None, "jsonl", "csv"):
             raise ConfigError(f"data.files.format must be 'jsonl' or 'csv', got {files['format']!r}")
-    if not isinstance(data.get("shift", ""), str):
-        raise ConfigError(f"data.shift must be a path string, got {data['shift']!r}")
+        data["files"] = dict(files)
+    if "shift" in data and (not isinstance(data["shift"], str) or not data["shift"]):
+        raise ConfigError(f"data.shift must be a path string naming a file, got {data['shift']!r}")
     fraction = data["test_fraction"]
     if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 < fraction < 1:
         raise ConfigError(f"data.test_fraction must be a number in (0, 1), got {fraction!r}")
@@ -282,11 +281,10 @@ class PreparedData:
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """The datasets of a config whose ``data`` section ``from_dict`` has checked and completed."""
+    """The datasets of a config whose ``data`` section ``from_dict`` has parsed and completed."""
     data = config.data
     if "synth" in data:
-        dataset = synth_generate(
-            _synth_config(data["synth"]), seed=derive_seed(config.master_seed, "synth"))
+        dataset = synth_generate(data["synth"], seed=derive_seed(config.master_seed, "synth"))
         train_ds, test_ds = split(dataset, test_fraction=data["test_fraction"],
                                   seed=derive_seed(config.master_seed, "split"))
     else:
@@ -398,7 +396,7 @@ def _run_cell(task: CellTask, pre_shift: Model | Exception | None = None) -> Run
     A ``PRE_SHIFT_KINDS`` cell handed no model fits its seed's own.
     """
     spec, master_seed, budget, seed_index, data = task
-    label = budget_label(budget)
+    label = str(budget)
     try:
         if isinstance(pre_shift, Exception):
             raise pre_shift
@@ -484,7 +482,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
         scores=tuple(o for o in outcomes if isinstance(o, RunScore)),
         failures=tuple(o for o in outcomes if isinstance(o, CellFailure)),
         provenance={
-            "config_sha256": config_hash(config.raw),
+            "config_sha256": config.config_sha256,
             "version": __version__,
         },
     )
@@ -520,20 +518,36 @@ def _typed_items(payload: dict, key: str, container: type, kind: type) -> list |
     return items
 
 
+def _check_rows(result: ExperimentResult) -> None:
+    """Each score and failure row is its own cell of the grid, and a score has one F1 per class label."""
+    cells = {(m, b, s) for m in result.method_ids for b in result.budget_labels for s in result.seed_indices}
+    seen = set()
+    for row in (*result.scores, *result.failures):
+        cell = (row.method, row.budget, row.seed)
+        if tuple(map(type, cell)) != (str, str, int) or cell not in cells:
+            raise ValueError(f"{row!r} is not a cell of the grid")
+        if cell in seen:
+            raise ValueError(f"{row!r} repeats a cell of an earlier row")
+        seen.add(cell)
+        if isinstance(row, RunScore) and len(row.per_class_f1) != len(result.class_labels):
+            raise ValueError(f"{row!r} does not hold one F1 per class label {result.class_labels}")
+
+
 def load_result(output_dir: str | Path) -> ExperimentResult:
     """The result saved in ``output_dir``; a malformed file is a ValueError naming it.
 
     Only the grid is read back: aggregates and significance are recomputed
     from the scores, never taken from the file. The labels, ids and
     provenance values are strings and the seed indices integers; a score or
-    failure row holds exactly its dataclass's fields.
+    failure row holds exactly its dataclass's fields, and is the one row of a
+    (method, budget, seed) cell of the grid.
     """
     path = Path(output_dir) / RESULT_FILENAME
     if not path.exists():
         raise FileNotFoundError(f"{path} not found; run the experiment first")
     payload = read_json(path, ValueError)
     try:
-        return ExperimentResult(
+        result = ExperimentResult(
             name=typed_field(payload, "name", str),
             **{k: tuple(_typed_items(payload, k, list, int if k == "seed_indices" else str))
                for k in ("method_ids", "budget_labels", "seed_indices", "class_labels")},
@@ -541,6 +555,8 @@ def load_result(output_dir: str | Path) -> ExperimentResult:
             failures=tuple(CellFailure(**row) for row in payload["failures"]),
             provenance=_typed_items(payload, "provenance", dict, str),
         )
+        _check_rows(result)
+        return result
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed result ({exc!r})") from exc
 

@@ -4,6 +4,10 @@ A JSON file holds one object; a JSON Lines file one object per line, where
 lines break at ``\\n``, ``\\r`` or ``\\r\\n`` only (not at U+2028) and blank
 lines are skipped. Readers raise the caller's error class naming the file,
 and for JSON Lines the line: ``"<path>: line N: ..."``.
+
+One file is written elsewhere: ``experiment.save_result`` writes
+``result.json`` itself, with sorted keys. ``write_json`` keeps its payload's
+key order, since a catalog's ``label_surface`` order is its candidate order.
 """
 from __future__ import annotations
 

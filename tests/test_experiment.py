@@ -1,9 +1,11 @@
 """Experiment grid runner, aggregation, and report emission."""
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -33,7 +35,7 @@ from entailshift.seeding import derive_seed
 from entailshift.stats import RunScore, aggregate, mann_whitney_u
 
 
-def base_config(**overrides) -> ExperimentConfig:
+def base_raw(**overrides) -> dict:
     raw = {
         "name": "tiny",
         "master_seed": 7,
@@ -49,7 +51,11 @@ def base_config(**overrides) -> ExperimentConfig:
         "output_dir": "unused",
     }
     raw.update(overrides)
-    return ExperimentConfig.from_dict(raw)
+    return raw
+
+
+def base_config(**overrides) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(base_raw(**overrides))
 
 
 class TestConfigParsing:
@@ -144,6 +150,10 @@ class TestConfigParsing:
         ({"methods": [{"kind": "majority"}, {"kind": "finetuned", "train": {"seed": 1}}]},
          r"methods\[1\]\.train: unknown keys \['seed'\]"),
         ({"featurizer": {"dim": True}}, r"methods\[0\]\.featurizer: dim must be an integer, got True"),
+        ({"data": {"synth": {"preset": "retail_shift"}, "shift": ""}},
+         r"data\.shift must be a path string naming a file, got ''"),
+        ({"data": {"files": {"train": "", "test": "t.jsonl"}}}, r"data\.files: .*path strings; train is ''"),
+        ({"data": {"files": {"train": "a.jsonl", "test": ""}}}, r"data\.files: .*path strings; test is ''"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
@@ -187,6 +197,29 @@ class TestConfigParsing:
                              ids=lambda path: path.name)
     def test_committed_config_parses(self, path):
         ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize("source", ["synth", "files"])
+    def test_parsed_config_is_a_snapshot_of_its_dict(self, source):
+        """Editing the dict after parsing changes neither the config, nor its hash, nor its data."""
+        raw = base_raw(methods=[{"kind": "majority"}, {"kind": "finetuned", "train": {"epochs": 3}}],
+                       seeds=[0, 1])
+        if source == "files":
+            raw["data"] = {"files": {"train": "train.jsonl", "test": "test.jsonl"}}
+        original = copy.deepcopy(raw)
+        config = ExperimentConfig.from_dict(raw)
+        if source == "synth":
+            raw["data"]["synth"]["overrides"]["n_per_topic"] = 40
+        else:
+            raw["data"]["files"]["train"] = "other.jsonl"
+        raw["train"]["epochs"] = 5
+        raw["methods"][1]["train"]["epochs"] = 9
+        raw["budgets"].append(16)
+        raw["seeds"].append(2)
+        untouched = ExperimentConfig.from_dict(original)
+        assert config == untouched
+        assert config.config_sha256 == config_hash(original)
+        if source == "synth":
+            assert prepare_data(config) == prepare_data(untouched)
 
     def test_hash_ignores_key_order(self):
         a = {"alpha": 1, "beta": {"x": [1, 2]}}
@@ -417,6 +450,14 @@ class TestGridExecution:
                 assert p == expected.p_two_sided
 
 
+# A two-seed grid with seed 0 scored; the malformed cases each add one row.
+GRID_SCORE = {"method": "majority", "budget": "4", "seed": 0, "macro_f1": 0.5, "per_class_f1": [0.5, 0.5]}
+GRID_PAYLOAD = {
+    "name": "x", "method_ids": ["majority"], "budget_labels": ["4"], "seed_indices": [0, 1],
+    "class_labels": ["a", "b"], "scores": [], "failures": [], "provenance": {},
+}
+
+
 class TestResultPersistence:
     def test_round_trip(self, tmp_path):
         result = run_experiment(base_config())
@@ -452,6 +493,27 @@ class TestResultPersistence:
         payload[key] = value
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError, match=rf"result\.json: malformed result \(TypeError\(.*{key}"):
+            load_result(tmp_path)
+
+    @pytest.mark.parametrize("key, row, message", [
+        ("scores", {**GRID_SCORE, "method": "ghost"}, "is not a cell of the grid"),
+        ("scores", {**GRID_SCORE, "seed": 7}, "is not a cell of the grid"),
+        ("scores", {**GRID_SCORE, "seed": "zero"}, "is not a cell of the grid"),
+        ("scores", {**GRID_SCORE, "seed": 1, "per_class_f1": [0.5]}, r"does not hold one F1 per class label \('a', 'b'\)"),
+        ("scores", GRID_SCORE, "repeats a cell of an earlier row"),
+        ("failures", {"method": "majority", "budget": "4", "seed": 0, "error": "RuntimeError: x"},
+         "repeats a cell of an earlier row"),
+    ], ids=["unknown-method", "unknown-seed", "string-seed", "short-per-class", "repeated-score",
+            "failure-of-a-scored-cell"])
+    def test_row_that_is_not_its_own_grid_cell_is_malformed(self, tmp_path, key, row, message):
+        """Every score or failure row is the one row of a (method, budget, seed) cell of the file's grid."""
+        payload = {**GRID_PAYLOAD, "scores": [GRID_SCORE]}
+        (tmp_path / "result.json").write_text(json.dumps(payload))
+        assert len(load_result(tmp_path).scores) == 1
+        payload[key] = [*payload[key], row]
+        (tmp_path / "result.json").write_text(json.dumps(payload))
+        named = re.escape(f"(method={row['method']!r}, budget='4', seed={row['seed']!r}")
+        with pytest.raises(ValueError, match=rf"result\.json: malformed result \(ValueError\(.*{named}.*{message}"):
             load_result(tmp_path)
 
     def test_no_timestamps_in_artifact(self, tmp_path):

@@ -277,7 +277,9 @@ class TestFeaturizeMemo:
         assert_bitwise_equal(featurize(segments, config), expected)
         assert_bitwise_equal(featurize(segments, config), expected)
 
-    def test_memos_stay_bounded_past_their_limit(self):
+    def test_memos_stay_bounded_past_their_limit(self, monkeypatch):
+        """A small bound drives the clearing path the real one does, with fewer tokens."""
+        monkeypatch.setattr(model_module, "_MEMO_ENTRIES", 64)
         clear_memos()
         config = FeaturizerConfig(dim=2**18)
         text = " ".join(f"t{i}" for i in range(model_module._MEMO_ENTRIES + 100))
