@@ -24,9 +24,11 @@ distinct segment once, so the K candidates of one example share their
 content's work, and one ``np.unique`` and one norm pass finish the block.
 The scorers featurize through it; training featurizes row by row. A
 ``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every
-entry point packs its rows through ``_pack``, which refuses a row from
-another space or an index outside [0, dim); training takes its featurizer
-from its rows, and a model's weight rows decide its head.
+entry point takes any iterable of rows and packs it through ``_pack``, which
+reads the rows once, a block at a time, so a fit holds them only packed; it
+refuses a row from another space or an index outside [0, dim). Training
+takes its featurizer from its first row, and a model's weight rows decide
+its head.
 Training and ``grad_check`` share one set-up, ``_problem``, and one label gate.
 Training and ``score`` run one forward, ``_logits`` over packed rows, so a
 row scores the same alone or in a batch. Training gathers a chunk of whole
@@ -46,9 +48,9 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
-from typing import ClassVar, Iterator, Sequence
+from functools import cached_property, partial
+from itertools import chain, islice
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,19 +74,29 @@ class FeaturizerConfig:
 
 @dataclass(frozen=True, eq=False)
 class FeatureVector:
-    """Sparse unit-norm vector in ``featurizer``'s hash space: sorted unique indices with their values."""
+    """Sparse unit-norm vector in ``featurizer``'s hash space: sorted unique 1-D integer indices
+    with their 1-D real values."""
 
     indices: np.ndarray
     values: np.ndarray
     featurizer: FeaturizerConfig
 
     def __post_init__(self) -> None:
-        if self.indices.shape != self.values.shape:
+        indices, values = self.indices, self.values
+        if not (isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu"):
+            raise ValueError(f"indices must be a 1-D integer array, got {_described(indices)}")
+        if not (isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf"):
+            raise ValueError(f"values must be a 1-D real array, got {_described(values)}")
+        if indices.shape != values.shape:
             raise ValueError("indices and values must be parallel arrays")
 
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
+
+
+def _described(array) -> str:
+    return f"{array.dtype} of shape {array.shape}" if isinstance(array, np.ndarray) else type(array).__name__
 
 
 def _digest(key: str) -> int:
@@ -234,41 +246,78 @@ def featurize_batch(
 
 @dataclass(frozen=True)
 class _Packed:
-    """CSR-style concatenation of sparse rows."""
+    """CSR-style concatenation of sparse rows made by ``featurizer`` (None: no rows, no featurizer)."""
 
     indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
+    featurizer: FeaturizerConfig | None
 
     @property
     def n_rows(self) -> int:
         return int(self.indptr.size - 1)
 
 
-def _pack(features: Sequence[FeatureVector], featurizer: FeaturizerConfig) -> _Packed:
-    """Pack the rows, each made by ``featurizer`` with indices in [0, dim); zero rows pack too."""
-    for i, fv in enumerate(features):
-        # Rows of one batch share their config object, so identity settles most rows.
-        if fv.featurizer is not featurizer and fv.featurizer != featurizer:
-            raise ValueError(f"feature row {i} was made by {fv.featurizer}, not {featurizer}")
-    lengths = np.array([fv.nnz for fv in features], dtype=np.int64)
-    indptr = np.zeros(len(features) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    indices = np.concatenate([np.empty(0, dtype=np.int64), *(fv.indices for fv in features)],
-                             dtype=np.int64)
-    values = np.concatenate([np.empty(0, dtype=np.float64), *(fv.values for fv in features)])
-    # A negative index reads as a huge unsigned one, so one max checks both ends.
-    if indices.size and indices.view(np.uint64).max() >= featurizer.dim:
-        bad = indices[(indices < 0) | (indices >= featurizer.dim)][0]
-        raise ValueError(f"feature index {int(bad)} outside [0, {featurizer.dim})")
-    return _Packed(indptr=indptr, indices=indices, values=values)
-
-
-# Rows per chunk of training batches (rounded down to whole batches, at least
-# one) and per block of a full pass, so no temporary grows with the data. On a
-# 2-core host, 128 rows ran a 1,200-example news_shift grid about 5% slower,
-# and its serial retail_shift grid peaked about 0.4 MB lower in resident memory.
+# Rows per block of ``_pack`` and of an index remap, and per chunk of training
+# batches (rounded down to whole batches, at least one) and block of a full
+# pass, so no temporary grows with the data. On a 2-core host, 128 rows ran a
+# 1,200-example news_shift grid about 5% slower, and its serial retail_shift
+# grid peaked about 0.4 MB lower in resident memory.
 _CHUNK_ROWS = 256
+
+
+def _pack(features: Iterable[FeatureVector], featurizer: FeaturizerConfig | None) -> _Packed:
+    """Pack the rows, each made by ``featurizer`` (None: the first row's) with indices in [0, dim).
+
+    The rows are read once, ``_CHUNK_ROWS`` at a time: each block is checked,
+    concatenated onto the end of the growing packed arrays and dropped, so
+    those arrays are the only full copy of the rows. Zero rows pack too.
+    """
+    rows = iter(features)
+    lengths: list[int] = []
+    indices = np.empty(0, dtype=np.int64)
+    values = np.empty(0, dtype=np.float64)
+    stop = 0
+    while block := list(islice(rows, _CHUNK_ROWS)):
+        featurizer = featurizer or block[0].featurizer
+        for i, fv in enumerate(block, len(lengths)):
+            # Rows of one batch share their config object, so identity settles most rows.
+            if fv.featurizer is not featurizer and fv.featurizer != featurizer:
+                raise ValueError(f"feature row {i} was made by {fv.featurizer}, not {featurizer}")
+        parts = [fv.indices for fv in block]
+        lengths += map(len, parts)
+        block_indices = np.concatenate(parts, dtype=np.int64)
+        # A negative index reads as a huge unsigned one, so one max checks both ends.
+        if block_indices.size and block_indices.view(np.uint64).max() >= featurizer.dim:
+            bad = block_indices[(block_indices < 0) | (block_indices >= featurizer.dim)][0]
+            raise ValueError(f"feature index {int(bad)} outside [0, {featurizer.dim})")
+        block_values = np.concatenate([fv.values for fv in block], dtype=np.float64)
+        start, stop = stop, stop + block_indices.size
+        if not start:
+            indices, values = block_indices, block_values
+            continue
+        if stop > indices.size:
+            # A full block may have a successor, so keep an eighth spare: growing
+            # then copies each entry about nine times at most, not once per block.
+            spare = stop // 8 if len(block) == _CHUNK_ROWS else 0
+            for array in (indices, values):
+                array.resize(stop + spare, refcheck=False)  # realloc; no view of it exists
+        indices[start:stop] = block_indices
+        values[start:stop] = block_values
+    if indices.size > stop:
+        for array in (indices, values):
+            array.resize(stop, refcheck=False)
+    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(np.array(lengths, dtype=np.int64), out=indptr[1:])
+    return _Packed(indptr=indptr, indices=indices, values=values, featurizer=featurizer)
+
+
+def _remap(packed: _Packed, lookup) -> None:
+    """Replace the packed indices by ``lookup(indices)`` in place, a block of rows at a time."""
+    indptr, indices = packed.indptr, packed.indices
+    for start in range(0, packed.n_rows, _CHUNK_ROWS):
+        block = indices[indptr[start] : indptr[min(start + _CHUNK_ROWS, packed.n_rows)]]
+        block[:] = lookup(block)
 
 
 def _gather(
@@ -542,7 +591,7 @@ def _init_params(
     return active, weights, warm_start.bias.astype(np.float64)
 
 
-def _problem(features: Sequence[FeatureVector], featurizer: FeaturizerConfig | None,
+def _problem(features: Iterable[FeatureVector], featurizer: FeaturizerConfig | None,
              columns: dict[str, Sequence[int]], rows: int, start: Model | None):
     """The set-up training runs on and ``grad_check`` checks, for a head of ``rows`` weight rows.
 
@@ -550,18 +599,17 @@ def _problem(features: Sequence[FeatureVector], featurizer: FeaturizerConfig | N
     with indices mapped onto ``_init_params``'s active columns, the
     ``_label_columns``, the active columns, and its own starting weights and bias.
     """
-    if not features:
-        raise ValueError("no samples")
-    featurizer = featurizer or features[0].featurizer
     packed = _pack(features, featurizer)
+    if not packed.n_rows:
+        raise ValueError("no samples")
     targets = _label_columns(columns, packed.n_rows, rows)
-    active, weights, bias = _init_params(featurizer, rows, start, packed.indices)
-    packed.indices[:] = np.searchsorted(active, packed.indices)  # this call's own copy
+    active, weights, bias = _init_params(packed.featurizer, rows, start, packed.indices)
+    _remap(packed, partial(np.searchsorted, active))
     return packed, targets, active, weights, bias
 
 
 def _fit(
-    features: Sequence[FeatureVector],
+    features: Iterable[FeatureVector],
     columns: dict[str, Sequence[int]],
     config: TrainConfig,
     n_classes: int | None,
@@ -597,11 +645,11 @@ def _fit(
                 _scatter(weights, gathered, g, -config.learning_rate)
                 bias -= config.learning_rate * g.sum(axis=0)
         log.append(_data_loss(_full_logits(weights, bias, packed), targets))
-    return Model(active, weights, bias, features[0].featurizer, train_log=tuple(log))
+    return Model(active, weights, bias, packed.featurizer, train_log=tuple(log))
 
 
 def train(
-    features: Sequence[FeatureVector],
+    features: Iterable[FeatureVector],
     labels: Sequence[int],
     config: TrainConfig,
     n_classes: int | None = None,
@@ -611,7 +659,8 @@ def train(
     ``n_classes`` None trains the logistic head on 0/1 labels; an integer
     >= 2 trains a softmax over that many classes. ``labels`` holds one
     integer per row inside that arity, or a ValueError names the column.
-    The model records the featurizer that made ``features``, and every row
+    ``features`` is any iterable of rows, read once as they are packed. The
+    model records the featurizer that made the first row, and every row
     must share it. Every head trains through one kernel: ``_logits``
     forward, ``_dlogits`` for dL/dz and ``_scatter`` into the weights;
     ``_loss_and_grad`` (and so ``grad_check``) runs the same three. The L2
@@ -629,7 +678,7 @@ def train(
 
 
 def train_joint(
-    features: Sequence[FeatureVector],
+    features: Iterable[FeatureVector],
     pre_labels: Sequence[int],
     post_labels: Sequence[int],
     config: TrainConfig,
@@ -652,7 +701,7 @@ def train_joint(
 # ---------------------------------------------------------------------------
 
 
-def score(model: Model, features: Sequence[FeatureVector]) -> np.ndarray:
+def score(model: Model, features: Iterable[FeatureVector]) -> np.ndarray:
     """Probabilities of the rows: (n,) for the binary head, (n, K) rows summing to 1 otherwise.
 
     The rows are packed, their feature indices mapped to weight columns
@@ -663,7 +712,7 @@ def score(model: Model, features: Sequence[FeatureVector]) -> np.ndarray:
     probability does not depend on the other rows of the call.
     """
     packed = _pack(features, model.featurizer)
-    packed.indices[:] = model._slots[packed.indices]
+    _remap(packed, model._slots.__getitem__)
     weights = np.zeros((model.weights.shape[0], model.columns.size + 1))
     weights[:, :-1] = model.weights
     z = _full_logits(weights, model.bias, packed)
@@ -702,7 +751,7 @@ def _loss_and_grad(weights: np.ndarray, bias: np.ndarray, packed: _Packed,
 
 def grad_check(
     model: Model,
-    features: Sequence[FeatureVector],
+    features: Iterable[FeatureVector],
     labels: Sequence[Sequence[int]],
     epsilon: float = 1e-5,
     n_coords: int = 20,

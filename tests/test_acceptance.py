@@ -290,7 +290,9 @@ class TestAcceptance:
             "seeds": 5,
             "output_dir": "unused",
         })
-        result = run_experiment(config)
+        # Grid outputs do not depend on the worker count; two workers halve
+        # this test's time and put a full-budget grid through the pool.
+        result = run_experiment(config, workers=2)
         assert not result.failures, result.failures
         gaps = []
         for label in result.budget_labels:

@@ -26,6 +26,7 @@ from entailshift.model import (
     _init_params,
     _label_columns,
     _loss_and_grad,
+    _pack,
     _problem,
     featurize,
     featurize_batch,
@@ -228,6 +229,41 @@ class TestFeaturize:
         assert np.all(fv.indices >= 0) and np.all(fv.indices < SMALL.dim)
         norm = np.linalg.norm(fv.values)
         assert fv.nnz == 0 or abs(norm - 1.0) < 1e-9
+
+
+class TestFeatureVectorArrays:
+    """A row's indices are a 1-D integer array and its values a 1-D real one.
+    Other arrays once passed and failed later inside packing with unrelated
+    numpy messages, or could have been flattened or truncated."""
+
+    BAD = {
+        "2-D indices": (np.array([[1, 2], [3, 4]]), np.ones((2, 2)), "indices", "int64 of shape (2, 2)"),
+        "float indices": (np.array([1.5, 2.0]), np.ones(2), "indices", "float64 of shape (2,)"),
+        "bool indices": (np.array([True, False]), np.ones(2), "indices", "bool of shape (2,)"),
+        "0-D indices": (np.array(3), np.array(1.0), "indices", "int64 of shape ()"),
+        "list indices": ([1, 2], np.ones(2), "indices", "list"),
+        "2-D values": (np.array([1, 2]), np.ones((2, 1)), "values", "float64 of shape (2, 1)"),
+        "complex values": (np.array([1, 2]), np.array([1 + 0j, 1j]), "values", "complex128 of shape (2,)"),
+        "string values": (np.array([1, 2]), np.array(["a", "b"]), "values", "<U1 of shape (2,)"),
+        "object values": (np.array([1, 2]), np.array([1.0, 2.0], dtype=object), "values",
+                          "object of shape (2,)"),
+        "tuple values": (np.array([1, 2]), (1.0, 2.0), "values", "tuple"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_misshapen_or_mistyped_arrays_refused(self, case):
+        indices, values, name, got = self.BAD[case]
+        what = "integer" if name == "indices" else "real"
+        with pytest.raises(ValueError) as caught:
+            FeatureVector(indices=indices, values=values, featurizer=SMALL)
+        assert str(caught.value) == f"{name} must be a 1-D {what} array, got {got}"
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64, np.uint16])
+    @pytest.mark.parametrize("value_dtype", [np.float32, np.float64, np.int64])
+    def test_integer_and_real_arrays_accepted(self, index_dtype, value_dtype):
+        fv = FeatureVector(indices=np.array([1, 2], dtype=index_dtype),
+                           values=np.array([3, 4], dtype=value_dtype), featurizer=SMALL)
+        assert fv.nnz == 2
 
 
 def reference_featurize(segments, config: FeaturizerConfig) -> FeatureVector:
@@ -897,8 +933,9 @@ class TestFeatureSpaceGate:
     OTHERS = {"dim": FeaturizerConfig(dim=2**13)}
 
     @staticmethod
-    def call(entry: str, features: list[FeatureVector]):
-        labels = [i % 2 for i in range(len(features))]
+    def call(entry: str, features, n: int | None = None):
+        """Run ``entry`` on the rows; ``n`` is their count when they have no ``len``."""
+        labels = [i % 2 for i in range(len(features) if n is None else n)]
         if entry == "train":
             return train(features, labels, TrainConfig(epochs=1))
         if entry == "train_joint":
@@ -944,6 +981,97 @@ class TestFeatureSpaceGate:
                             values=np.array([0.6, 0.8]), featurizer=SMALL)
         with pytest.raises(ValueError, match=re.escape(f"feature index {index} outside [0, {SMALL.dim})")):
             self.call(entry, [unit_vector(1), bad])
+
+
+class TestStreamingRows:
+    """``train``, ``train_joint``, ``score`` and ``grad_check`` read their rows
+    once, from any iterable: a one-shot generator gives what a list of the
+    same rows gives, bit for bit, and the same located errors. 600 rows span
+    three pack blocks."""
+
+    N = 600
+
+    @classmethod
+    def rows(cls) -> list[FeatureVector]:
+        rng = np.random.default_rng(7)
+        out = []
+        for i in range(cls.N):
+            nnz = 0 if i % 97 == 0 else int(rng.integers(1, 12))
+            indices = np.sort(rng.choice(SMALL.dim, size=nnz, replace=False)).astype(np.int64)
+            out.append(FeatureVector(indices=indices, values=rng.normal(size=nnz), featurizer=SMALL))
+        return out
+
+    @staticmethod
+    def labels(n_classes: int, salt: int = 0) -> list[int]:
+        return [(i * 7 + salt) % n_classes for i in range(TestStreamingRows.N)]
+
+    @classmethod
+    def fit(cls, head: str, features):
+        config = TrainConfig(epochs=2, batch_size=16, seed=3, l2_penalty=1e-3)
+        if head == "binary":
+            return train(features, cls.labels(2), config)
+        if head == "softmax":
+            return train(features, cls.labels(3), config, n_classes=3)
+        return train_joint(features, cls.labels(3), cls.labels(3, salt=1), config, 3)
+
+    @pytest.mark.parametrize("head", ["binary", "softmax", "joint"])
+    def test_generator_trains_like_a_list(self, head):
+        rows = self.rows()
+        listed, streamed = self.fit(head, rows), self.fit(head, (fv for fv in rows))
+        for name in ("columns", "weights", "bias"):
+            a, b = getattr(listed, name), getattr(streamed, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert listed.train_log == streamed.train_log
+        assert streamed.featurizer == SMALL
+
+    @pytest.mark.parametrize("head", ["binary", "softmax"])
+    def test_generator_scores_and_checks_like_a_list(self, head):
+        rows = self.rows()
+        model = self.fit(head, rows)
+        labels = [self.labels(2 if head == "binary" else 3)]
+        assert score(model, rows).tobytes() == score(model, (fv for fv in rows)).tobytes()
+        assert grad_check(model, rows, labels) == grad_check(model, (fv for fv in rows), labels)
+
+    @pytest.mark.parametrize("entry", ["train", "train_joint", "grad_check"])
+    def test_empty_generator_has_no_samples(self, entry):
+        with pytest.raises(ValueError, match="^no samples$"):
+            TestFeatureSpaceGate.call(entry, iter(()), 0)
+
+    def test_empty_generator_scores_no_rows(self):
+        assert score(fresh_model(1), iter(())).shape == (0,)
+
+    @pytest.mark.parametrize("entry", ["train", "train_joint", "score", "grad_check"])
+    @pytest.mark.parametrize("position", [1, 255, 256, 599])
+    def test_located_errors_from_a_generator(self, entry, position):
+        rows = self.rows()
+        other = FeaturizerConfig(dim=2**13)
+        foreign = FeatureVector(indices=rows[position].indices, values=rows[position].values,
+                                featurizer=other)
+        outside = FeatureVector(indices=np.array([5, SMALL.dim]), values=np.array([0.6, 0.8]),
+                                featurizer=SMALL)
+        for bad, message in ((foreign, f"feature row {position} was made by {other}, not {SMALL}"),
+                             (outside, f"feature index {SMALL.dim} outside [0, {SMALL.dim})")):
+            changed = rows[:position] + [bad] + rows[position + 1:]
+            with pytest.raises(ValueError) as caught:
+                TestFeatureSpaceGate.call(entry, (fv for fv in changed), self.N)
+            assert str(caught.value) == message
+
+    def test_narrow_dtypes_pack_as_wide_ones(self):
+        """int32 indices and float32 values pack as int64 and float64, as a
+        plain concatenation of the rows cast to those types does."""
+        wide = self.rows()
+        narrow = [FeatureVector(indices=fv.indices.astype(np.int32),
+                                values=fv.values.astype(np.float32), featurizer=SMALL) for fv in wide]
+        widened = [FeatureVector(indices=fv.indices, values=fv.values.astype(np.float32).astype(np.float64),
+                                 featurizer=SMALL) for fv in wide]
+        packed = _pack(iter(narrow), SMALL)
+        assert packed.indices.dtype == np.int64 and packed.values.dtype == np.float64
+        assert packed.indices.tobytes() == np.concatenate([fv.indices for fv in wide]).tobytes()
+        expected = np.concatenate([fv.values.astype(np.float64) for fv in narrow])
+        assert packed.values.tobytes() == expected.tobytes()
+        assert packed.indptr.tolist() == [0, *np.cumsum([fv.nnz for fv in wide]).tolist()]
+        a, b = self.fit("softmax", narrow), self.fit("softmax", widened)
+        assert a.weights.tobytes() == b.weights.tobytes() and a.train_log == b.train_log
 
 
 class TestLabelGate:
