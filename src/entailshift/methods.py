@@ -25,8 +25,9 @@ entail puts each candidate's prompt in front of them, so the layout follows
 each example and no method has a layout setting. Rows are featurized under
 the spec's ``featurizer``; a trained model takes that config from its rows
 and predicts through it, so no method passes it to training. Training rows
-are featurized as the fit reads them (``_Featurized``), so a fit never holds
-a list of them.
+are featurized as the fit reads them (``_Featurized``), and a multiclass
+head's test rows one ``featurize_batch`` block at a time as ``score`` packs
+them, so neither is ever held as a list of rows.
 
 The four multiclass kinds are one softmax head trained by one helper on
 different rows and label columns: ``fit_pre_shift`` fits ``pre_shift_only``
@@ -45,12 +46,14 @@ few-shot set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
 from .corpus import Dataset, require_unique_ids
 from .jsonfiles import read_keyed_jsonl, write_jsonl
 from .model import (
+    _BLOCK_ROWS,
     FeaturizerConfig,
     Model,
     TrainConfig,
@@ -236,7 +239,11 @@ def _multiclass_model(
 def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
     from .model import score  # looked up per call: the benchmark tracer wraps model.score
 
-    probs = score(model, featurize_batch([ex.segments for ex in test], model.featurizer))
+    # One block of featurized rows at a time, so the test set is held only packed.
+    segments = [ex.segments for ex in test]
+    blocks = (featurize_batch(segments[i : i + _BLOCK_ROWS], model.featurizer)
+              for i in range(0, len(segments), _BLOCK_ROWS))
+    probs = score(model, chain.from_iterable(blocks))
     labels = test.post_labels.labels
     return {ex.id: labels[k] for ex, k in zip(test, probs.argmax(axis=1))}
 

@@ -14,15 +14,16 @@ segment and is never split, so no separator inside user text is special.
 
 A feature space is its ``dim`` alone, a power of two up to 2**30, and a
 key's index is its BLAKE2b-64 digest (``_digest``) modulo ``dim``
-(``hash_feature``). ``featurize`` hashes each distinct key once: one pair
-of bounded memos, shared by every ``dim``, maps keys to digests and tokens
-to their unigram and character trigram keys' digests, and one ``&= dim - 1``
-makes a row's digests indices, so its vectors equal hashing every key of
-the input's key multiset bit for bit. ``featurize_batch`` gives the same
-vectors for many inputs: in blocks of 64 rows it tokenizes and keys each
-distinct segment once, so the K candidates of one example share their
-content's work, and one ``np.unique`` and one norm pass finish the block.
-The scorers featurize through it; training featurizes row by row. A
+(``hash_feature``). ``featurize`` hashes each distinct key once: bounded
+memos, shared by every ``dim`` and every call, map keys to digests, tokens
+to their unigram and character trigram keys' digests, a segment's text to
+its tokens and own digests, and a prompt's text to the cross digests of
+each content token, so the K candidates of one example tokenize and key
+their shared content once. One ``&= dim - 1`` makes a row's digests
+indices, so its vectors equal hashing every key of the input's key
+multiset bit for bit. ``featurize_batch`` gives the same vectors for many
+inputs, in blocks of 64 rows that one ``np.unique`` and one norm pass
+finish. The scorers featurize through it; training featurizes row by row. A
 ``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every
 entry point takes any iterable of rows and packs it through ``_pack``, which
 reads the rows once, a block at a time, so a fit holds them only packed; it
@@ -31,10 +32,12 @@ takes its featurizer from its first row, and a model's weight rows decide
 its head.
 Training and ``grad_check`` share one set-up, ``_problem``, and one label gate.
 Training and ``score`` run one forward, ``_logits`` over packed rows, so a
-row scores the same alone or in a batch. Training gathers a chunk of whole
-mini-batches at once and takes each batch as views of it; full passes (the
-per-epoch loss, ``score``, the checked gradient) run in fixed blocks of
-consecutive rows, so no temporary grows with the data. A model holds only
+row scores the same alone or in a batch; an epoch's logged loss is taken
+from its batches' forwards, so training makes no extra pass. Training
+gathers a chunk of whole mini-batches at once and takes each batch as views
+of it; full passes (``score``, the checked gradient) run in fixed blocks of
+consecutive rows, so beside the packed rows only an epoch's logits, one
+float per row and weight row, grow with the data. A model holds only
 its active columns, the feature indices its training touched, and
 ``score`` maps indices to them through a lookup built once per model, so
 no array is as wide as the hash space per class. Cross features exist
@@ -125,20 +128,28 @@ def _token_keys(token: str) -> list[str]:
 
 
 # Memos that make ``featurize`` hash each distinct key once. They hold only
-# ``_digest`` values, which no dim changes, so they change no result. A memo is
-# cleared when it reaches _MEMO_ENTRIES entries.
+# tokens and ``_digest`` values, which no dim changes, so they change no
+# result. A memo is cleared when it reaches its bound: _MEMO_ENTRIES entries
+# for the key and token memos, _TEXT_MEMO_ENTRIES for the two text memos
+# below, whose entries are whole segments' digest lists, and
+# _CROSS_MEMO_ENTRIES content tokens for each prompt's cross memo. 64 texts
+# cover a block of candidates that share their content and keep the text
+# memos small: 75 kB for 64 news_shift entail rows.
 _MEMO_ENTRIES = 2**16
+_TEXT_MEMO_ENTRIES = 64
+_CROSS_MEMO_ENTRIES = 2**10
 
 
 class _Memo(dict):
-    """A dict that fills a missing entry with ``compute(key)``."""
+    """A dict that fills a missing entry with ``compute(key)``, cleared first when it holds
+    ``bound()`` entries."""
 
-    def __init__(self, compute) -> None:
+    def __init__(self, compute, bound=lambda: _MEMO_ENTRIES) -> None:
         super().__init__()
-        self.compute = compute
+        self.compute, self.bound = compute, bound
 
     def __missing__(self, key):
-        if len(self) >= _MEMO_ENTRIES:
+        if len(self) >= self.bound():
             self.clear()
         value = self[key] = self.compute(key)
         return value
@@ -148,40 +159,49 @@ class _Memo(dict):
 _memos = (_Memo(_digest), _Memo(lambda token: tuple(map(_digest, _token_keys(token)))))
 
 
-def _row_digests(segments: str | Sequence[str], segment_cache: dict, cross_cache: dict) -> list[int]:
+def _segment_entry(text: str) -> tuple[list[str], list[int]]:
+    """A segment's tokens, and the digests of its tokens' keys and its "w:tok1 tok2" bigrams."""
+    keys, tokens_index = _memos
+    tokens = tokenize(text)
+    own = list(chain.from_iterable(map(tokens_index.__getitem__, tokens)))
+    own.extend(keys[f"w:{a} {b}"] for a, b in zip(tokens, tokens[1:]))
+    return tokens, own
+
+
+def _cross_memo(prompt: str) -> _Memo:
+    """Content token -> the digests of its "ptok⊗ctok" keys over the prompt's tokens."""
+    keys = _memos[0]
+    tokens = tokenize(prompt)
+    return _Memo(lambda c: tuple([keys[f"{p}⊗{c}"] for p in tokens]),
+                 lambda: _CROSS_MEMO_ENTRIES)
+
+
+# (segment text -> ``_segment_entry``, prompt text -> its ``_cross_memo``)
+_text_memos = (_Memo(_segment_entry, lambda: _TEXT_MEMO_ENTRIES),
+               _Memo(_cross_memo, lambda: _TEXT_MEMO_ENTRIES))
+
+
+def _row_digests(segments: str | Sequence[str]) -> list[int]:
     """The ``_digest`` of every key of one input's key multiset, in no particular order.
 
-    ``segment_cache`` maps a segment's text to ``(tokens, digests of its
-    token keys and "w:tok1 tok2" bigrams)``; ``cross_cache`` maps a prompt
-    segment's text to a dict from content token to the digests of its
-    "ptok⊗ctok" keys over the prompt's tokens. Both are local to one call or
-    block, so inputs that share a segment tokenize and key it once.
+    Each segment's own digests and each prompt's crosses come from the text
+    memos, so inputs that share a segment, as the K candidates of one
+    example share their content, tokenize and key it once.
     """
-    keys, tokens_index = _memos
+    segment_memo, cross_memos = _text_memos
     if isinstance(segments, str):
         segments = (segments,)
     digests: list[int] = []
     token_lists = []
     for text in segments:
-        cached = segment_cache.get(text)
-        if cached is None:
-            tokens = tokenize(text)
-            own = list(chain.from_iterable(map(tokens_index.__getitem__, tokens)))
-            own.extend(keys[f"w:{a} {b}"] for a, b in zip(tokens, tokens[1:]))
-            cached = segment_cache[text] = (tokens, own)
-        token_lists.append(cached[0])
-        digests.extend(cached[1])
+        tokens, own = segment_memo[text]
+        digests += own
+        token_lists.append(tokens)
     if len(segments) > 1:
-        prompt = token_lists[0]
-        crosses = cross_cache.get(segments[0])
-        if crosses is None:
-            crosses = cross_cache[segments[0]] = {}
+        crosses = cross_memos[segments[0]]
         for tokens in token_lists[1:]:
             for c in tokens:
-                hit = crosses.get(c)
-                if hit is None:
-                    hit = crosses[c] = tuple([keys[f"{p}⊗{c}"] for p in prompt])
-                digests.extend(hit)
+                digests += crosses[c]
     return digests
 
 
@@ -191,14 +211,23 @@ def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> Featur
     The keys are each segment's ``_token_keys`` and "w:tok1 tok2" bigrams,
     and every first-segment x later-segment "ptok⊗ctok" cross, each at its
     ``hash_feature`` index: the memos digest each distinct key once, and one
-    ``&= dim - 1`` reduces the row's digests to indices.
+    ``&= dim - 1`` reduces the row's digests to indices. Sorting them and
+    cutting at each change of value counts them as ``np.unique`` does; the
+    squared counts are integers, so their sum is exact in any order and
+    ``math.sqrt`` of it equals ``np.linalg.norm`` bit for bit.
     """
-    idx = np.array(_row_digests(segments, {}, {}), dtype=np.int64)
+    digests = _row_digests(segments)
+    idx = np.fromiter(digests, dtype=np.int64, count=len(digests))
     idx &= config.dim - 1
-    indices, counts = np.unique(idx, return_counts=True)
-    values = counts.astype(np.float64)
-    values /= np.linalg.norm(values)
-    return FeatureVector(indices=indices, values=values, featurizer=config)
+    idx.sort()
+    n = idx.size
+    edges = np.empty(n + 1, dtype=bool)
+    edges[0] = edges[n] = True
+    np.not_equal(idx[1:], idx[:-1], out=edges[1:n])
+    edges = np.flatnonzero(edges)
+    values = (edges[1:] - edges[:-1]).astype(np.float64)
+    values /= math.sqrt(values @ values)
+    return FeatureVector(indices=idx[edges[:-1]], values=values, featurizer=config)
 
 
 # Rows per block of ``featurize_batch``: the scorers' candidate batch size.
@@ -218,9 +247,7 @@ def featurize_batch(
     dim = config.dim
     out: list[FeatureVector] = []
     for start in range(0, len(inputs), _BLOCK_ROWS):
-        segment_cache: dict = {}
-        cross_cache: dict = {}
-        rows = [_row_digests(x, segment_cache, cross_cache) for x in inputs[start : start + _BLOCK_ROWS]]
+        rows = [_row_digests(x) for x in inputs[start : start + _BLOCK_ROWS]]
         lengths = [len(row) for row in rows]
         # Tag each index with its row as row * dim + index. This fits int64:
         # dim <= 2**30 keeps 64 * dim far below 2**63.
@@ -269,9 +296,10 @@ _CHUNK_ROWS = 256
 def _pack(features: Iterable[FeatureVector], featurizer: FeaturizerConfig | None) -> _Packed:
     """Pack the rows, each made by ``featurizer`` (None: the first row's) with indices in [0, dim).
 
-    The rows are read once, ``_CHUNK_ROWS`` at a time: each block is checked,
-    concatenated onto the end of the growing packed arrays and dropped, so
-    those arrays are the only full copy of the rows. Zero rows pack too.
+    The rows are read once, ``_CHUNK_ROWS`` at a time: each block is checked
+    and concatenated straight onto the end of the growing packed arrays, and
+    dropped before the next is read, so those arrays and one block are all
+    that is held of the rows. Zero rows pack too.
     """
     rows = iter(features)
     lengths: list[int] = []
@@ -284,26 +312,24 @@ def _pack(features: Iterable[FeatureVector], featurizer: FeaturizerConfig | None
             # Rows of one batch share their config object, so identity settles most rows.
             if fv.featurizer is not featurizer and fv.featurizer != featurizer:
                 raise ValueError(f"feature row {i} was made by {fv.featurizer}, not {featurizer}")
-        parts = [fv.indices for fv in block]
-        lengths += map(len, parts)
-        block_indices = np.concatenate(parts, dtype=np.int64)
-        # A negative index reads as a huge unsigned one, so one max checks both ends.
-        if block_indices.size and block_indices.view(np.uint64).max() >= featurizer.dim:
-            bad = block_indices[(block_indices < 0) | (block_indices >= featurizer.dim)][0]
-            raise ValueError(f"feature index {int(bad)} outside [0, {featurizer.dim})")
-        block_values = np.concatenate([fv.values for fv in block], dtype=np.float64)
-        start, stop = stop, stop + block_indices.size
-        if not start:
-            indices, values = block_indices, block_values
-            continue
+        block_lengths = [fv.indices.size for fv in block]
+        lengths += block_lengths
+        start, stop = stop, stop + sum(block_lengths)
         if stop > indices.size:
             # A full block may have a successor, so keep an eighth spare: growing
             # then copies each entry about nine times at most, not once per block.
             spare = stop // 8 if len(block) == _CHUNK_ROWS else 0
             for array in (indices, values):
                 array.resize(stop + spare, refcheck=False)  # realloc; no view of it exists
-        indices[start:stop] = block_indices
-        values[start:stop] = block_values
+        written = indices[start:stop]
+        np.concatenate([fv.indices for fv in block], out=written)
+        np.concatenate([fv.values for fv in block], out=values[start:stop])
+        # A negative index reads as a huge unsigned one, so one max checks both ends.
+        if written.size and written.view(np.uint64).max() >= featurizer.dim:
+            bad = written[(written < 0) | (written >= featurizer.dim)][0]
+            raise ValueError(f"feature index {int(bad)} outside [0, {featurizer.dim})")
+        # Dropped before the next block is read and the arrays grow under the view.
+        del block, written
     if indices.size > stop:
         for array in (indices, values):
             array.resize(stop, refcheck=False)
@@ -628,23 +654,27 @@ def _fit(
     chunk_size = max(1, _CHUNK_ROWS // batch_size) * batch_size
     decay = 1.0 - config.learning_rate * config.l2_penalty
     log: list[float] = []
+    # Each batch's forward logits, in the epoch's order: the epoch's loss is theirs.
+    epoch_z = np.empty((n, weights.shape[0]))
     for _ in range(config.epochs):
         order = rng.permutation(n)
+        epoch_targets = [y[order] for y in targets]
         for chunk_start in range(0, n, chunk_size):
             rows = order[chunk_start : chunk_start + chunk_size]
             (sample_pos, idx, vals), offsets = _gather(packed, rows, batch_size)
-            labels = [y[rows] for y in targets]
+            labels = [y[chunk_start : chunk_start + chunk_size] for y in epoch_targets]
             for start in range(0, rows.size, batch_size):
                 stop = min(start + batch_size, rows.size)
                 a, b = offsets[start], offsets[stop]
                 gathered = sample_pos[a:b], idx[a:b], vals[a:b]
-                z = _logits(weights, bias, gathered, stop - start)
+                z = epoch_z[chunk_start + start : chunk_start + stop]
+                z[:] = _logits(weights, bias, gathered, stop - start)
                 g = _dlogits(z, [y[start:stop] for y in labels]) / (stop - start)
                 if config.l2_penalty:
                     weights *= decay
                 _scatter(weights, gathered, g, -config.learning_rate)
                 bias -= config.learning_rate * g.sum(axis=0)
-        log.append(_data_loss(_full_logits(weights, bias, packed), targets))
+        log.append(_data_loss(epoch_z, epoch_targets))
     return Model(active, weights, bias, packed.featurizer, train_log=tuple(log))
 
 
@@ -669,8 +699,10 @@ def train(
     decayed. Descent and decay run on the active columns only, those the
     samples touch or the warm start holds non-zero, and the model holds
     only those: every other column is exactly zero, as under full decay.
-    ``train_log`` records the full-dataset mean cross-entropy per epoch.
-    ``config.warm_start`` initializes from a prior model with as many weight
+    ``train_log`` records one mean cross-entropy per epoch over every
+    sample, each taken at its batch's forward, just before that batch's
+    step: with one batch per epoch the first entry is the loss at the
+    starting parameters. ``config.warm_start`` initializes from a prior model with as many weight
     rows and the same featurizer (fine-tuning); otherwise parameters start
     at zero.
     """
@@ -688,7 +720,8 @@ def train_joint(
 
     One shared softmax head over ``n_classes`` >= 2 serves both terms, so
     the per-logit gradient is 2*softmax - onehot(pre) - onehot(post).
-    ``train_log`` records the summed two-term mean cross-entropy per epoch.
+    ``train_log`` records the summed two-term mean cross-entropy per epoch,
+    each sample's taken at its batch's forward as in ``train``.
     """
     if n_classes is None:
         raise ValueError("joint training needs n_classes >= 2")

@@ -289,7 +289,7 @@ def assert_bitwise_equal(a: FeatureVector, b: FeatureVector) -> None:
 
 
 def clear_memos() -> None:
-    for memo in model_module._memos:
+    for memo in (*model_module._memos, *model_module._text_memos):
         memo.clear()
 
 
@@ -338,6 +338,59 @@ class TestFeaturizeMemo:
                                  reference_featurize(text, config))
             assert model_module._memos[0] is key_memo and model_module._memos[1] is token_memo
             assert all(0 < len(m) <= model_module._MEMO_ENTRIES for m in model_module._memos)
+
+    # Single- and multi-segment inputs interleaved: "red mixer bowl" is content
+    # in some rows, a prompt in others and a whole input in one; rows repeat
+    # after their texts have been cleared.
+    INTERLEAVED = [
+        "stocks rally usb hub",
+        ("changed to exact match", "red mixer bowl"),
+        ("red mixer bowl", "changed to exact match"),
+        "red mixer bowl",
+        ("changed to exact match", "usb hub", "red mixer bowl"),
+        ("remained irrelevant match", "usb hub"),
+        ("", "red mixer bowl"),
+        ("red mixer bowl", "usb hub", ""),
+        ("changed to exact match", "red mixer bowl"),
+        ("remained irrelevant match", "stocks rally usb hub", "usb hub"),
+        "",
+        ("red mixer bowl",),
+        ("changed to exact match", "red mixer bowl"),
+    ]
+
+    @pytest.mark.parametrize("entries, text_entries, cross_entries", [(3, 2, 2), (2, 3, 3)])
+    def test_tiny_memo_bounds_keep_every_row_exact(self, monkeypatch, entries, text_entries,
+                                                   cross_entries):
+        """With every memo bound at 2-3 entries the memos clear inside one row
+        and inside one featurize_batch block, and each row still equals the
+        counted ``feature_keys``; no memo ever holds more than its bound."""
+        for name, bound in (("_MEMO_ENTRIES", entries), ("_TEXT_MEMO_ENTRIES", text_entries),
+                            ("_CROSS_MEMO_ENTRIES", cross_entries)):
+            monkeypatch.setattr(model_module, name, bound)
+        clear_memos()
+        fill = model_module._Memo.__missing__
+        fills = []  # (entries before, entries after, bound) of every fill
+
+        def checked_fill(memo, key):
+            before = len(memo)
+            value = fill(memo, key)
+            fills.append((before, len(memo), memo.bound()))
+            return value
+
+        monkeypatch.setattr(model_module._Memo, "__missing__", checked_fill)
+        config = FeaturizerConfig(dim=2**18)
+        rows = self.INTERLEAVED * 6
+        for start in (0, 5, 40):
+            for x in rows[start:start + 20]:
+                assert_bitwise_equal(featurize(x, config), reference_featurize(x, config))
+            block, first = rows[start:], len(fills)
+            for x, fv in zip(block, featurize_batch(block, config), strict=True):
+                assert_bitwise_equal(fv, reference_featurize(x, config))
+            assert any(before >= bound for before, _, bound in fills[first:]), "no clear in the block"
+        assert all(after <= bound for _, after, bound in fills)
+        cross_memos = model_module._text_memos[1]
+        for memo in (*model_module._memos, *model_module._text_memos, *cross_memos.values()):
+            assert 0 < len(memo) <= memo.bound()
 
     def test_mutating_a_result_does_not_change_later_results(self):
         text = ("changed to exact match", "red mixer bowl mixer")
@@ -1128,9 +1181,10 @@ def densify(model: Model, columns=None, weights=None) -> np.ndarray:
 def dense_reference_fit(features, columns, config: TrainConfig, rows, featurizer):
     """Training over the full weight width, batch by batch in plain numpy:
     decay every weight each batch, sum each row's logit entry by entry, and
-    add each entry's step into all dim columns in order. ``_fit`` gathers
-    chunks of batches, trains only the active columns and runs its full
-    passes in row blocks, and must equal this bit for bit."""
+    add each entry's step into all dim columns in order; an epoch logs the
+    mean loss of its batches' forward logits. ``_fit`` gathers chunks of
+    batches and trains only the active columns, and must equal this bit for
+    bit."""
     targets = _label_columns(dict(enumerate(columns)), len(features), rows)
     _, weights, bias = _init_params(featurizer, rows, config.warm_start, np.arange(featurizer.dim))
     weight_rows = np.atleast_2d(weights)
@@ -1153,9 +1207,11 @@ def dense_reference_fit(features, columns, config: TrainConfig, rows, featurizer
     log = []
     for _ in range(config.epochs):
         order = rng.permutation(n)
+        forwards = []
         for start in range(0, n, config.batch_size):
             rows = order[start : start + config.batch_size]
-            g = _dlogits(logits(rows), [y[rows] for y in targets]) / rows.size
+            forwards.append(logits(rows))
+            g = _dlogits(forwards[-1], [y[rows] for y in targets]) / rows.size
             if config.l2_penalty:
                 weights *= decay
             for i, r in enumerate(rows):
@@ -1165,7 +1221,8 @@ def dense_reference_fit(features, columns, config: TrainConfig, rows, featurizer
                     for j, v in zip(fv.indices.tolist(), fv.values.tolist()):
                         weight_rows[k, j] += step * v
             bias -= config.learning_rate * g.sum(axis=0)
-        log.append(_data_loss(logits(range(n)), targets))
+        # Each sample's loss at its batch's forward, just before that batch's step.
+        log.append(_data_loss(np.concatenate(forwards), [y[order] for y in targets]))
     return weights, bias, tuple(log)
 
 
@@ -1238,6 +1295,52 @@ class TestActiveColumnTraining:
         """Cases the 24-row set never reaches: it never leaves the first chunk
         of batches or the first block of a full pass."""
         self.check_against_reference(n_per_topic, batch_size, head, 1e-3, True, empty_every)
+
+
+class TestTrainLog:
+    """An epoch logs the mean loss of its batches' forward logits: each
+    sample's loss just before its batch's step, in the epoch's order."""
+
+    FEAT = FeaturizerConfig(dim=2**14)
+
+    @staticmethod
+    def fit(features, columns, config, k):
+        if len(columns) == 2:
+            return train_joint(features, *columns, config, n_classes=k)
+        return train(features, columns[0], config, n_classes=k)
+
+    @staticmethod
+    def starting_loss(features, columns, config, rows) -> float:
+        """``_data_loss`` at the fit's starting parameters, over its first epoch's row order."""
+        packed, targets, _, weights, bias = _problem(features, None, dict(enumerate(columns)),
+                                                     rows, config.warm_start)
+        order = np.random.default_rng(config.seed).permutation(packed.n_rows)
+        z = model_module._full_logits(weights, bias, packed)[order]
+        return _data_loss(z, [y[order] for y in targets])
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass", "joint"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_one_batch_per_epoch_logs_the_starting_loss(self, head, warm):
+        """With the whole set in one batch, every logit of the first epoch is
+        taken at the starting parameters, so its entry is their loss."""
+        ds = synth_generate(preset_config("retail_shift", n_per_topic=6), seed=4)
+        features = [featurize(ex.segments, self.FEAT) for ex in ds]
+        pre = [ds.pre_labels.index(ex.pre_label) for ex in ds]
+        post = [ds.post_labels.index(ex.post_label) for ex in ds]
+        k = None if head == "binary" else 4
+        columns = {"binary": [[int(p == 0) for p in post]], "multiclass": [post],
+                   "joint": [pre, post]}[head]
+        start = self.fit(features, columns, TrainConfig(epochs=2, seed=1), k) if warm else None
+        config = TrainConfig(epochs=2, batch_size=len(features) + 5, seed=9, warm_start=start)
+        model = self.fit(features, columns, config, k)
+        expected = self.starting_loss(features, columns, config, k or 1)
+        assert model.train_log[0] == expected
+        assert model.train_log[1] < model.train_log[0]
+        if not warm:
+            fresh = len(columns) * math.log(k or 2)
+            assert abs(model.train_log[0] - fresh) < 1e-15
+        else:
+            assert model.train_log[0] < len(columns) * math.log(k or 2) - 0.01
 
 
 class TestGradCheck:
