@@ -114,7 +114,7 @@ def train(kind: str, train_path: Path, pre_train_path: Path | None, test_path: P
         pre_train = load_dataset(pre_train_path)
     spec = MethodSpec(
         kind=kind,
-        prompt_variant=variant if kind == "entail" else "informative",
+        prompt_variant=variant,
         catalog_id=catalog,
         train_config=TrainConfig(
             epochs=epochs, learning_rate=learning_rate, batch_size=batch_size,

@@ -266,20 +266,16 @@ def _record_to_example(record: Mapping[str, object]) -> Example:
     )
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("jsonl", "csv"):
-            raise ValueError(f"unsupported format {fmt!r}, expected 'jsonl' or 'csv'")
-        return fmt
+def _infer_format(path: Path) -> str:
     suffix = path.suffix.lower()
     if suffix in (".jsonl", ".ndjson", ".json"):
         return "jsonl"
     if suffix == ".csv":
         return "csv"
-    raise ValueError(f"cannot infer format from {path.name!r}; pass format='jsonl' or 'csv'")
+    raise ValueError(f"cannot infer the format of {path.name!r}; use a .jsonl, .ndjson, .json or .csv suffix")
 
 
-def load_dataset(path: str | Path, format: str | None = None) -> Dataset:
+def load_dataset(path: str | Path) -> Dataset:
     """Load a dataset file; record order is preserved.
 
     Label sets come from the sidecar labels file ``<path>.labels.json``.
@@ -290,7 +286,7 @@ def load_dataset(path: str | Path, format: str | None = None) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    fmt = _infer_format(path, format)
+    fmt = _infer_format(path)
     pre, post, name = _read_labels(path)
 
     if fmt == "jsonl":
@@ -310,10 +306,10 @@ def load_dataset(path: str | Path, format: str | None = None) -> Dataset:
         raise DatasetError(f"{path}: {exc}") from exc
 
 
-def save_dataset(dataset: Dataset, path: str | Path, format: str | None = None) -> None:
+def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset plus its sidecar labels file."""
     path = Path(path)
-    fmt = _infer_format(path, format)
+    fmt = _infer_format(path)
     rows = [{name: getattr(ex, name) for name in RECORD_FIELDS} for ex in dataset]
     if fmt == "jsonl":
         write_jsonl(path, rows)

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .corpus import Dataset, ShiftSpec, apply_shift, fewshot_sample, load_dataset, rebalance, split
 from .jsonfiles import read_json, typed_field
-from .methods import PRE_SHIFT_KINDS, MethodSpec, check_inputs, fit_pre_shift, resolve_catalog, run_method
+from .methods import PRE_SHIFT_KINDS, MethodSpec, check_inputs, fit_pre_shift, run_method
 from .model import FeaturizerConfig, Model, TrainConfig
 from .seeding import derive_seed
 from .stats import Aggregate, RunScore, aggregate, confusion_from_predictions, mann_whitney_u, per_class_f1
@@ -72,6 +72,14 @@ def _tupled(value: Any) -> Any:
     return value
 
 
+def _parsed(where: str, parse: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
+    """``parse(*args, **kwargs)``; a TypeError, ValueError or OSError is a ConfigError at ``where``."""
+    try:
+        return parse(*args, **kwargs)
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _section_config(cls: Callable[..., Any], keys: Sequence[str], template: Mapping[str, Any],
                     overrides: Mapping[str, Any], where: str) -> Any:
     """``cls`` from the template merged with overrides; a bad value is a ConfigError at ``where``."""
@@ -79,10 +87,7 @@ def _section_config(cls: Callable[..., Any], keys: Sequence[str], template: Mapp
         raise ConfigError(f"{where} must be an object, got {overrides!r}")
     merged = {**template, **overrides}
     _check_keys(merged, keys, where)
-    try:
-        return cls(**{k: _tupled(v) for k, v in merged.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _parsed(where, cls, **{k: _tupled(v) for k, v in merged.items()})
 
 
 @dataclass(frozen=True)
@@ -172,13 +177,7 @@ class ExperimentConfig:
             kwargs["featurizer"] = _section_config(
                 FeaturizerConfig, _FEATURIZER_KEYS, feat_template, entry.get("featurizer", {}),
                 f"{where}.featurizer")
-            try:
-                spec = MethodSpec(**kwargs)
-                if spec.kind == "entail":
-                    resolve_catalog(spec.catalog_id)  # fail here, not in every cell
-            except (ValueError, OSError) as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-            specs.append(spec)
+            specs.append(_parsed(where, MethodSpec, **kwargs))  # an entail spec reads its catalog here
         ids = [s.method_id for s in specs]
         if len(set(ids)) != len(ids):
             raise ConfigError(f"duplicate method ids in {ids}")
@@ -237,7 +236,7 @@ def _synth_config(synth: Any) -> SynthConfig:
 
 
 def _check_data(data: Any) -> dict[str, Any]:
-    """The ``data`` section parsed (``synth`` a SynthConfig, ``files`` a new dict), defaults filled in."""
+    """The ``data`` section parsed (``synth`` a SynthConfig, ``shift`` a ShiftSpec), defaults filled in."""
     if not isinstance(data, Mapping):
         raise ConfigError("data section is required and must be an object")
     _check_keys(data, ("synth", "files", "shift", "test_fraction", "rebalance_test"), "data")
@@ -250,16 +249,16 @@ def _check_data(data: Any) -> dict[str, Any]:
         files = data["files"]
         if not isinstance(files, Mapping) or "train" not in files or "test" not in files:
             raise ConfigError("data.files must name 'train' and 'test' paths")
-        _check_keys(files, ("train", "test", "format"), "data.files")
+        _check_keys(files, ("train", "test"), "data.files")
         for key in ("train", "test"):
             if not isinstance(files[key], str) or not files[key]:
                 raise ConfigError(f"data.files: 'train' and 'test' must be non-empty path strings; "
                                   f"{key} is {files[key]!r}")
-        if files.get("format") not in (None, "jsonl", "csv"):
-            raise ConfigError(f"data.files.format must be 'jsonl' or 'csv', got {files['format']!r}")
         data["files"] = dict(files)
-    if "shift" in data and (not isinstance(data["shift"], str) or not data["shift"]):
-        raise ConfigError(f"data.shift must be a path string naming a file, got {data['shift']!r}")
+    if "shift" in data:
+        if not isinstance(data["shift"], str) or not data["shift"]:
+            raise ConfigError(f"data.shift must be a path string naming a file, got {data['shift']!r}")
+        data["shift"] = _parsed("data.shift", ShiftSpec.from_file, data["shift"])
     fraction = data["test_fraction"]
     if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0 < fraction < 1:
         raise ConfigError(f"data.test_fraction must be a number in (0, 1), got {fraction!r}")
@@ -281,7 +280,7 @@ class PreparedData:
 
 
 def prepare_data(config: ExperimentConfig) -> PreparedData:
-    """The datasets of a config whose ``data`` section ``from_dict`` has parsed and completed."""
+    """The datasets of a parsed config: its dataset files are read here, its shift rules at parse."""
     data = config.data
     if "synth" in data:
         dataset = synth_generate(data["synth"], seed=derive_seed(config.master_seed, "synth"))
@@ -289,13 +288,10 @@ def prepare_data(config: ExperimentConfig) -> PreparedData:
                                   seed=derive_seed(config.master_seed, "split"))
     else:
         files = data["files"]
-        train_ds = load_dataset(files["train"], format=files.get("format"))
-        test_ds = load_dataset(files["test"], format=files.get("format"))
+        train_ds, test_ds = load_dataset(files["train"]), load_dataset(files["test"])
 
     if "shift" in data:
-        shift = ShiftSpec.from_file(data["shift"])
-        train_ds = apply_shift(train_ds, shift)
-        test_ds = apply_shift(test_ds, shift)
+        train_ds, test_ds = apply_shift(train_ds, data["shift"]), apply_shift(test_ds, data["shift"])
 
     if data["rebalance_test"]:
         test_ds = rebalance(test_ds, seed=derive_seed(config.master_seed, "rebalance"))
@@ -453,7 +449,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     for i, spec in enumerate(config.method_specs):
         try:
             check_inputs(spec, data.train, data.train, data.test)
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"methods[{i}]: {exc}") from exc
     tasks = [
         (spec, config.master_seed, budget, seed_index, data)

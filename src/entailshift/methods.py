@@ -19,6 +19,10 @@ post-shift label per test id:
   prompt variant swaps every label surface for a semantics-free decoy
   word, isolating how much the label wording contributes.
 
+An entail spec resolves its ``catalog_id`` once, when it is made:
+``MethodSpec.catalog`` holds that catalog, already randomized for ``random``,
+and ``with_seed`` copies it, so no cell or pool worker reads a catalog again.
+
 Every method reads an example's text as ``Example.segments``, ``(text_a,)``
 or ``(text_a, text_b)``: the multiclass heads featurize those segments and
 entail puts each candidate's prompt in front of them, so the layout follows
@@ -45,6 +49,7 @@ few-shot set.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -84,42 +89,6 @@ METHOD_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class MethodSpec:
-    """One comparison method plus everything needed to run it."""
-
-    kind: str
-    prompt_variant: str = "informative"        # entail only
-    catalog_id: str = ""                       # entail only
-    train_config: TrainConfig = field(default_factory=TrainConfig)
-    featurizer: FeaturizerConfig = field(default_factory=FeaturizerConfig)
-    oversample: bool = True                    # entail only
-
-    def __post_init__(self) -> None:
-        if self.kind not in METHOD_KINDS:
-            raise ValueError(f"unknown method kind {self.kind!r}; one of {METHOD_KINDS}")
-        if self.prompt_variant not in ("informative", "random"):
-            raise ValueError(f"unknown prompt variant {self.prompt_variant!r}")
-        if not isinstance(self.catalog_id, str):
-            raise ValueError(f"catalog_id must be a string, got {self.catalog_id!r}")
-        if self.kind == "entail" and not self.catalog_id:
-            raise ValueError("entail needs a catalog_id")
-        if not isinstance(self.oversample, bool):
-            raise ValueError(f"oversample must be true or false, got {self.oversample!r}")
-        if self.kind != "entail" and self.prompt_variant != "informative":
-            raise ValueError(f"prompt_variant applies only to entail, not {self.kind!r}")
-
-    @property
-    def method_id(self) -> str:
-        if self.kind == "entail":
-            return f"entail_{self.prompt_variant}"
-        return self.kind
-
-    def with_seed(self, seed: int) -> "MethodSpec":
-        """The same method with its training seed replaced."""
-        return replace(self, train_config=replace(self.train_config, seed=seed))
-
-
 def resolve_catalog(catalog_id: str) -> PromptCatalog:
     """Built-in catalog by id, or a catalog JSON file by path."""
     if catalog_id in BUILTIN_CATALOG_IDS:
@@ -133,10 +102,58 @@ def resolve_catalog(catalog_id: str) -> PromptCatalog:
     )
 
 
-def check_inputs(
-    spec: MethodSpec, pre_train: Dataset, post_train: Dataset, test: Dataset
-) -> PromptCatalog | None:
-    """Entail's resolved catalog (None for other kinds), or a ValueError for unusable inputs.
+@dataclass(frozen=True)
+class MethodSpec:
+    """One comparison method plus everything needed to run it."""
+
+    kind: str
+    prompt_variant: str = "informative"        # entail only
+    catalog_id: str = ""                       # entail only
+    train_config: TrainConfig = field(default_factory=TrainConfig)
+    featurizer: FeaturizerConfig = field(default_factory=FeaturizerConfig)
+    oversample: bool = True                    # entail only
+    catalog: PromptCatalog | None = field(default=None, init=False, compare=False, repr=False)  # derived
+
+    def __post_init__(self) -> None:
+        if self.kind not in METHOD_KINDS:
+            raise ValueError(f"unknown method kind {self.kind!r}; one of {METHOD_KINDS}")
+        if self.prompt_variant not in ("informative", "random"):
+            raise ValueError(f"unknown prompt variant {self.prompt_variant!r}")
+        if not isinstance(self.catalog_id, str):
+            raise ValueError(f"catalog_id must be a string, got {self.catalog_id!r}")
+        if self.kind == "entail" and not self.catalog_id:
+            raise ValueError("entail needs a catalog_id")
+        if not isinstance(self.oversample, bool):
+            raise ValueError(f"oversample must be true or false, got {self.oversample!r}")
+        if not isinstance(self.train_config, TrainConfig):
+            raise ValueError(f"train_config must be a TrainConfig, got {self.train_config!r}")
+        if not isinstance(self.featurizer, FeaturizerConfig):
+            raise ValueError(f"featurizer must be a FeaturizerConfig, got {self.featurizer!r}")
+        if self.kind != "entail" and self.prompt_variant != "informative":
+            raise ValueError(f"prompt_variant applies only to entail, not {self.kind!r}")
+        if self.kind != "entail" and self.catalog_id:
+            raise ValueError(f"catalog_id applies only to entail, not {self.kind!r}")
+        if self.kind == "entail":
+            catalog = resolve_catalog(self.catalog_id)
+            if self.prompt_variant == "random":
+                catalog = randomize_labels(catalog, DEFAULT_DECOYS)
+            object.__setattr__(self, "catalog", catalog)
+
+    @property
+    def method_id(self) -> str:
+        if self.kind == "entail":
+            return f"entail_{self.prompt_variant}"
+        return self.kind
+
+    def with_seed(self, seed: int) -> "MethodSpec":
+        """The same method, resolved catalog and all, with its training seed replaced."""
+        spec = copy.copy(self)
+        object.__setattr__(spec, "train_config", replace(self.train_config, seed=seed))
+        return spec
+
+
+def check_inputs(spec: MethodSpec, pre_train: Dataset, post_train: Dataset, test: Dataset) -> None:
+    """A ValueError for datasets ``spec`` cannot run on; reads no file.
 
     Every head is indexed by the post-shift label order, so all three datasets
     must declare the same one; entail's catalog must prompt every label.
@@ -148,15 +165,10 @@ def check_inputs(
                 f"the {which} set declares post-shift labels {dataset.post_labels.labels!r} but "
                 f"the post-shift training set declares {labels!r}; they must match in order"
             )
-    if spec.kind != "entail":
-        return None
-    catalog = resolve_catalog(spec.catalog_id)
-    if spec.prompt_variant == "random":
-        catalog = randomize_labels(catalog, DEFAULT_DECOYS)
-    missing = [l for l in labels if l not in catalog.label_surface]
-    if missing:
-        raise ValueError(f"catalog {spec.catalog_id!r} lacks prompts for labels {missing!r}")
-    return catalog
+    if spec.catalog is not None:
+        missing = [l for l in labels if l not in spec.catalog.label_surface]
+        if missing:
+            raise ValueError(f"catalog {spec.catalog_id!r} lacks prompts for labels {missing!r}")
 
 
 def _post_label_indices(dataset: Dataset, column: str) -> list[int]:
@@ -264,7 +276,7 @@ def run_method(
     and finetuned warm-starts from it.
     """
     require_unique_ids(test)
-    catalog = check_inputs(spec, pre_train, post_train, test)
+    check_inputs(spec, pre_train, post_train, test)
     kind = spec.kind
     cfg = spec.train_config
     if pre_shift is not None and kind not in PRE_SHIFT_KINDS:
@@ -282,12 +294,12 @@ def run_method(
     _require_nonempty(post_train, kind, "post-shift training")
     aug = augment_dataset(
         post_train,
-        catalog,
+        spec.catalog,
         oversample=spec.oversample,
         seed=derive_seed(cfg.seed, "augment"),
     )
     model = train(_Featurized(aug, spec.featurizer), [s.binary_label for s in aug], cfg)
-    return predict_dataset(make_binary_scorer(model), test, catalog)
+    return predict_dataset(make_binary_scorer(model), test, spec.catalog)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,26 @@ class TestTrainEval:
         assert "Traceback" not in result.output
         assert not pred_path.exists()
 
+    @pytest.mark.parametrize("options, message", [
+        (["--method", "finetuned", "--variant", "random"],
+         "prompt_variant applies only to entail, not 'finetuned'"),
+        (["--method", "majority", "--catalog", "en-retail"],
+         "catalog_id applies only to entail, not 'majority'"),
+    ], ids=["variant", "catalog"])
+    def test_entail_option_on_another_method_is_clean_error(self, runner, retail_files, tmp_path,
+                                                           options, message):
+        """The command refuses what a config with the same method entry refuses."""
+        train_path, test_path = retail_files
+        pred_path = tmp_path / "predictions.jsonl"
+        result = runner.invoke(main, [
+            "train", *options, "--train", str(train_path), "--test", str(test_path),
+            "--out", str(pred_path),
+        ])
+        assert result.exit_code == 1
+        assert f"Error: {message}" in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not pred_path.exists()
+
     def test_test_file_with_reordered_post_labels_is_clean_error(self, runner, tmp_path):
         """The test sidecar lists the training labels reversed: without the check,
         every prediction maps through the wrong order and macro-F1 drops to 0."""

@@ -127,6 +127,14 @@ class TestLoadSave:
         loaded = load_dataset(path)
         assert loaded == ds
 
+    def test_format_comes_from_the_suffix(self, tmp_path):
+        """An unknown suffix is an error naming the file and the suffixes read."""
+        path = tmp_path / "news.txt"
+        path.write_text("")
+        for call in (lambda: save_dataset(self.news_fixture(), path), lambda: load_dataset(path)):
+            with pytest.raises(ValueError, match=r"'news\.txt'; use a \.jsonl, \.ndjson, \.json or \.csv"):
+                call()
+
     def test_missing_sidecar_is_an_error(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"id": "a", "text_a": "t", "pre_label": "x", "post_label": "y"}\n')

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from entailshift import experiment, methods
+from entailshift.corpus import ShiftSpec
 from entailshift.experiment import (
     Aggregate,
     BudgetSignificance,
@@ -31,6 +32,7 @@ from entailshift.experiment import (
     save_result,
 )
 from entailshift.model import FeaturizerConfig, TrainConfig
+from entailshift.prompts import builtin_catalog, save_catalog
 from entailshift.seeding import derive_seed
 from entailshift.stats import RunScore, aggregate, mann_whitney_u
 
@@ -133,8 +135,8 @@ class TestConfigParsing:
         ({"data": {"synth": {"preset": "retail_shift"}, "rebalance_test": "no"}},
          r"data\.rebalance_test must be true or false, got 'no'"),
         ({"data": {"files": {"train": 1, "test": "t.jsonl"}}}, r"data\.files: .*path strings"),
-        ({"data": {"files": {"train": "a.jsonl", "test": "b.jsonl", "format": "parquet"}}},
-         r"data\.files\.format must be 'jsonl' or 'csv', got 'parquet'"),
+        ({"data": {"files": {"train": "a.jsonl", "test": "b.jsonl", "format": "csv"}}},
+         r"data\.files: unknown keys \['format'\]"),
         ({"data": {"synth": {"preset": "retail_shift"}, "shift": ["a"]}},
          r"data\.shift must be a path string"),
         ({"train": {"learning_rate": 1e6}},
@@ -154,6 +156,10 @@ class TestConfigParsing:
          r"data\.shift must be a path string naming a file, got ''"),
         ({"data": {"files": {"train": "", "test": "t.jsonl"}}}, r"data\.files: .*path strings; train is ''"),
         ({"data": {"files": {"train": "a.jsonl", "test": ""}}}, r"data\.files: .*path strings; test is ''"),
+        ({"methods": [{"kind": "majority", "catalog_id": "en-retail"}]},
+         r"methods\[0\]: catalog_id applies only to entail, not 'majority'"),
+        ({"data": {"synth": {"preset": "retail_shift"}, "shift": "no-such-shift.json"}},
+         r"data\.shift: .*No such file.*no-such-shift\.json"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
@@ -192,6 +198,24 @@ class TestConfigParsing:
             path.write_text(content)
         with pytest.raises(ConfigError, match=rf"methods\[0\]: .*{message}"):
             base_config(methods=[{"kind": "entail", "catalog_id": str(path)}])
+
+    def test_random_variant_of_a_catalog_with_too_many_labels_fails_at_parse(self, tmp_path):
+        path = tmp_path / "nine.json"
+        save_catalog(replace(builtin_catalog("en-retail"),
+                             label_surface={f"l{i}": f"label {i}" for i in range(9)}), path)
+        with pytest.raises(ConfigError, match=r"methods\[0\]: need at least 9 decoys, got 8"):
+            base_config(methods=[{"kind": "entail", "catalog_id": str(path), "prompt_variant": "random"}])
+
+    @pytest.mark.parametrize("content, message", [
+        ("{", "not valid JSON"),
+        ('{"rules": [{"topic": "exact", "pre_label": "irrelevant"}]}', "malformed shift rules"),
+        ('{"rules": [{"pre_label": 1, "post_label": "exact"}]}', "needs string labels"),
+    ], ids=["truncated", "rule_without_post_label", "number_pre_label"])
+    def test_shift_file_checked_at_config_time(self, tmp_path, content, message):
+        path = tmp_path / "shift.json"
+        path.write_text(content)
+        with pytest.raises(ConfigError, match=rf"data\.shift: {re.escape(str(path))}: .*{message}"):
+            base_config(data={"synth": {"preset": "retail_shift"}, "shift": str(path)})
 
     @pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.json")),
                              ids=lambda path: path.name)
@@ -287,6 +311,50 @@ class TestDataPreparation:
         once = [ex.id for ex in budget_subset(pool, 8, master_seed=7, seed_index=0)]
         again = [ex.id for ex in budget_subset(pool, 8, master_seed=7, seed_index=0)]
         assert once == again
+
+
+class TestRuleFilesReadOnce:
+    """A catalog or shift-rule file a config names is read when the config is parsed, never again."""
+
+    @staticmethod
+    def rule_file_config(tmp_path) -> ExperimentConfig:
+        """Entail on a catalog file, over retail data whose shift file swaps two labels."""
+        save_catalog(builtin_catalog("en-retail"), tmp_path / "shop.json")
+        swap = {"exact": "substitute", "substitute": "exact", "complement": "complement",
+                "irrelevant": "irrelevant"}
+        ShiftSpec(rules={(topic, "irrelevant"): post for topic, post in swap.items()}).to_file(
+            tmp_path / "swap.json")
+        return base_config(
+            data={"synth": {"preset": "retail_shift", "overrides": {"n_per_topic": 12}},
+                  "shift": str(tmp_path / "swap.json")},
+            methods=[{"kind": "entail", "catalog_id": str(tmp_path / "shop.json")},
+                     {"kind": "finetuned_post_only"}],
+            budgets=[8], seeds=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_deleting_the_files_after_parse_changes_nothing(self, tmp_path, workers):
+        config = self.rule_file_config(tmp_path)
+        emit_report(run_experiment(config), tmp_path / "untouched", formats=("csv",))
+        (tmp_path / "shop.json").unlink()
+        (tmp_path / "swap.json").unlink()
+        result = run_experiment(config, workers=workers)
+        assert not result.failures
+        assert {ex.post_label for ex in prepare_data(config).train if ex.topic == "exact"} == {"substitute"}
+        emit_report(result, tmp_path / "deleted", formats=("csv",))
+        grids = [(tmp_path / out / "raw_grid.csv").read_bytes() for out in ("untouched", "deleted")]
+        assert grids[0] == grids[1]
+
+    def test_a_grid_reads_each_catalog_once(self, monkeypatch):
+        reads = []
+        original = methods.builtin_catalog
+        monkeypatch.setattr(methods, "builtin_catalog", lambda cid: reads.append(cid) or original(cid))
+        config = base_config(methods=[{"kind": "entail", "catalog_id": "en-retail"},
+                                      {"kind": "entail", "catalog_id": "en-retail",
+                                       "prompt_variant": "random"}],
+                             budgets=[10, 20], seeds=3)
+        result = run_experiment(config)
+        assert len(result.scores) == 12 and not result.failures
+        assert reads == ["en-retail", "en-retail"]
 
 
 class TestGridExecution:

@@ -1,8 +1,9 @@
 """Comparison methods behind the uniform run_method interface."""
 from __future__ import annotations
 
+import pickle
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from entailshift.model import (
     train,
     train_joint,
 )
-from entailshift.prompts import builtin_catalog
+from entailshift.prompts import DEFAULT_DECOYS, builtin_catalog
 from entailshift.reformulate import augment_dataset
 from entailshift.stats import confusion_from_predictions, macro_f1
 from entailshift.synth import preset_config, synth_generate
@@ -325,6 +326,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="entail"):
             MethodSpec(kind="majority", prompt_variant="random")
 
+    def test_catalog_id_only_for_entail(self):
+        with pytest.raises(ValueError, match="catalog_id applies only to entail, not 'majority'"):
+            MethodSpec(kind="majority", catalog_id="en-retail")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("train_config", {"epochs": 3}, r"train_config must be a TrainConfig, got \{'epochs': 3\}"),
+        ("featurizer", {"dim": 16}, r"featurizer must be a FeaturizerConfig, got \{'dim': 16\}"),
+    ])
+    def test_settings_must_be_their_config_classes(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MethodSpec(kind="finetuned", **{field: value})
+
     def test_method_ids(self):
         assert spec_for("majority").method_id == "majority"
         assert spec_for("entail").method_id == "entail_informative"
@@ -334,6 +347,52 @@ class TestSpecValidation:
         spec = spec_for("finetuned")
         out = spec.with_seed(99)
         assert out.train_config.seed == 99
+
+
+class TestResolvedCatalog:
+    """An entail spec resolves its catalog once, when it is made, and carries it."""
+
+    @staticmethod
+    def count_catalog_reads(monkeypatch) -> list[str]:
+        reads = []
+        original = methods.builtin_catalog
+        monkeypatch.setattr(methods, "builtin_catalog", lambda cid: reads.append(cid) or original(cid))
+        return reads
+
+    def test_spec_holds_its_catalog(self):
+        assert spec_for("entail").catalog == builtin_catalog("en-retail")
+        randomized = spec_for("entail", prompt_variant="random").catalog
+        assert randomized.labels == builtin_catalog("en-retail").labels
+        assert tuple(randomized.label_surface.values()) == DEFAULT_DECOYS[:4]
+        assert spec_for("finetuned").catalog is None
+
+    def test_catalog_is_derived_not_a_setting(self):
+        spec = spec_for("entail")
+        assert [f.name for f in fields(MethodSpec) if f.init] == [
+            "kind", "prompt_variant", "catalog_id", "train_config", "featurizer", "oversample"]
+        with pytest.raises(TypeError):
+            MethodSpec(kind="entail", catalog_id="en-retail", catalog=spec.catalog)
+        other = replace(spec)
+        object.__setattr__(other, "catalog", builtin_catalog("en-news"))
+        assert other == spec and hash(other) == hash(spec)
+        assert "catalog=" not in repr(spec)
+
+    def test_with_seed_and_pickling_keep_the_catalog(self, monkeypatch):
+        spec = spec_for("entail", prompt_variant="random")
+        reads = self.count_catalog_reads(monkeypatch)
+        seeded = spec.with_seed(3)
+        assert seeded.catalog is spec.catalog and seeded.train_config.seed == 3
+        assert spec.train_config.seed == FAST_TRAIN.seed
+        assert pickle.loads(pickle.dumps(spec)).catalog == spec.catalog
+        assert reads == []
+
+    def test_run_method_reads_no_catalog(self, monkeypatch):
+        train_ds, post_train, test_ds = retail_splits(per_topic=5)
+        spec = spec_for("entail", prompt_variant="random")
+        reads = self.count_catalog_reads(monkeypatch)
+        predictions = run_method(spec.with_seed(3), train_ds, post_train, test_ds)
+        assert set(predictions) == {ex.id for ex in test_ds}
+        assert reads == []
 
 
 class TestUniformContract:
