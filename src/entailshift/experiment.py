@@ -50,7 +50,7 @@ REPORT_FILENAME = "report.md"
 _TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "l2_penalty")
 _FEATURIZER_KEYS = tuple(f.name for f in fields(FeaturizerConfig))
 _METHOD_KEYS = ("kind", "prompt_variant", "catalog_id", "train", "featurizer", "oversample")
-_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig))
+_SYNTH_KEYS = tuple(f.name for f in fields(SynthConfig) if f.name != "shift")  # rules: data.shift
 
 
 class ConfigError(ValueError):
@@ -61,15 +61,6 @@ def _check_keys(section: Mapping[str, Any], allowed: Sequence[str], where: str) 
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
-
-
-def _tupled(value: Any) -> Any:
-    """Recursively turn JSON lists into tuples so configs hash and compare cleanly."""
-    if isinstance(value, list):
-        return tuple(_tupled(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _tupled(v) for k, v in value.items()}
-    return value
 
 
 def _parsed(where: str, parse: Callable[..., Any], /, *args: Any, **kwargs: Any) -> Any:
@@ -87,7 +78,7 @@ def _section_config(cls: Callable[..., Any], keys: Sequence[str], template: Mapp
         raise ConfigError(f"{where} must be an object, got {overrides!r}")
     merged = {**template, **overrides}
     _check_keys(merged, keys, where)
-    return _parsed(where, cls, **{k: _tupled(v) for k, v in merged.items()})
+    return _parsed(where, cls, **merged)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ each example and no method has a layout setting. Rows are featurized under
 the spec's ``featurizer``; a trained model takes that config from its rows
 and predicts through it, so no method passes it to training. Training rows
 are featurized as the fit reads them (``_Featurized``), and a multiclass
-head's test rows one ``featurize_batch`` block at a time as ``score`` packs
-them, so neither is ever held as a list of rows.
+head's test rows by the binary scorer's step, ``model._score_inputs``, one
+block at a time as ``score`` packs them: neither is held as a list of rows.
 
 The four multiclass kinds are one softmax head trained by one helper on
 different rows and label columns: ``fit_pre_shift`` fits ``pre_shift_only``
@@ -51,19 +51,17 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from itertools import chain
 from pathlib import Path
 from typing import Mapping
 
 from .corpus import Dataset, require_unique_ids
 from .jsonfiles import read_keyed_jsonl, write_jsonl
 from .model import (
-    _BLOCK_ROWS,
     FeaturizerConfig,
     Model,
     TrainConfig,
+    _score_inputs,
     featurize,
-    featurize_batch,
     make_binary_scorer,
     train,
     train_joint,
@@ -239,7 +237,6 @@ def _multiclass_model(
     """The trained head of a multiclass kind; the pre-shift model is fit here unless given."""
     if kind == "pre_shift_only":
         return pre_shift if pre_shift is not None else fit_pre_shift(spec, pre_train)
-    _require_nonempty(post_train, kind, "post-shift training")
     config = spec.train_config
     if kind == "finetuned":
         if pre_shift is None and len(pre_train):
@@ -249,13 +246,7 @@ def _multiclass_model(
 
 
 def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
-    from .model import score  # looked up per call: the benchmark tracer wraps model.score
-
-    # One block of featurized rows at a time, so the test set is held only packed.
-    segments = [ex.segments for ex in test]
-    blocks = (featurize_batch(segments[i : i + _BLOCK_ROWS], model.featurizer)
-              for i in range(0, len(segments), _BLOCK_ROWS))
-    probs = score(model, chain.from_iterable(blocks))
+    probs = _score_inputs(model, [ex.segments for ex in test])
     labels = test.post_labels.labels
     return {ex.id: labels[k] for ex, k in zip(test, probs.argmax(axis=1))}
 
@@ -281,9 +272,10 @@ def run_method(
     cfg = spec.train_config
     if pre_shift is not None and kind not in PRE_SHIFT_KINDS:
         raise ValueError(f"{kind} has no pre-shift stage to take a trained pre-shift model")
+    if kind != "pre_shift_only":
+        _require_nonempty(post_train, kind, "post-shift training")
 
     if kind == "majority":
-        _require_nonempty(post_train, kind, "post-shift training")
         counts = post_train.post_counts()
         best = max(post_train.post_labels, key=lambda l: (counts[l], -post_train.post_labels.index(l)))
         return {ex.id: best for ex in test}
@@ -291,7 +283,6 @@ def run_method(
     if kind != "entail":
         return _predict_multiclass(_multiclass_model(kind, spec, pre_train, post_train, pre_shift), test)
 
-    _require_nonempty(post_train, kind, "post-shift training")
     aug = augment_dataset(
         post_train,
         spec.catalog,

@@ -23,13 +23,13 @@ their shared content once. One ``&= dim - 1`` makes a row's digests
 indices, so its vectors equal hashing every key of the input's key
 multiset bit for bit. ``featurize_batch`` gives the same vectors for many
 inputs, in blocks of 64 rows that one ``np.unique`` and one norm pass
-finish. The scorers featurize through it; training featurizes row by row. A
-``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every
-entry point takes any iterable of rows and packs it through ``_pack``, which
-reads the rows once, a block at a time, so a fit holds them only packed; it
-refuses a row from another space or an index outside [0, dim). Training
-takes its featurizer from its first row, and a model's weight rows decide
-its head.
+finish. Prediction featurizes through it, a block at a time into one
+``score`` call (``_score_inputs``); training featurizes row by row. A
+``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every entry
+point takes any iterable of rows and packs it through ``_pack``, which reads
+the rows once, a block at a time, so a fit holds them only packed; it refuses
+a row from another space or an index outside [0, dim). Training takes its
+featurizer from its first row, and a model's weight rows decide its head.
 Training and ``grad_check`` share one set-up, ``_problem``, and one label gate.
 Training and ``score`` run one forward, ``_logits`` over packed rows, so a
 row scores the same alone or in a batch; an epoch's logged loss is taken
@@ -752,11 +752,18 @@ def score(model: Model, features: Iterable[FeatureVector]) -> np.ndarray:
     return _sigmoid(z[:, 0]) if model.head == "binary" else _softmax(z)
 
 
+def _score_inputs(model: Model, inputs: Sequence[str | Sequence[str]]) -> np.ndarray:
+    """``score`` of ``inputs``, featurized one block at a time as ``score`` packs them."""
+    blocks = (featurize_batch(inputs[i : i + _BLOCK_ROWS], model.featurizer)
+              for i in range(0, len(inputs), _BLOCK_ROWS))
+    return score(model, chain.from_iterable(blocks))
+
+
 def make_binary_scorer(model: Model):
     """Adapt a binary model to the scorer interface: candidate batch -> probabilities."""
     if model.head != "binary":
         raise ValueError("scorer adapter requires a binary head")
-    return lambda batch: score(model, featurize_batch([c.segments for c in batch], model.featurizer))
+    return lambda batch: _score_inputs(model, [c.segments for c in batch])
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,19 @@ class SynthConfig:
     lang: str = "en"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "topics", dict(self.topics))
+        # Tuples, so a config shares no list with the JSON it was parsed from.
+        object.__setattr__(self, "topics", {t: tuple(v) for t, v in self.topics.items()})
         object.__setattr__(self, "pre_label_by_topic", dict(self.pre_label_by_topic))
         object.__setattr__(self, "anchor_by_topic", dict(self.anchor_by_topic))
+        for name in ("name", "lang"):
+            value = getattr(self, name)
+            if not isinstance(value, str) or not value:
+                raise ValueError(f"{name} must be a non-empty string, got {value!r}")
+        for name in ("pre_labels", "post_labels"):
+            labels = getattr(self, name)
+            if not isinstance(labels, (list, tuple)) or not all(isinstance(label, str) for label in labels):
+                raise ValueError(f"{name} must be a list of label strings, got {labels!r}")
+            object.__setattr__(self, name, tuple(labels))
         if not self.topics:
             raise ValueError("at least one topic is required")
         seen: dict[str, str] = {}
@@ -61,6 +71,11 @@ class SynthConfig:
         for topic in self.topics:
             if topic not in self.pre_label_by_topic:
                 raise ValueError(f"topic {topic!r} has no pre-shift label")
+            pre = self.pre_label_by_topic[topic]
+            if pre not in self.pre_labels:
+                raise ValueError(f"topic {topic!r}: pre label {pre!r} not in pre_labels {self.pre_labels!r}")
+            if (post := self.shift.lookup(topic, pre)) not in self.post_labels:
+                raise ValueError(f"topic {topic!r}: shifted label {post!r} not in post_labels {self.post_labels!r}")
         for topic, anchor in self.anchor_by_topic.items():
             if topic not in self.topics:
                 raise ValueError(f"anchor declared for unknown topic {topic!r}")
@@ -112,14 +127,9 @@ def _draw_tokens(
 
 def synth_generate(config: SynthConfig, seed: int) -> Dataset:
     """Generate the corpus described by ``config``, deterministically."""
-    vocab_by_topic = {t: tuple(v) for t, v in config.topics.items()}
-    all_words: list[str] = []
-    for topic in config.topics:
-        all_words.extend(vocab_by_topic[topic])
-
+    all_words = [word for vocab in config.topics.values() for word in vocab]
     examples: list[Example] = []
-    for topic in config.topics:
-        vocab = vocab_by_topic[topic]
+    for topic, vocab in config.topics.items():
         others = tuple(w for w in all_words if w not in set(vocab))
         pre = config.pre_label_by_topic[topic]
         post = config.shift.lookup(topic, pre)
@@ -312,7 +322,7 @@ PRESETS: dict[str, Callable[[], SynthConfig]] = {
 }
 
 
-def preset_config(name: str, **overrides: object) -> SynthConfig:
+def preset_config(name: str, /, **overrides: object) -> SynthConfig:
     """Look up a preset by name and apply field overrides."""
     try:
         factory = PRESETS[name]

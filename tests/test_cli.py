@@ -8,7 +8,8 @@ from click.testing import CliRunner
 
 from entailshift.cli import main
 from entailshift.corpus import ShiftSpec, load_dataset, save_dataset, split
-from entailshift.methods import METHOD_KINDS
+from entailshift import methods
+from entailshift.methods import METHOD_KINDS, MethodSpec, load_predictions, run_method
 from entailshift.model import FeaturizerConfig, TrainConfig
 from entailshift.stats import aggregate
 from entailshift.synth import preset_config, synth_generate
@@ -132,6 +133,28 @@ class TestTrainEval:
         test_ds = load_dataset(test_path)
         preds = {json.loads(line)["predicted_label"] for line in pred_path.read_text().splitlines()}
         assert preds <= set(test_ds.post_labels)
+
+    def test_finetuned_warm_starts_from_the_pre_train_file(self, runner, retail_files, tmp_path,
+                                                           monkeypatch):
+        """``--pre-train`` is the pre-shift set ``run_method`` fits the warm start on."""
+        train_path, test_path = retail_files
+        pre, post = split(load_dataset(train_path), test_fraction=0.5, seed=3)
+        pre_path, post_path, pred_path = (tmp_path / f"{n}.jsonl" for n in ("pre", "post", "pred"))
+        save_dataset(pre, pre_path)
+        save_dataset(post, post_path)
+        fitted = []
+        fit = methods.fit_pre_shift
+        monkeypatch.setattr(methods, "fit_pre_shift", lambda spec, ds: fitted.append(len(ds)) or fit(spec, ds))
+        result = runner.invoke(main, [
+            "train", "--method", "finetuned", "--pre-train", str(pre_path), "--train", str(post_path),
+            "--test", str(test_path), "--epochs", "3", "--dim", "4096", "--out", str(pred_path),
+        ])
+        assert result.exit_code == 0, result.output
+        assert fitted == [len(pre)]
+        spec = MethodSpec(kind="finetuned", train_config=TrainConfig(epochs=3),
+                          featurizer=FeaturizerConfig(dim=4096))
+        expected = run_method(spec, load_dataset(pre_path), load_dataset(post_path), load_dataset(test_path))
+        assert load_predictions(pred_path) == expected
 
     def test_non_positive_weight_decay_is_clean_error(self, runner, retail_files, tmp_path):
         train_path, test_path = retail_files
@@ -348,7 +371,9 @@ class TestExperimentCommand:
         ({"synth": {"preset": "nope"}}, "unknown synth preset 'nope'"),
         ({"synth": {"preset": "retail_shift", "overrides": {"bogus": 1}}},
          "data.synth.overrides: unknown keys ['bogus']"),
-    ], ids=["preset", "overrides"])
+        ({"synth": {"preset": "retail_shift", "overrides": {"shift": {"rules": []}}}},
+         "data.synth.overrides: unknown keys ['shift']"),
+    ], ids=["preset", "overrides", "shift_override"])
     def test_bad_data_section_is_clean_error(self, runner, tmp_path, data, message):
         config_path = write_config(tmp_path, data=data)
         result = runner.invoke(main, ["experiment", "--config", str(config_path)])

@@ -160,6 +160,27 @@ class TestConfigParsing:
          r"methods\[0\]: catalog_id applies only to entail, not 'majority'"),
         ({"data": {"synth": {"preset": "retail_shift"}, "shift": "no-such-shift.json"}},
          r"data\.shift: .*No such file.*no-such-shift\.json"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"shift": {"rules": []}}}}},
+         r"data\.synth\.overrides: unknown keys \['shift'\]"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"pre_labels": "ab"}}}},
+         r"data\.synth\.overrides: pre_labels must be a list of label strings, got 'ab'"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"pre_labels": ["a", "b"]}}}},
+         r"data\.synth\.overrides: topic 'exact': pre label 'irrelevant' not in pre_labels"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"post_labels": ["a", "b"]}}}},
+         r"data\.synth\.overrides: topic 'exact': shifted label 'exact' not in post_labels"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"lang": ""}}}},
+         r"data\.synth\.overrides: lang must be a non-empty string, got ''"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"name": ""}}}},
+         r"data\.synth\.overrides: name must be a non-empty string, got ''"),
+        ({"name": ""}, "name must be a non-empty string"),
+        ({"seeds": [0, 0]}, "seed indices must be distinct"),
+        ({"seeds": "3"}, "seeds must be a positive count or a non-empty list of ints"),
+        ({"train": [1]}, "train and featurizer templates must be objects"),
+        ({"methods": [{"prompt_variant": "random"}]}, r"methods\[0\]: each method needs at least a 'kind'"),
+        ({"output_dir": ""}, "output_dir must be a non-empty string"),
+        ({"data": {"synth": "retail_shift"}}, r"data\.synth must be an object"),
+        ({"data": None}, "data section is required and must be an object"),
+        ({"data": {"files": {"train": "a.jsonl"}}}, r"data\.files must name 'train' and 'test' paths"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
@@ -244,6 +265,20 @@ class TestConfigParsing:
         assert config.config_sha256 == config_hash(original)
         if source == "synth":
             assert prepare_data(config) == prepare_data(untouched)
+
+    def test_list_overrides_are_copied(self):
+        """A synth override list is held as a tuple, so editing the dict later changes nothing."""
+        labels = ["exact", "substitute", "complement", "irrelevant"]
+        raw = base_raw(data={"synth": {"preset": "retail_shift", "overrides": {"post_labels": labels}}})
+        config = ExperimentConfig.from_dict(raw)
+        labels.reverse()
+        assert config.data["synth"].post_labels == ("exact", "substitute", "complement", "irrelevant")
+
+    def test_synth_name_override_names_the_examples(self):
+        overrides = {"name": "x", "n_per_topic": 12}
+        config = base_config(data={"synth": {"preset": "retail_shift", "overrides": overrides}})
+        data = prepare_data(config)
+        assert "x-exact-0000" in {ex.id for ex in (*data.train, *data.test)}
 
     def test_hash_ignores_key_order(self):
         a = {"alpha": 1, "beta": {"x": [1, 2]}}
@@ -665,6 +700,11 @@ class TestReportRendering:
         text = render_markdown(result)
         rows = [line for line in text.splitlines() if line.startswith("| majority")]
         assert len(rows) == 1
+
+    def test_cell_with_fewer_scored_seeds_shows_its_count(self):
+        result = tied_result(("a", "b", "c"))
+        result = replace(result, scores=tuple(s for s in result.scores if (s.method, s.seed) != ("a", 1)))
+        assert "| a | 20.00 [n=1] |" in render_markdown(result).splitlines()
 
     def test_failed_cells_render_as_failed(self):
         result = run_experiment(base_config(budgets=[10**6, 8]))

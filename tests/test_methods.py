@@ -122,6 +122,17 @@ class TestMajority:
             run_method(spec_for("majority"), empty, empty, test)
 
 
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_only_pre_shift_only_runs_without_post_shift_examples(kind):
+    train_ds, _, test_ds = retail_splits(per_topic=8)
+    empty = Dataset(examples=(), pre_labels=train_ds.pre_labels, post_labels=train_ds.post_labels)
+    if kind == "pre_shift_only":
+        assert len(run_method(spec_for(kind), train_ds, empty, test_ds)) == len(test_ds)
+    else:
+        with pytest.raises(ValueError, match=f"{kind} requires a non-empty post-shift training dataset"):
+            run_method(spec_for(kind), train_ds, empty, test_ds)
+
+
 class TestMulticlassMethods:
     def test_pre_shift_only_collapses_under_total_flip(self):
         """Trained on the old concept and scored on the new one after every

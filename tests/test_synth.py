@@ -154,3 +154,30 @@ class TestPresets:
         config = preset_config("total_flip", n_per_topic=7, noise_rate=0.1)
         assert config.n_per_topic == 7
         assert len(synth_generate(config, seed=0)) == 14
+
+    def test_preset_name_is_positional_only(self):
+        """``name`` as a keyword overrides the corpus name, not the preset."""
+        config = preset_config("retail_shift", name="x", n_per_topic=1)
+        assert config.name == "x"
+        assert synth_generate(config, seed=0).examples[0].id == "x-exact-0000"
+
+
+class TestOverrideValidation:
+    @pytest.mark.parametrize("overrides, message", [
+        ({"pre_labels": "ab"}, "pre_labels must be a list of label strings, got 'ab'"),
+        ({"post_labels": ("relevant", 1)}, r"post_labels must be a list of label strings"),
+        ({"lang": None}, "lang must be a non-empty string, got None"),
+        ({"pre_labels": ("a", "b")}, r"topic 'hot': pre label 'relevant' not in pre_labels \('a', 'b'\)"),
+        ({"post_labels": ("a", "b")}, r"topic 'hot': shifted label 'irrelevant' not in post_labels"),
+        ({"shift": ShiftSpec(rules={})}, "no shift rule for"),
+    ])
+    def test_rejected_at_construction(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_config(**overrides)
+
+    def test_label_lists_become_tuples(self):
+        labels = ["relevant", "irrelevant"]
+        config = tiny_config(pre_labels=labels, topics={"hot": ["ember"], "cold": ["frost"]})
+        labels.append("other")
+        assert config.pre_labels == ("relevant", "irrelevant")
+        assert config.topics == {"hot": ("ember",), "cold": ("frost",)}
