@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 from pathlib import Path
 
 import click
 
 from . import __version__
-from .corpus import Dataset, ShiftSpec, apply_shift, load_dataset, save_dataset
+from .corpus import ShiftSpec, apply_shift, load_dataset, save_dataset
 from .experiment import (
     ExperimentConfig,
     emit_report,
@@ -108,8 +109,7 @@ def train(kind: str, train_path: Path, pre_train_path: Path | None, test_path: P
     post_train = load_dataset(train_path)
     test = load_dataset(test_path)
     if pre_train_path is None:
-        pre_train = Dataset(
-            examples=(), pre_labels=post_train.pre_labels, post_labels=post_train.post_labels)
+        pre_train = replace(post_train, examples=())
     else:
         pre_train = load_dataset(pre_train_path)
     spec = MethodSpec(

@@ -351,12 +351,7 @@ def apply_shift(dataset: Dataset, spec: ShiftSpec) -> Dataset:
         raise ShiftCoverageError(f"shift spec does not cover: {pairs}")
 
     shifted = tuple(replace(ex, post_label=posts[ex.topic, ex.pre_label]) for ex in dataset)
-    return Dataset(
-        examples=shifted,
-        pre_labels=dataset.pre_labels,
-        post_labels=dataset.post_labels,
-        name=dataset.name,
-    )
+    return replace(dataset, examples=shifted)
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,6 @@ from .model import (
 )
 from .prompts import (
     BUILTIN_CATALOG_IDS,
-    DEFAULT_DECOYS,
     PromptCatalog,
     builtin_catalog,
     load_catalog,
@@ -134,7 +133,7 @@ class MethodSpec:
         if self.kind == "entail":
             catalog = resolve_catalog(self.catalog_id)
             if self.prompt_variant == "random":
-                catalog = randomize_labels(catalog, DEFAULT_DECOYS)
+                catalog = randomize_labels(catalog)
             object.__setattr__(self, "catalog", catalog)
 
     @property

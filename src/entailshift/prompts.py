@@ -13,19 +13,20 @@ Catalog JSON format::
      "label_surface": {"exact": "exact", ...},
      "suffix": "match"}
 
+Every field is a JSON string, and ``suffix`` may be left out (no suffix).
 Built-in catalogs cover English and Spanish product-match labels and
-English news relevance.
+English news relevance; they are packaged catalog files and load as any
+other catalog file does.
 """
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .jsonfiles import read_json, write_json
+from .jsonfiles import read_json, typed_field, write_json
 
 BUILTIN_CATALOG_IDS = ("en-retail", "es-retail", "en-news")
 
@@ -102,22 +103,20 @@ class PromptCatalog:
         return prompt
 
 
-def randomize_labels(catalog: PromptCatalog, decoys: Sequence[str] = DEFAULT_DECOYS) -> PromptCatalog:
+def randomize_labels(catalog: PromptCatalog) -> PromptCatalog:
     """Replace every surface phrase with a semantics-free decoy word.
 
-    The k-th label takes the k-th decoy, so the mapping is fixed and
-    reproducible. Used to measure how much of a catalog's value comes from
-    the label words themselves.
+    The k-th label takes the k-th of :data:`DEFAULT_DECOYS`, so the mapping
+    is fixed and reproducible. Used to measure how much of a catalog's value
+    comes from the label words themselves.
     """
     labels = catalog.labels
-    if len(decoys) < len(labels):
-        raise ValueError(f"need at least {len(labels)} decoys, got {len(decoys)}")
-    if len(set(decoys)) != len(decoys):
-        raise ValueError(f"decoys must be distinct, got {decoys!r}")
+    if len(DEFAULT_DECOYS) < len(labels):
+        raise ValueError(f"need at least {len(labels)} decoys, got {len(DEFAULT_DECOYS)}")
     return replace(
         catalog,
         catalog_id=f"{catalog.catalog_id}+random",
-        label_surface={label: decoy for label, decoy in zip(labels, decoys)},
+        label_surface=dict(zip(labels, DEFAULT_DECOYS)),
     )
 
 
@@ -126,27 +125,24 @@ def randomize_labels(catalog: PromptCatalog, decoys: Sequence[str] = DEFAULT_DEC
 # ---------------------------------------------------------------------------
 
 
-def _catalog_from_payload(raw: Mapping[str, object], catalog_id: str) -> PromptCatalog:
-    try:
-        templates = raw["templates"]
-        return PromptCatalog(
-            catalog_id=catalog_id,
-            language=str(raw["language"]),
-            remained_template=str(templates["remained"]),  # type: ignore[index]
-            changed_to_template=str(templates["changed_to"]),  # type: ignore[index]
-            label_surface={str(k): str(v) for k, v in raw["label_surface"].items()},  # type: ignore[union-attr]
-            suffix=str(raw.get("suffix", "")),
-        )
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise CatalogError(f"catalog {catalog_id!r}: malformed payload ({exc!r})") from exc
-
-
 def load_catalog(path: str | Path) -> PromptCatalog:
-    """Load a catalog JSON file; its id is the file stem. Errors name the file."""
+    """Load a catalog JSON file; its id is the file stem. Errors name the file,
+    and a missing or mistyped field names the field."""
     path = Path(path)
     raw = read_json(path, CatalogError)
     try:
-        return _catalog_from_payload(raw, path.stem)
+        templates = typed_field(raw, "templates", dict)
+        surfaces = typed_field(raw, "label_surface", dict)
+        return PromptCatalog(
+            catalog_id=path.stem,
+            language=typed_field(raw, "language", str),
+            remained_template=typed_field(templates, "remained", str),
+            changed_to_template=typed_field(templates, "changed_to", str),
+            label_surface={label: typed_field(surfaces, label, str) for label in surfaces},
+            suffix=typed_field(raw, "suffix", str) if "suffix" in raw else "",
+        )
+    except (KeyError, TypeError) as exc:
+        raise CatalogError(f"{path}: catalog {path.stem!r}: malformed payload ({exc!r})") from exc
     except CatalogError as exc:
         raise CatalogError(f"{path}: {exc}") from exc
 
@@ -169,6 +165,5 @@ def builtin_catalog(catalog_id: str) -> PromptCatalog:
         raise CatalogError(
             f"unknown catalog {catalog_id!r}; built-ins: {', '.join(BUILTIN_CATALOG_IDS)}"
         )
-    payload = resources.files("entailshift.catalogs").joinpath(f"{catalog_id}.json")
-    raw = json.loads(payload.read_text(encoding="utf-8"))
-    return _catalog_from_payload(raw, catalog_id)
+    with resources.as_file(resources.files("entailshift.catalogs") / f"{catalog_id}.json") as path:
+        return load_catalog(path)

@@ -5,18 +5,19 @@ no false anything scores 0, and zero-support classes still count toward the
 unweighted macro mean (a constant predictor on a balanced 4-class test set
 therefore scores 0.10, not 0.40).
 
-The Mann-Whitney U test handles ties by midranks. For small pooled samples
-(n <= 12) the two-sided p-value is computed by exact enumeration of all
-group assignments; larger samples use the normal approximation with tie and
-continuity corrections. Midranks are kept in doubled integer form so the
-exact branch never compares floats.
+The Mann-Whitney U test handles ties by midranks. The pooled sample size
+picks the p-value branch, with no option to override it: up to
+``EXACT_ENUMERATION_LIMIT`` (12) pooled values, the two-sided p-value is
+computed by exact enumeration of all group assignments; larger samples use
+the normal approximation with tie and continuity corrections. Midranks are
+kept in doubled integer form so the exact branch never compares floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,19 +155,15 @@ def _doubled_midranks(pooled: np.ndarray) -> np.ndarray:
     return (2 * smaller + counts + 1)[inverse]
 
 
-def mann_whitney_u(
-    a: Sequence[float], b: Sequence[float], method: str = "auto"
-) -> MannWhitneyResult:
+def mann_whitney_u(a: Sequence[float], b: Sequence[float]) -> MannWhitneyResult:
     """Two-sided Mann-Whitney U test of samples ``a`` and ``b``.
 
     U is oriented to ``a``: the number of (a_i, b_j) pairs with a_i > b_j,
-    counting ties as half. ``method`` picks the p-value branch: "exact"
-    enumerates all C(n, |a|) group assignments, "normal" applies the
-    tie-corrected normal approximation with continuity correction, and
-    "auto" uses exact when |a| + |b| <= 12.
+    counting ties as half. When |a| + |b| <= ``EXACT_ENUMERATION_LIMIT`` the
+    p-value enumerates all C(n, |a|) group assignments ("exact"); otherwise
+    it is the tie-corrected normal approximation with continuity correction
+    ("normal"). ``MannWhitneyResult.method`` names the branch that ran.
     """
-    if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown method {method!r}")
     a_arr = np.asarray(a, dtype=np.float64)
     b_arr = np.asarray(b, dtype=np.float64)
     if a_arr.size == 0 or b_arr.size == 0:
@@ -180,7 +177,7 @@ def mann_whitney_u(
     u2 = int(doubled[:n_a].sum()) - n_a * (n_a + 1)
     u = u2 / 2.0
 
-    if method == "exact" or (method == "auto" and n <= EXACT_ENUMERATION_LIMIT):
+    if n <= EXACT_ENUMERATION_LIMIT:
         d = [int(x) for x in doubled]
         base = n_a * (n_a + 1)
         less = more = total = 0

@@ -42,6 +42,11 @@ class SynthConfig:
     lang: str = "en"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.topics, Mapping):
+            raise ValueError(f"topics must map each topic to a list of words, got {self.topics!r}")
+        for topic, vocab in self.topics.items():
+            if not isinstance(vocab, (list, tuple)) or not all(isinstance(word, str) for word in vocab):
+                raise ValueError(f"topic {topic!r}: vocabulary must be a list of words, got {vocab!r}")
         # Tuples, so a config shares no list with the JSON it was parsed from.
         object.__setattr__(self, "topics", {t: tuple(v) for t, v in self.topics.items()})
         object.__setattr__(self, "pre_label_by_topic", dict(self.pre_label_by_topic))
@@ -91,8 +96,8 @@ class SynthConfig:
             raise ValueError(f"two_segment must be true or false, got {self.two_segment!r}")
         if self.anchor_repeats < 1:
             raise ValueError("anchor_repeats must be at least 1")
-        if not 0.0 <= self.noise_rate < 0.5:
-            raise ValueError(f"noise_rate must be in [0, 0.5), got {self.noise_rate}")
+        if type(self.noise_rate) not in (int, float) or not 0.0 <= self.noise_rate < 0.5:
+            raise ValueError(f"noise_rate must be a number in [0, 0.5), got {self.noise_rate!r}")
         if self.n_per_topic < 1:
             raise ValueError("n_per_topic must be positive")
         if self.tokens_per_text < 2:

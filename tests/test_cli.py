@@ -444,6 +444,11 @@ class TestReportCommand:
         assert result.exit_code == 0, result.output
         assert (tmp_path / "raw_grid.csv").read_text().splitlines()[1] == "majority,8,0,0.5,0.5,0.5"
 
+    def test_empty_format_list_rejected(self, runner, tmp_path):
+        result = runner.invoke(main, ["report", "--result", str(tmp_path), "--format", ","])
+        assert result.exit_code == 1
+        assert "Error: no report formats requested" in result.output
+
     def test_bad_format_rejected(self, runner, tmp_path):
         config_path = write_config(tmp_path)
         assert runner.invoke(main, ["experiment", "--config", str(config_path)]).exit_code == 0

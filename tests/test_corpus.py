@@ -81,6 +81,15 @@ class TestTypes:
                 post_labels=LabelSet(("relevant", "irrelevant")),
             )
 
+    def test_dataset_rejects_undeclared_pre_label(self):
+        ex = make_example(0, post="relevant", pre="mystery")
+        with pytest.raises(DatasetError, match="pre_label 'mystery' not in declared pre label set"):
+            Dataset(
+                examples=(ex,),
+                pre_labels=LabelSet(("relevant", "irrelevant")),
+                post_labels=LabelSet(("relevant", "irrelevant")),
+            )
+
 
 class TestLoadSave:
     def news_fixture(self) -> Dataset:
@@ -370,6 +379,11 @@ class TestSplit:
         train, _ = split(ds, test_fraction=0.9, seed=0)
         counts = train.post_counts()
         assert counts["a"] >= 1 and counts["b"] >= 1
+
+    @pytest.mark.parametrize("fraction", [0, 1, -0.1, 1.5])
+    def test_fraction_outside_the_open_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match=rf"test_fraction must be in \(0, 1\), got {fraction}"):
+            split(balanced_dataset({"a": 4, "b": 4}), test_fraction=fraction, seed=0)
 
     def test_deterministic(self):
         ds = balanced_dataset({"a": 30, "b": 30})

@@ -181,6 +181,14 @@ class TestConfigParsing:
         ({"data": {"synth": "retail_shift"}}, r"data\.synth must be an object"),
         ({"data": None}, "data section is required and must be an object"),
         ({"data": {"files": {"train": "a.jsonl"}}}, r"data\.files must name 'train' and 'test' paths"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"topics": ["a", "b"]}}}},
+         r"data\.synth\.overrides: topics must map each topic to a list of words"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"topics": {"exact": "launch"}}}}},
+         r"data\.synth\.overrides: topic 'exact': vocabulary must be a list of words, got 'launch'"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"topics": {"exact": [1, 2]}}}}},
+         r"data\.synth\.overrides: topic 'exact': vocabulary must be a list of words, got \[1, 2\]"),
+        ({"data": {"synth": {"preset": "retail_shift", "overrides": {"noise_rate": False}}}},
+         r"data\.synth\.overrides: noise_rate must be a number in \[0, 0\.5\), got False"),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):

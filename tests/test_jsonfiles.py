@@ -5,6 +5,7 @@ named; a non-UTF-8 byte in a JSON Lines file is also located at its line.
 """
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -174,3 +175,20 @@ def test_written_rows_are_one_object_per_line(tmp_path):
     save_predictions({"a\u2028b": "x"}, path)
     assert path.read_bytes().count(b"\n") == 1
     assert json.loads(path.read_text(encoding="utf-8")) == {"id": "a\u2028b", "predicted_label": "x"}
+
+
+def test_only_jsonfiles_parses_json():
+    """Every JSON file the package reads goes through ``jsonfiles``: no other
+    module calls or imports ``json.load`` or ``json.loads``."""
+    parsers = {}
+    for path in sorted((Path(__file__).parents[1] / "src" / "entailshift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "json":
+                names = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = {alias.name for alias in node.names}
+            else:
+                continue
+            if names & {"load", "loads"}:
+                parsers.setdefault(path.name, []).append(node.lineno)
+    assert set(parsers) == {"jsonfiles.py"}, parsers

@@ -328,6 +328,7 @@ class TestSpecValidation:
         ("catalog_id", 5, "catalog_id must be a string, got 5"),
         ("oversample", "false", "oversample must be true or false, got 'false'"),
         ("oversample", 0, "oversample must be true or false, got 0"),
+        ("prompt_variant", "shuffled", "unknown prompt variant 'shuffled'"),
     ])
     def test_mistyped_entail_fields_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -258,6 +258,10 @@ class TestFeatureVectorArrays:
             FeatureVector(indices=indices, values=values, featurizer=SMALL)
         assert str(caught.value) == f"{name} must be a 1-D {what} array, got {got}"
 
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="indices and values must be parallel arrays"):
+            FeatureVector(indices=np.array([1, 2, 3]), values=np.ones(2), featurizer=SMALL)
+
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64, np.uint16])
     @pytest.mark.parametrize("value_dtype", [np.float32, np.float64, np.int64])
     def test_integer_and_real_arrays_accepted(self, index_dtype, value_dtype):
@@ -709,6 +713,13 @@ class TestModelColumns:
             Model(columns=np.array([1, 2, 3]), weights=np.zeros((rows, 3)),
                   bias=np.zeros(bias_shape), featurizer=SMALL)
 
+    @pytest.mark.parametrize("weight, bias", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf)],
+                             ids=["nan-weight", "inf-weight", "inf-bias"])
+    def test_non_finite_parameters_rejected(self, weight, bias):
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            Model(columns=np.array([1, 2, 3]), weights=np.full((2, 3), weight),
+                  bias=np.full(2, bias), featurizer=SMALL)
+
 
 def two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic function as two masked branches, each side's stable form."""
@@ -786,6 +797,9 @@ class TestTrainBinary:
     @pytest.mark.parametrize("name, value, message", [
         ("batch_size", 0, "batch_size must be >= 1, got 0"),
         ("seed", -1, "seed must be non-negative, got -1"),
+        ("learning_rate", 0.0, "learning_rate must be positive, got 0.0"),
+        ("learning_rate", -0.1, "learning_rate must be positive, got -0.1"),
+        ("l2_penalty", -1e-4, "l2_penalty must be nonnegative, got -0.0001"),
     ])
     def test_out_of_range_counts_rejected(self, name, value, message):
         """numpy refuses a negative seed only when training starts, and without naming it."""
@@ -1140,6 +1154,7 @@ class TestLabelGate:
         "past-binary": ([0, 1, 2], None),    # grad_check once reported a loss
         "short": ([0, 1], 3),                # once a bare numpy IndexError
         "nested": ([[0], [1], [1]], 3),
+        "ragged": ([[0], [1, 2], [1]], 3),
     }
     NAMES = {"train": "training", "train_joint": "post-shift", "grad_check": "column 0"}
 

@@ -1,6 +1,8 @@
 """Prompt catalogs: canonical renderings, validation, randomization."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from entailshift.prompts import (
@@ -103,6 +105,16 @@ class TestValidation:
                 label_surface={"a": "a", "b": "  "},
             )
 
+    def test_no_labels_rejected(self):
+        with pytest.raises(CatalogError, match="label_surface must not be empty"):
+            PromptCatalog(
+                catalog_id="bad",
+                language="en",
+                remained_template="remained {label}",
+                changed_to_template="changed to {label}",
+                label_surface={},
+            )
+
     def test_colliding_renders_rejected(self):
         with pytest.raises(CatalogError, match="colliding"):
             PromptCatalog(
@@ -132,11 +144,17 @@ class TestRandomization:
         assert rand.suffix == cat.suffix
 
     def test_too_few_or_duplicate_decoys(self):
-        cat = builtin_catalog("en-retail")
-        with pytest.raises(ValueError, match="at least 4"):
-            randomize_labels(cat, decoys=("cat", "dog"))
-        with pytest.raises(ValueError, match="distinct"):
-            randomize_labels(cat, decoys=("cat", "cat", "dog", "owl"))
+        """The decoys are fixed and distinct, so only a catalog with more
+        labels than there are decoys fails."""
+        cat = PromptCatalog(
+            catalog_id="nine",
+            language="en",
+            remained_template="remained {label}",
+            changed_to_template="changed to {label}",
+            label_surface={f"l{i}": f"w{i}" for i in range(9)},
+        )
+        with pytest.raises(ValueError, match="need at least 9 decoys, got 8"):
+            randomize_labels(cat)
 
     def test_default_decoys_are_distinct(self):
         assert len(set(DEFAULT_DECOYS)) == len(DEFAULT_DECOYS)
@@ -159,6 +177,32 @@ class TestSerialization:
         path.write_text('{"language": "en"}')
         with pytest.raises(CatalogError, match="broken"):
             load_catalog(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("suffix", None, "suffix must be a JSON str, got None"),
+        ("language", ["en"], r"language must be a JSON str, got \['en'\]"),
+        ("label_surface", {"relevant": 7, "irrelevant": "irrelevant"},
+         "relevant must be a JSON str, got 7"),
+        ("templates", {"remained": "remained {label}", "changed_to": 3},
+         "changed_to must be a JSON str, got 3"),
+        ("templates", "changed to {label}", "templates must be a JSON dict"),
+    ])
+    def test_mistyped_field_is_refused_by_name(self, tmp_path, field, value, message):
+        """Catalog fields are strings as written: nothing is coerced by ``str()``."""
+        path = tmp_path / "typed.json"
+        save_catalog(builtin_catalog("en-news"), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps({**payload, field: value}))
+        with pytest.raises(CatalogError, match=f"typed.json: .*{message}"):
+            load_catalog(path)
+
+    def test_missing_suffix_means_none(self, tmp_path):
+        path = tmp_path / "bare.json"
+        save_catalog(builtin_catalog("en-news"), path)
+        payload = json.loads(path.read_text())
+        del payload["suffix"]
+        path.write_text(json.dumps(payload))
+        assert load_catalog(path).render("relevant", "relevant") == "remained relevant"
 
     @pytest.mark.parametrize("text", ['{"language": "en",', "", "\u00e9"],
                              ids=["truncated", "empty", "not_utf8"])

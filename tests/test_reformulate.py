@@ -479,10 +479,14 @@ class TestFileBridge:
         (import_augmented, "binary_label", True),
         (import_augmented, "is_oversampled", "false"),
         (import_augmented, "is_oversampled", 0),
+        (import_augmented, "candidate_index", 0),
+        (import_augmented, "segments", ["p"]),
+        (import_augmented, "binary_label", 2),
     ], ids=["scores-index-string", "scores-index-float", "scores-index-bool",
             "scores-probability-string", "scores-probability-bool", "scores-probability-null",
             "sample-index-float",
-            "sample-label-float", "sample-label-bool", "sample-flag-string", "sample-flag-int"])
+            "sample-label-float", "sample-label-bool", "sample-flag-string", "sample-flag-int",
+            "sample-index-zero", "sample-one-segment", "sample-label-two"])
     def test_import_rejects_mistyped_field(self, tmp_path, loader, field, value):
         """A JSON int field takes no float or bool, a number field no string, bool
         or null, and a bool field no string or int."""

@@ -51,6 +51,15 @@ class TestMacroF1:
         np.testing.assert_allclose(per_class_f1(cm), [6 / 9, 8 / 11], atol=1e-12)
         assert abs(macro_f1(cm) - 23 / 33) < 1e-12
 
+    @pytest.mark.parametrize("counts, message", [
+        (np.zeros((2, 3), dtype=int), r"expected a 2x2 matrix, got \(2, 3\)"),
+        (np.zeros(4, dtype=int), r"expected a 2x2 matrix, got \(4,\)"),
+        (np.array([[3, -1], [0, 2]]), "confusion counts must be nonnegative"),
+    ], ids=["wide", "flat", "negative"])
+    def test_malformed_counts_rejected(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            ConfusionMatrix(counts=counts, label_set=BINARY)
+
     def test_empty_confusion_rejected(self):
         cm = ConfusionMatrix(counts=np.zeros((2, 2), dtype=int), label_set=BINARY)
         with pytest.raises(ValueError, match="empty"):
@@ -175,16 +184,16 @@ class TestMannWhitneyU:
         assert result.p_two_sided == 1.0
 
     def test_all_tied_values(self):
-        exact = mann_whitney_u([1, 1], [1, 1, 1], method="exact")
+        exact = mann_whitney_u([1, 1], [1, 1, 1])
         assert exact.u == 2 * 3 / 2
         assert exact.p_two_sided == 1.0
-        normal = mann_whitney_u([1] * 10, [1] * 10, method="normal")
+        normal = mann_whitney_u([1] * 10, [1] * 10)
         assert normal.p_two_sided == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(a=small_sample, b=small_sample)
     def test_exact_branch_matches_enumeration_oracle(self, a, b):
-        result = mann_whitney_u(a, b, method="exact")
+        result = mann_whitney_u(a, b)
         oracle_u, oracle_p = oracle_mwu(a, b)
         assert result.u == oracle_u
         assert abs(result.p_two_sided - oracle_p) < 1e-12
@@ -192,26 +201,28 @@ class TestMannWhitneyU:
     @settings(max_examples=60, deadline=None)
     @given(a=small_sample, b=small_sample)
     def test_complement_identity(self, a, b):
-        ab = mann_whitney_u(a, b, method="exact")
-        ba = mann_whitney_u(b, a, method="exact")
+        ab = mann_whitney_u(a, b)
+        ba = mann_whitney_u(b, a)
         assert ab.u + ba.u == len(a) * len(b)
 
     @settings(max_examples=60, deadline=None)
     @given(a=small_sample, b=small_sample)
     def test_exact_p_is_symmetric_and_in_range(self, a, b):
-        ab = mann_whitney_u(a, b, method="exact")
-        ba = mann_whitney_u(b, a, method="exact")
+        ab = mann_whitney_u(a, b)
+        ba = mann_whitney_u(b, a)
         assert abs(ab.p_two_sided - ba.p_two_sided) < 1e-12
         assert 0.0 < ab.p_two_sided <= 1.0
 
     def test_branches_agree_on_moderate_samples(self):
+        """Just past the enumeration limit (7 + 6 values) the normal branch
+        runs, and its p-value stays close to the exact one."""
         rng = np.random.default_rng(11)
         for _ in range(20):
-            a = list(rng.normal(size=6))
+            a = list(rng.normal(size=7))
             b = list(rng.normal(loc=rng.uniform(0, 1), size=6))
-            exact = mann_whitney_u(a, b, method="exact")
-            approx = mann_whitney_u(a, b, method="normal")
-            assert abs(exact.p_two_sided - approx.p_two_sided) < 0.02
+            approx = mann_whitney_u(a, b)
+            assert approx.method == "normal"
+            assert abs(oracle_mwu(a, b)[1] - approx.p_two_sided) < 0.02
 
     def test_auto_switches_at_the_enumeration_limit(self):
         small = mann_whitney_u([1, 2, 3, 4, 5, 6], [7, 8, 9, 10, 11, 12])
@@ -222,5 +233,3 @@ class TestMannWhitneyU:
     def test_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
             mann_whitney_u([], [1.0])
-        with pytest.raises(ValueError, match="method"):
-            mann_whitney_u([1.0], [2.0], method="bogus")

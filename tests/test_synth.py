@@ -170,6 +170,18 @@ class TestOverrideValidation:
         ({"pre_labels": ("a", "b")}, r"topic 'hot': pre label 'relevant' not in pre_labels \('a', 'b'\)"),
         ({"post_labels": ("a", "b")}, r"topic 'hot': shifted label 'irrelevant' not in post_labels"),
         ({"shift": ShiftSpec(rules={})}, "no shift rule for"),
+        ({"topics": ["hot", "cold"]}, r"topics must map each topic to a list of words, got \['hot'"),
+        ({"topics": {"hot": "ember", "cold": ("frost",)}},
+         "topic 'hot': vocabulary must be a list of words, got 'ember'"),
+        ({"topics": {"hot": (1, 2), "cold": ("frost",)}}, r"topic 'hot': vocabulary .*got \(1, 2\)"),
+        ({"noise_rate": False}, r"noise_rate must be a number in \[0, 0\.5\), got False"),
+        ({"noise_rate": "0.1"}, "noise_rate must be a number"),
+        ({"topics": {}}, "at least one topic is required"),
+        ({"topics": {"hot": (), "cold": ("frost",)}}, "topic 'hot' has an empty vocabulary"),
+        ({"anchor_by_topic": {"warm": "ember"}}, "anchor declared for unknown topic 'warm'"),
+        ({"anchor_repeats": 0}, "anchor_repeats must be at least 1"),
+        ({"n_per_topic": 0}, "n_per_topic must be positive"),
+        ({"tokens_per_text": 1}, "tokens_per_text must be at least 2"),
     ])
     def test_rejected_at_construction(self, overrides, message):
         with pytest.raises(ValueError, match=message):
