@@ -5,6 +5,18 @@ few-shot post-shift training set, runs one method, and scores macro-F1 on a
 fixed test set. Cells are individually deterministic, so the grid can run in
 parallel and adding a method never perturbs existing cells.
 
+The test set is fixed, so a grid featurizes each of its test input sets
+once (``_GridPlan``): the test rows per featurizer for the multiclass heads,
+and the test candidates per (featurizer, catalog) for entail
+(``methods.input_key``). Every cell scores its own model over row slices of
+the set it reads. A serial grid builds each set as the first group that
+reads it starts and drops it once the last has run, so it holds about one
+set at a time; a pool grid builds every set before the pool starts, and
+each worker is handed the whole plan once, through the pool initializer,
+and holds it for its life. A set that fails to build fails each cell that
+reads it, and the grid goes on. Training rows stay each cell's own and are
+featurized as its fit reads them.
+
 The pre-shift model never sees the few-shot set, so it is one model per seed:
 it trains under the ``(master_seed, "pre_shift", seed_index)`` substream, and
 the ``pre_shift_only`` and ``finetuned`` cells of one seed whose ``train`` and
@@ -25,7 +37,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
@@ -34,7 +46,16 @@ import numpy as np
 from . import __version__
 from .corpus import Dataset, ShiftSpec, apply_shift, fewshot_sample, load_dataset, rebalance, split
 from .jsonfiles import read_json, typed_field
-from .methods import PRE_SHIFT_KINDS, MethodSpec, check_inputs, fit_pre_shift, run_method
+from .methods import (
+    PRE_SHIFT_KINDS,
+    InputSet,
+    MethodSpec,
+    build_inputs,
+    check_inputs,
+    fit_pre_shift,
+    input_key,
+    run_method,
+)
 from .model import FeaturizerConfig, Model, TrainConfig
 from .seeding import derive_seed
 from .stats import Aggregate, RunScore, aggregate, confusion_from_predictions, mann_whitney_u, per_class_f1
@@ -368,31 +389,35 @@ class ExperimentResult:
         return tuple(tests)
 
 
-CellTask = tuple[MethodSpec, int, int | str, int, PreparedData]
+# (spec, master seed, budget, seed index, data, the spec's test inputs or the error
+# building them raised; None for a method that reads none)
+CellTask = tuple[MethodSpec, int, int | str, int, PreparedData, InputSet | Exception | None]
 
 
 def _pre_shift_model(task: CellTask) -> Model:
     """The pre-shift model of a cell's seed, whatever its method and budget."""
-    spec, master_seed, _, seed_index, data = task
+    spec, master_seed, _, seed_index, data, _ = task
     return fit_pre_shift(spec.with_seed(derive_seed(master_seed, "pre_shift", seed_index)), data.train)
 
 
 def _run_cell(task: CellTask, pre_shift: Model | Exception | None = None) -> RunScore | CellFailure:
     """One cell's score; ``pre_shift`` is its group's model, or the error that fitting it raised.
 
-    A ``PRE_SHIFT_KINDS`` cell handed no model fits its seed's own.
+    A ``PRE_SHIFT_KINDS`` cell handed no model fits its seed's own. The cell
+    only reads its test inputs, so it may run again on the same task.
     """
-    spec, master_seed, budget, seed_index, data = task
+    spec, master_seed, budget, seed_index, data, inputs = task
     label = str(budget)
     try:
-        if isinstance(pre_shift, Exception):
-            raise pre_shift
+        for error in (pre_shift, inputs):
+            if isinstance(error, Exception):
+                raise error
         cell_seed = derive_seed(master_seed, spec.method_id, label, seed_index)
         post_train = budget_subset(data.train, budget, master_seed, seed_index)
         if pre_shift is None and spec.kind in PRE_SHIFT_KINDS:
             pre_shift = _pre_shift_model(task)
         predictions = run_method(
-            spec.with_seed(cell_seed), data.train, post_train, data.test, pre_shift)
+            spec.with_seed(cell_seed), data.train, post_train, data.test, pre_shift, inputs)
         gold = [ex.post_label for ex in data.test]
         predicted = [predictions[ex.id] for ex in data.test]
         confusion = confusion_from_predictions(gold, predicted, data.test.post_labels)
@@ -409,56 +434,118 @@ def _run_cell(task: CellTask, pre_shift: Model | Exception | None = None) -> Run
                            error=f"{type(exc).__name__}: {exc}")
 
 
-def _run_group(group: Sequence[CellTask]) -> list[RunScore | CellFailure]:
+@dataclass(frozen=True)
+class _GridPlan:
+    """A grid's cells, (spec, budget, seed index) in grid order, and what they share.
+
+    ``inputs`` holds the test inputs of each ``input_key`` that is built and
+    not yet dropped, or the error building them raised: every cell that
+    reads it fails with that error, and the grid goes on.
+    """
+
+    master_seed: int
+    data: PreparedData
+    cells: tuple[tuple[MethodSpec, int | str, int], ...]
+    inputs: dict[tuple, InputSet | Exception] = field(default_factory=dict)
+
+    def task(self, i: int) -> CellTask:
+        spec, budget, seed_index = self.cells[i]
+        return (spec, self.master_seed, budget, seed_index, self.data, self.inputs.get(input_key(spec)))
+
+    def build_inputs(self, spec: MethodSpec) -> None:
+        """Build the test inputs ``spec`` reads, unless its ``input_key`` reads none or is held."""
+        key = input_key(spec)
+        if key is None or key in self.inputs:
+            return
+        try:
+            self.inputs[key] = build_inputs(spec, self.data.test)
+        except Exception as exc:  # the cells that read it fail with it, the grid goes on
+            self.inputs[key] = exc
+
+
+def _run_group(plan: _GridPlan, group: Sequence[int]) -> list[RunScore | CellFailure]:
     """Each cell of a group through ``_run_cell``; a group of several shares one pre-shift fit.
 
     A fit that raises is handed to every cell too, so each outcome, a failure
     included, comes from ``_run_cell``.
     """
+    tasks = [plan.task(i) for i in group]
     pre_shift: Model | Exception | None = None
-    if len(group) > 1:
+    if len(tasks) > 1:
         try:
-            pre_shift = _pre_shift_model(group[0])
+            pre_shift = _pre_shift_model(tasks[0])
         except Exception as exc:  # every cell of the group fails with it, the grid goes on
             pre_shift = exc
-    return [_run_cell(task, pre_shift) for task in group]
+    return [_run_cell(task, pre_shift) for task in tasks]
 
 
-def _group_tasks(tasks: Sequence[CellTask]) -> list[list[int]]:
-    """Task indices by shared pre-shift model, in the grid order of each group's first cell."""
+def _group_tasks(cells: Sequence[tuple[MethodSpec, int | str, int]]) -> list[list[int]]:
+    """Cell indices by shared pre-shift model, in the grid order of each group's first cell."""
     groups: dict[Any, list[int]] = {}
-    for i, (spec, _, _, seed_index, _) in enumerate(tasks):
+    for i, (spec, _, seed_index) in enumerate(cells):
         shares = spec.kind in PRE_SHIFT_KINDS
         key = (seed_index, spec.train_config, spec.featurizer) if shares else i
         groups.setdefault(key, []).append(i)
     return list(groups.values())
 
 
+def _run_serially(plan: _GridPlan, groups: Sequence[Sequence[int]]) -> list[list[RunScore | CellFailure]]:
+    """Each group in turn. A test input set is built as the first group that reads it starts
+    and dropped once the last has run, so sets that no group shares are not held together."""
+    last = {input_key(plan.cells[i][0]): g for g, group in enumerate(groups) for i in group}
+    ran = []
+    for g, group in enumerate(groups):
+        for i in group:
+            plan.build_inputs(plan.cells[i][0])
+        ran.append(_run_group(plan, group))
+        for key in [key for key, at in last.items() if at == g and key is not None]:
+            del plan.inputs[key]
+    return ran
+
+
+# The plan of the grid whose groups a pool worker runs. Only a worker sets it,
+# once, through the pool initializer, so the plan reaches each worker once
+# instead of with every group; the process that runs the grid never does.
+_worker_plan: _GridPlan | None = None
+
+
+def _start_worker(plan: _GridPlan) -> None:
+    global _worker_plan
+    _worker_plan = plan
+
+
+def _run_worker_group(group: Sequence[int]) -> list[RunScore | CellFailure]:
+    return _run_group(_worker_plan, group)
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Execute the full (method, budget, seed) grid; a method unfit for the data fails first."""
+    """Execute the full (method, budget, seed) grid; a method unfit for the data fails first.
+
+    Each test input set is built once, and every cell that reads it scores
+    its own model over it.
+    """
     data = prepare_data(config)
     for i, spec in enumerate(config.method_specs):
         try:
             check_inputs(spec, data.train, data.train, data.test)
         except ValueError as exc:
             raise ConfigError(f"methods[{i}]: {exc}") from exc
-    tasks = [
-        (spec, config.master_seed, budget, seed_index, data)
-        for spec in config.method_specs
-        for budget in config.budgets
-        for seed_index in config.seed_indices
-    ]
-    groups = _group_tasks(tasks)
-    batches = [[tasks[i] for i in group] for group in groups]
+    cells = tuple((spec, budget, seed_index) for spec in config.method_specs
+                  for budget in config.budgets for seed_index in config.seed_indices)
+    plan = _GridPlan(config.master_seed, data, cells)
+    groups = _group_tasks(cells)
     # The pool starts all its workers at once under fork: start no more than there are groups.
-    workers = min(workers, len(batches))
+    workers = min(workers, len(groups))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            ran = list(pool.map(_run_group, batches, chunksize=1))
+        for spec in config.method_specs:
+            plan.build_inputs(spec)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                 initargs=(plan,)) as pool:
+            ran = list(pool.map(_run_worker_group, groups, chunksize=1))
     else:
-        ran = [_run_group(batch) for batch in batches]
-    by_task = {i: outcome for group, outcomes in zip(groups, ran) for i, outcome in zip(group, outcomes)}
-    outcomes = [by_task[i] for i in range(len(tasks))]
+        ran = _run_serially(plan, groups)
+    by_cell = {i: outcome for group, outcomes in zip(groups, ran) for i, outcome in zip(group, outcomes)}
+    outcomes = [by_cell[i] for i in range(len(plan.cells))]
 
     return ExperimentResult(
         name=config.name,

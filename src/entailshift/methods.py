@@ -28,10 +28,27 @@ or ``(text_a, text_b)``: the multiclass heads featurize those segments and
 entail puts each candidate's prompt in front of them, so the layout follows
 each example and no method has a layout setting. Rows are featurized under
 the spec's ``featurizer``; a trained model takes that config from its rows
-and predicts through it, so no method passes it to training. Training rows
-are featurized as the fit reads them (``_Featurized``), and a multiclass
-head's test rows by the binary scorer's step, ``model._score_inputs``, one
-block at a time as ``score`` packs them: neither is held as a list of rows.
+and predicts through it, so no method passes it to training.
+
+A method's test inputs depend only on its ``input_key``: the featurizer of a
+multiclass head, and the featurizer and catalog of entail. ``build_inputs``
+featurizes them once, through the block featurizer, into an ``InputSet``
+held only packed: the test examples' segments, or every entail candidate
+in ``predict_dataset`` order. A grid builds each set once and hands it to
+every cell that reads it, where a multiclass head scores it in one
+``score`` call and entail's scorer reads its rows slice by slice, one
+``score`` call per candidate batch. ``run_method`` alone, with no set
+handed in, builds a multiclass head's test rows once its model is trained,
+but scores entail one candidate batch at a time through
+``make_binary_scorer``, featurizing each batch through the same block
+featurizer: holding a whole test set's candidate rows next to the model's
+lookup would only raise the peak heap of a call that reads each row once,
+and a heap that swings past the allocator's trim threshold returns and
+re-faults its top pages call after call. Training rows are
+featurized one ``featurize`` call per row as the fit reads them
+(``_Featurized``), never held as a list: they are each cell's own few-shot
+and oversampled rows, so no other cell could reuse them, and the benchmark
+tracer counts one call per training row.
 
 The four multiclass kinds are one softmax head trained by one helper on
 different rows and label columns: ``fit_pre_shift`` fits ``pre_shift_only``
@@ -54,13 +71,15 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping
 
+from . import model as _model
 from .corpus import Dataset, require_unique_ids
 from .jsonfiles import read_keyed_jsonl, write_jsonl
 from .model import (
     FeaturizerConfig,
     Model,
     TrainConfig,
-    _score_inputs,
+    _featurize_packed,
+    _Packed,
     featurize,
     make_binary_scorer,
     train,
@@ -73,7 +92,7 @@ from .prompts import (
     load_catalog,
     randomize_labels,
 )
-from .reformulate import augment_dataset, predict_dataset
+from .reformulate import Candidate, augment_dataset, dataset_candidates, predict_dataset
 from .seeding import derive_seed
 
 METHOD_KINDS = (
@@ -187,8 +206,9 @@ class _Featurized:
     """The featurized segments of ``items``, made one at a time as a fit reads them.
 
     Sized, because the benchmark tracer counts training rows with ``len``
-    (ROADMAP item 3). Each row comes from this module's ``featurize``, looked
-    up as it is read, so the tracer counts one call per row.
+    (ROADMAP item 3) and the fit reserves its packed arrays from it. Each row
+    comes from this module's ``featurize``, looked up as it is read, so the
+    tracer counts one call per row.
     """
 
     def __init__(self, items, featurizer: FeaturizerConfig) -> None:
@@ -244,10 +264,79 @@ def _multiclass_model(
     return _fit_multiclass(post_train, _POST_TRAINED[kind], config, spec.featurizer)
 
 
-def _predict_multiclass(model: Model, test: Dataset) -> dict[str, str]:
-    probs = _score_inputs(model, [ex.segments for ex in test])
+@dataclass(frozen=True, eq=False)
+class InputSet:
+    """A test set's inputs for the methods of one ``input_key``, featurized once and held packed.
+
+    ``rows`` are the test examples' segments for a multiclass head, or for
+    entail the segments of ``candidates``, the test set's K candidates per
+    example in ``dataset_candidates`` order; ``test`` is the set.
+    """
+
+    key: tuple
+    test: Dataset
+    rows: _Packed
+    candidates: tuple[Candidate, ...] | None = None
+
+
+def input_key(spec: MethodSpec) -> tuple | None:
+    """What a method's test inputs depend on: nothing for majority, which reads none, the
+    featurizer for a multiclass head, and the featurizer and catalog for entail."""
+    if spec.kind == "majority":
+        return None
+    if spec.kind == "entail":
+        return ("entail", spec.featurizer, spec.catalog_id, spec.prompt_variant)
+    return ("multiclass", spec.featurizer)
+
+
+def _test_rows(test: Dataset, featurizer: FeaturizerConfig) -> _Packed:
+    return _featurize_packed([ex.segments for ex in test], featurizer)
+
+
+def build_inputs(spec: MethodSpec, test: Dataset) -> InputSet:
+    """The ``InputSet`` every method of ``spec``'s ``input_key`` scores ``test`` over."""
+    key = input_key(spec)
+    if key is None:
+        raise ValueError(f"{spec.kind} reads no test inputs")
+    if spec.kind != "entail":
+        return InputSet(key, test, _test_rows(test, spec.featurizer))
+    pending = tuple(dataset_candidates(test, spec.catalog))
+    return InputSet(key, test, _featurize_packed([c.segments for c in pending], spec.featurizer),
+                    pending)
+
+
+def _check_given_inputs(spec: MethodSpec, test: Dataset, inputs: InputSet) -> None:
+    if inputs.key != input_key(spec):
+        raise ValueError(f"test inputs built for {inputs.key} cannot serve {spec.method_id}, "
+                         f"which reads {input_key(spec)}")
+    if inputs.test is not test and inputs.test != test:
+        raise ValueError("the test inputs were built from another test set")
+
+
+def _predict_multiclass(model: Model, test: Dataset, rows: _Packed | None = None) -> dict[str, str]:
+    """Labels of ``test`` from one ``score`` call over its packed rows, featurized here unless given."""
+    probs = _model.score(model, _test_rows(test, model.featurizer) if rows is None else rows)
     labels = test.post_labels.labels
     return {ex.id: labels[k] for ex, k in zip(test, probs.argmax(axis=1))}
+
+
+def _predict_entail(model: Model, test: Dataset, catalog: PromptCatalog, inputs: InputSet) -> dict[str, str]:
+    """``predict_dataset`` over the candidates of ``inputs``, scored by their packed rows in order.
+
+    A batch of n candidates scores the next n rows in one ``score`` call; a
+    batch that is not the candidates those rows hold is refused.
+    """
+    position = 0
+
+    def scorer(batch):
+        nonlocal position
+        start = position
+        position += len(batch)
+        if tuple(batch) != inputs.candidates[start:position]:
+            raise ValueError(f"candidates {start}..{position} are not those the test inputs hold there")
+        return _model.score(model, inputs.rows.rows(start, position))
+
+    return predict_dataset(scorer, test, catalog, inputs.candidates)
 
 
 def _require_nonempty(dataset: Dataset, kind: str, which: str) -> None:
@@ -257,13 +346,16 @@ def _require_nonempty(dataset: Dataset, kind: str, which: str) -> None:
 
 def run_method(
     spec: MethodSpec, pre_train: Dataset, post_train: Dataset, test: Dataset,
-    pre_shift: Model | None = None,
+    pre_shift: Model | None = None, inputs: InputSet | None = None,
 ) -> dict[str, str]:
     """Predictions (id -> post-shift label) for every test example; test ids must be unique.
 
     ``pre_shift`` is a trained ``fit_pre_shift`` model for a ``PRE_SHIFT_KINDS``
     method to use instead of fitting its own: pre_shift_only predicts with it
-    and finetuned warm-starts from it.
+    and finetuned warm-starts from it. ``inputs`` is the ``build_inputs`` set
+    of ``spec`` on ``test`` to score over; without it a multiclass head
+    builds its own once its model is trained, and entail featurizes one
+    candidate batch at a time.
     """
     require_unique_ids(test)
     check_inputs(spec, pre_train, post_train, test)
@@ -271,6 +363,8 @@ def run_method(
     cfg = spec.train_config
     if pre_shift is not None and kind not in PRE_SHIFT_KINDS:
         raise ValueError(f"{kind} has no pre-shift stage to take a trained pre-shift model")
+    if inputs is not None:
+        _check_given_inputs(spec, test, inputs)
     if kind != "pre_shift_only":
         _require_nonempty(post_train, kind, "post-shift training")
 
@@ -280,7 +374,8 @@ def run_method(
         return {ex.id: best for ex in test}
 
     if kind != "entail":
-        return _predict_multiclass(_multiclass_model(kind, spec, pre_train, post_train, pre_shift), test)
+        model = _multiclass_model(kind, spec, pre_train, post_train, pre_shift)
+        return _predict_multiclass(model, test, (inputs or build_inputs(spec, test)).rows)
 
     aug = augment_dataset(
         post_train,
@@ -289,7 +384,9 @@ def run_method(
         seed=derive_seed(cfg.seed, "augment"),
     )
     model = train(_Featurized(aug, spec.featurizer), [s.binary_label for s in aug], cfg)
-    return predict_dataset(make_binary_scorer(model), test, spec.catalog)
+    if inputs is None:
+        return predict_dataset(make_binary_scorer(model), test, spec.catalog)
+    return _predict_entail(model, test, spec.catalog, inputs)
 
 
 # ---------------------------------------------------------------------------

@@ -21,15 +21,20 @@ its tokens and own digests, and a prompt's text to the cross digests of
 each content token, so the K candidates of one example tokenize and key
 their shared content once. One ``&= dim - 1`` makes a row's digests
 indices, so its vectors equal hashing every key of the input's key
-multiset bit for bit. ``featurize_batch`` gives the same vectors for many
-inputs, in blocks of 64 rows that one ``np.unique`` and one norm pass
-finish. Prediction featurizes through it, a block at a time into one
-``score`` call (``_score_inputs``); training featurizes row by row. A
-``FeatureVector`` carries the ``FeaturizerConfig`` that made it. Every entry
-point takes any iterable of rows and packs it through ``_pack``, which reads
-the rows once, a block at a time, so a fit holds them only packed; it refuses
-a row from another space or an index outside [0, dim). Training takes its
-featurizer from its first row, and a model's weight rows decide its head.
+multiset bit for bit. The block featurizer, ``_featurize_packed``, gives
+the same rows for many inputs already packed: each block of 64 rows is
+counted by one in-place sort and cut and finished by one norm pass, and
+written straight into arrays that the row count reserves.
+``featurize_batch`` returns ``FeatureVector`` views of its output.
+Prediction featurizes through it (a grid's test inputs once per grid, see
+``methods.build_inputs``); training featurizes row by row, as the fit reads
+its rows. A ``FeatureVector`` carries the ``FeaturizerConfig`` that made it.
+Every entry point takes any iterable of rows and packs it through ``_pack``,
+which reads the rows once, a block at a time, so a fit holds them only
+packed; it refuses a row from another space or an index outside [0, dim).
+``score`` also takes rows already packed, such as a row slice
+(``_Packed.rows``) of a test input set, and only reads them. Training takes
+its featurizer from its first row, and a model's weight rows decide its head.
 Training and ``grad_check`` share one set-up, ``_problem``, and one label gate.
 Training and ``score`` run one forward, ``_logits`` over packed rows, so a
 row scores the same alone or in a batch; an epoch's logged loss is taken
@@ -39,11 +44,11 @@ of it; full passes (``score``, the checked gradient) run in fixed blocks of
 consecutive rows, so beside the packed rows only an epoch's logits, one
 float per row and weight row, grow with the data. A model holds only
 its active columns, the feature indices its training touched, and
-``score`` maps indices to them through a lookup built once per model, so
-no array is as wide as the hash space per class. Cross features exist
-because a purely additive linear model scores candidate prompts
-independently of the text they are paired with; the conjunction features
-are what let the binary head read prompts in context.
+``score``'s forward maps each block's indices to them through a lookup
+built once per model, so no array is as wide as the hash space per class.
+Cross features exist because a purely additive linear model scores
+candidate prompts independently of the text they are paired with; the
+conjunction features are what let the binary head read prompts in context.
 """
 from __future__ import annotations
 
@@ -53,7 +58,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import chain, islice
-from typing import ClassVar, Iterable, Iterator, Sequence
+from typing import ClassVar, Iterable, Iterator, Sequence, Sized
 
 import numpy as np
 
@@ -230,42 +235,6 @@ def featurize(segments: str | Sequence[str], config: FeaturizerConfig) -> Featur
     return FeatureVector(indices=idx[edges[:-1]], values=values, featurizer=config)
 
 
-# Rows per block of ``featurize_batch``: the scorers' candidate batch size.
-_BLOCK_ROWS = 64
-
-
-def featurize_batch(
-    inputs: Sequence[str | Sequence[str]], config: FeaturizerConfig
-) -> list[FeatureVector]:
-    """``[featurize(x, config) for x in inputs]``, bit for bit, a block at a time.
-
-    Within a block of ``_BLOCK_ROWS`` inputs each distinct segment is
-    tokenized and keyed once, and one ``&= dim - 1``, one ``np.unique`` and
-    one norm pass serve every row. A row's vector does not depend on the
-    other rows.
-    """
-    dim = config.dim
-    out: list[FeatureVector] = []
-    for start in range(0, len(inputs), _BLOCK_ROWS):
-        rows = [_row_digests(x) for x in inputs[start : start + _BLOCK_ROWS]]
-        lengths = [len(row) for row in rows]
-        # Tag each index with its row as row * dim + index. This fits int64:
-        # dim <= 2**30 keeps 64 * dim far below 2**63.
-        tags = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
-        tags &= dim - 1
-        tags += np.repeat(np.arange(len(rows), dtype=np.int64) * dim, lengths)
-        tags, counts = np.unique(tags, return_counts=True)
-        row, indices = np.divmod(tags, dim)
-        values = counts.astype(np.float64)
-        # Integer counts: the squared sums are exact in any order, so their sqrt
-        # equals np.linalg.norm of each row bit for bit. Empty rows own no entries.
-        values /= np.sqrt(np.bincount(row, weights=values * values, minlength=len(rows)))[row]
-        bounds = np.searchsorted(row, np.arange(len(rows) + 1)).tolist()
-        out.extend(FeatureVector(indices=indices[a:b], values=values[a:b], featurizer=config)
-                   for a, b in zip(bounds, bounds[1:]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Packed sample matrix
 # ---------------------------------------------------------------------------
@@ -284,6 +253,12 @@ class _Packed:
     def n_rows(self) -> int:
         return int(self.indptr.size - 1)
 
+    def rows(self, start: int, stop: int) -> "_Packed":
+        """Rows [start, stop) as views of these arrays; only the offsets are new."""
+        a, b = int(self.indptr[start]), int(self.indptr[stop])
+        return _Packed(self.indptr[start : stop + 1] - a, self.indices[a:b], self.values[a:b],
+                       self.featurizer)
+
 
 # Rows per block of ``_pack`` and of an index remap, and per chunk of training
 # batches (rounded down to whole batches, at least one) and block of a full
@@ -293,49 +268,130 @@ class _Packed:
 _CHUNK_ROWS = 256
 
 
+class _PackedWriter:
+    """Packed arrays filled a block of rows at a time, reserved ahead of the rows.
+
+    With ``n_rows`` known, the first block's non-zeros per row times
+    ``n_rows`` reserve the arrays, and a later shortfall re-estimates from
+    every row added so far, so each entry is copied about once. Without it,
+    a full block of ``_CHUNK_ROWS`` rows keeps an eighth spare, so growing
+    copies each entry about nine times at most. ``packed`` trims the spare.
+    """
+
+    def __init__(self, n_rows: int | None) -> None:
+        self.n_rows = n_rows
+        self.lengths: list[int] = []
+        self.indices = np.empty(0, dtype=np.int64)
+        self.values = np.empty(0, dtype=np.float64)
+        self.stop = 0
+
+    def add(self, lengths: list[int], index_parts: list[np.ndarray],
+            value_parts: list[np.ndarray], dim: int) -> None:
+        """Append rows of these lengths whose entries concatenate from the parts; indices in [0, dim)."""
+        self.lengths += lengths
+        start = self.stop
+        self.stop = stop = start + sum(lengths)
+        if stop > self.indices.size:
+            if self.n_rows is not None:
+                capacity = max(stop, -(-stop * self.n_rows // len(self.lengths)))
+            else:
+                capacity = stop + (stop // 8 if len(lengths) == _CHUNK_ROWS else 0)
+            for array in (self.indices, self.values):
+                array.resize(capacity, refcheck=False)  # realloc; no view of it exists
+        written = self.indices[start:stop]
+        np.concatenate(index_parts, out=written)
+        np.concatenate(value_parts, out=self.values[start:stop])
+        # A negative index reads as a huge unsigned one, so one max checks both ends.
+        if written.size and written.view(np.uint64).max() >= dim:
+            bad = written[(written < 0) | (written >= dim)][0]
+            raise ValueError(f"feature index {int(bad)} outside [0, {dim})")
+
+    def packed(self, featurizer: FeaturizerConfig | None) -> _Packed:
+        if self.indices.size > self.stop:
+            for array in (self.indices, self.values):
+                array.resize(self.stop, refcheck=False)
+        indptr = np.zeros(len(self.lengths) + 1, dtype=np.int64)
+        np.cumsum(np.array(self.lengths, dtype=np.int64), out=indptr[1:])
+        return _Packed(indptr=indptr, indices=self.indices, values=self.values, featurizer=featurizer)
+
+
 def _pack(features: Iterable[FeatureVector], featurizer: FeaturizerConfig | None) -> _Packed:
     """Pack the rows, each made by ``featurizer`` (None: the first row's) with indices in [0, dim).
 
     The rows are read once, ``_CHUNK_ROWS`` at a time: each block is checked
-    and concatenated straight onto the end of the growing packed arrays, and
-    dropped before the next is read, so those arrays and one block are all
-    that is held of the rows. Zero rows pack too.
+    and concatenated straight onto the end of the packed arrays, and dropped
+    before the next is read, so those arrays and one block are all that is
+    held of the rows. A sized input reserves the arrays from its length.
+    Zero rows pack too.
     """
+    writer = _PackedWriter(len(features) if isinstance(features, Sized) else None)
     rows = iter(features)
-    lengths: list[int] = []
-    indices = np.empty(0, dtype=np.int64)
-    values = np.empty(0, dtype=np.float64)
-    stop = 0
     while block := list(islice(rows, _CHUNK_ROWS)):
         featurizer = featurizer or block[0].featurizer
-        for i, fv in enumerate(block, len(lengths)):
+        for i, fv in enumerate(block, len(writer.lengths)):
             # Rows of one batch share their config object, so identity settles most rows.
             if fv.featurizer is not featurizer and fv.featurizer != featurizer:
                 raise ValueError(f"feature row {i} was made by {fv.featurizer}, not {featurizer}")
-        block_lengths = [fv.indices.size for fv in block]
-        lengths += block_lengths
-        start, stop = stop, stop + sum(block_lengths)
-        if stop > indices.size:
-            # A full block may have a successor, so keep an eighth spare: growing
-            # then copies each entry about nine times at most, not once per block.
-            spare = stop // 8 if len(block) == _CHUNK_ROWS else 0
-            for array in (indices, values):
-                array.resize(stop + spare, refcheck=False)  # realloc; no view of it exists
-        written = indices[start:stop]
-        np.concatenate([fv.indices for fv in block], out=written)
-        np.concatenate([fv.values for fv in block], out=values[start:stop])
-        # A negative index reads as a huge unsigned one, so one max checks both ends.
-        if written.size and written.view(np.uint64).max() >= featurizer.dim:
-            bad = written[(written < 0) | (written >= featurizer.dim)][0]
-            raise ValueError(f"feature index {int(bad)} outside [0, {featurizer.dim})")
-        # Dropped before the next block is read and the arrays grow under the view.
-        del block, written
-    if indices.size > stop:
-        for array in (indices, values):
-            array.resize(stop, refcheck=False)
-    indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(np.array(lengths, dtype=np.int64), out=indptr[1:])
-    return _Packed(indptr=indptr, indices=indices, values=values, featurizer=featurizer)
+        writer.add([fv.indices.size for fv in block], [fv.indices for fv in block],
+                    [fv.values for fv in block], featurizer.dim)
+        del block  # dropped before the next block is read
+    return writer.packed(featurizer)
+
+
+# Rows per block of the block featurizer: the scorers' candidate batch size.
+_BLOCK_ROWS = 64
+
+
+def _featurize_packed(inputs: Sequence[str | Sequence[str]], config: FeaturizerConfig) -> _Packed:
+    """The packed rows of ``[featurize(x, config) for x in inputs]``, bit for bit, a block at a time.
+
+    Within a block of ``_BLOCK_ROWS`` inputs each distinct segment is
+    tokenized and keyed once, and one ``&= dim - 1``, one in-place sort with
+    a cut at each change of tag, and one norm pass serve every row; the
+    block is written straight into the packed arrays, which its row count
+    reserves. A row's vector does not depend on the other rows.
+    """
+    dim = config.dim
+    shift = dim.bit_length() - 1
+    writer = _PackedWriter(len(inputs))
+    for start in range(0, len(inputs), _BLOCK_ROWS):
+        rows = [_row_digests(x) for x in inputs[start : start + _BLOCK_ROWS]]
+        lengths = [len(row) for row in rows]
+        # Tag each index with its row as row * dim + index. This fits int64:
+        # dim <= 2**30 keeps 64 * dim far below 2**63.
+        tags = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=sum(lengths))
+        tags &= dim - 1
+        tags += np.repeat(np.arange(len(rows), dtype=np.int64) << shift, lengths)
+        # Sorting and cutting at each change of tag counts them as np.unique does.
+        tags.sort()
+        n = tags.size
+        edges = np.empty(n + 1, dtype=bool)
+        edges[0] = edges[n] = True
+        np.not_equal(tags[1:], tags[:-1], out=edges[1:n])
+        edges = np.flatnonzero(edges)
+        tags = tags[edges[:-1]]
+        row = tags >> shift
+        tags &= dim - 1
+        values = (edges[1:] - edges[:-1]).astype(np.float64)
+        # Integer counts: the squared sums are exact in any order, so their sqrt
+        # equals np.linalg.norm of each row bit for bit. Empty rows own no entries.
+        values /= np.sqrt(np.bincount(row, weights=values * values, minlength=len(rows)))[row]
+        writer.add(np.bincount(row, minlength=len(rows)).tolist(), [tags], [values], dim)
+    return writer.packed(config)
+
+
+def featurize_batch(
+    inputs: Sequence[str | Sequence[str]], config: FeaturizerConfig
+) -> list[FeatureVector]:
+    """``[featurize(x, config) for x in inputs]``, bit for bit, as views of one packed set.
+
+    The rows come from the block featurizer, ``_featurize_packed``; each
+    vector views its slice of the packed arrays.
+    """
+    packed = _featurize_packed(inputs, config)
+    bounds = packed.indptr.tolist()
+    return [FeatureVector(indices=packed.indices[a:b], values=packed.values[a:b], featurizer=config)
+            for a, b in zip(bounds, bounds[1:])]
 
 
 def _remap(packed: _Packed, lookup) -> None:
@@ -366,11 +422,13 @@ def _gather(
     return gathered, offsets.tolist()
 
 
-def _blocks(packed: _Packed) -> Iterator[tuple[slice, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+def _blocks(packed: _Packed, slots: np.ndarray | None = None
+            ) -> Iterator[tuple[slice, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Each block of ``_CHUNK_ROWS`` consecutive rows: its row slice and its gather.
 
-    A block's indices and values are views of the packed arrays; only its
-    block-local sample_pos is new.
+    A block's values are views of the packed arrays, and so are its indices
+    unless ``slots`` maps them, block by block, to weight columns; only its
+    block-local sample_pos (and mapped indices) are new.
     """
     indptr = packed.indptr
     for start in range(0, packed.n_rows, _CHUNK_ROWS):
@@ -378,7 +436,8 @@ def _blocks(packed: _Packed) -> Iterator[tuple[slice, tuple[np.ndarray, np.ndarr
         a, b = int(indptr[start]), int(indptr[stop])
         lengths = np.diff(indptr[start : stop + 1])
         sample_pos = np.repeat(np.arange(stop - start, dtype=np.int64), lengths)
-        yield slice(start, stop), (sample_pos, packed.indices[a:b], packed.values[a:b])
+        indices = packed.indices[a:b] if slots is None else slots[packed.indices[a:b]]
+        yield slice(start, stop), (sample_pos, indices, packed.values[a:b])
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +568,11 @@ def _logits(
     return z
 
 
-def _full_logits(weights: np.ndarray, bias: np.ndarray, packed: _Packed) -> np.ndarray:
+def _full_logits(weights: np.ndarray, bias: np.ndarray, packed: _Packed,
+                 slots: np.ndarray | None = None) -> np.ndarray:
     """``_logits`` of every packed row, one ``_blocks`` block at a time."""
     z = np.empty((packed.n_rows, weights.shape[0]))
-    for rows, gathered in _blocks(packed):
+    for rows, gathered in _blocks(packed, slots):
         z[rows] = _logits(weights, bias, gathered, rows.stop - rows.start)
     return z
 
@@ -734,36 +794,36 @@ def train_joint(
 # ---------------------------------------------------------------------------
 
 
-def score(model: Model, features: Iterable[FeatureVector]) -> np.ndarray:
+def score(model: Model, features: Iterable[FeatureVector] | _Packed) -> np.ndarray:
     """Probabilities of the rows: (n,) for the binary head, (n, K) rows summing to 1 otherwise.
 
-    The rows are packed, their feature indices mapped to weight columns
-    through the model's cached lookup (an index outside ``model.columns``
-    reads one zero column, so every logit keeps its terms), and run through
-    the training forward ``_logits`` in blocks of ``_CHUNK_ROWS`` consecutive
-    rows, whose indices and values are views of the packed arrays; a row's
-    probability does not depend on the other rows of the call.
+    ``features`` is any iterable of rows, packed as it is read, or rows
+    already packed in the model's space, such as a row slice of a test
+    input set, which are read and never rewritten. The forward maps each
+    block's feature indices to weight columns through the model's cached
+    lookup (an index outside ``model.columns`` reads one zero column, so
+    every logit keeps its terms) and runs the training forward ``_logits``
+    in blocks of ``_CHUNK_ROWS`` consecutive rows; a row's probability does
+    not depend on the other rows of the call.
     """
-    packed = _pack(features, model.featurizer)
-    _remap(packed, model._slots.__getitem__)
+    if not isinstance(features, _Packed):
+        features = _pack(features, model.featurizer)
+    elif features.featurizer not in (None, model.featurizer):
+        raise ValueError(f"feature rows were made by {features.featurizer}, not {model.featurizer}")
     weights = np.zeros((model.weights.shape[0], model.columns.size + 1))
     weights[:, :-1] = model.weights
-    z = _full_logits(weights, model.bias, packed)
+    z = _full_logits(weights, model.bias, features, model._slots)
     return _sigmoid(z[:, 0]) if model.head == "binary" else _softmax(z)
 
 
-def _score_inputs(model: Model, inputs: Sequence[str | Sequence[str]]) -> np.ndarray:
-    """``score`` of ``inputs``, featurized one block at a time as ``score`` packs them."""
-    blocks = (featurize_batch(inputs[i : i + _BLOCK_ROWS], model.featurizer)
-              for i in range(0, len(inputs), _BLOCK_ROWS))
-    return score(model, chain.from_iterable(blocks))
-
-
 def make_binary_scorer(model: Model):
-    """Adapt a binary model to the scorer interface: candidate batch -> probabilities."""
+    """Adapt a binary model to the scorer interface: candidate batch -> probabilities.
+
+    Each batch's segments go through the block featurizer into one ``score`` call.
+    """
     if model.head != "binary":
         raise ValueError("scorer adapter requires a binary head")
-    return lambda batch: _score_inputs(model, [c.segments for c in batch])
+    return lambda batch: score(model, _featurize_packed([c.segments for c in batch], model.featurizer))
 
 
 # ---------------------------------------------------------------------------

@@ -214,15 +214,28 @@ def _checked_probability(value: float, context: str) -> float:
 _SCORE_BATCH = 64
 
 
-def predict_dataset(scorer: BinaryScorer, dataset: Dataset, catalog: PromptCatalog) -> dict[str, str]:
+def dataset_candidates(dataset: Dataset, catalog: PromptCatalog) -> list[Candidate]:
+    """Every example's K candidates, example by example: the order ``predict_dataset`` scores them in."""
+    labels = dataset.post_labels
+    return [c for ex in dataset for c in candidates(ex, labels, catalog)]
+
+
+def predict_dataset(
+    scorer: BinaryScorer, dataset: Dataset, catalog: PromptCatalog,
+    pending: Sequence[Candidate] | None = None,
+) -> dict[str, str]:
     """Predictions for every example, as a mapping id -> label.
 
-    The scorer sees every candidate once, in order, in batches of at most
-    ``_SCORE_BATCH``; its probabilities go through ``predict_from_scores``,
-    so ties take the lowest candidate index; an empty dataset predicts nothing.
+    The scorer sees every candidate once, in ``dataset_candidates`` order,
+    in batches of at most ``_SCORE_BATCH``; ``pending`` is that list when
+    the caller has already built it. The probabilities go through
+    ``predict_from_scores``, so ties take the lowest candidate index and a
+    candidate list that misses or adds a pair is refused; an empty dataset
+    predicts nothing.
     """
     labels = dataset.post_labels
-    pending = [c for ex in dataset for c in candidates(ex, labels, catalog)]
+    if pending is None:
+        pending = dataset_candidates(dataset, catalog)
     scores: dict[tuple[str, int], float] = {}
     for start in range(0, len(pending), _SCORE_BATCH):
         batch = pending[start : start + _SCORE_BATCH]

@@ -49,8 +49,12 @@ class SynthConfig:
                 raise ValueError(f"topic {topic!r}: vocabulary must be a list of words, got {vocab!r}")
         # Tuples, so a config shares no list with the JSON it was parsed from.
         object.__setattr__(self, "topics", {t: tuple(v) for t, v in self.topics.items()})
-        object.__setattr__(self, "pre_label_by_topic", dict(self.pre_label_by_topic))
-        object.__setattr__(self, "anchor_by_topic", dict(self.anchor_by_topic))
+        for name in ("pre_label_by_topic", "anchor_by_topic"):
+            value = getattr(self, name)
+            if not isinstance(value, Mapping) or not all(
+                    isinstance(k, str) and isinstance(v, str) for k, v in value.items()):
+                raise ValueError(f"{name} must map topic names to strings, got {value!r}")
+            object.__setattr__(self, name, dict(value))
         for name in ("name", "lang"):
             value = getattr(self, name)
             if not isinstance(value, str) or not value:

@@ -64,7 +64,7 @@ def test_traced_methods_reach_every_layer():
     # example, and K candidates per test example.
     assert tracer.usage.counts["reformulate.augment_samples"] == (k + 1) * len(post_train)
     assert tracer.usage.counts["reformulate.candidates_scored"] == candidates
-    # Prediction featurizes through model.featurize_batch, which the tracer
+    # Prediction featurizes through the block featurizer, which the tracer
     # does not wrap, so the featurize layer counts the training rows alone:
     # one per sample of every fit.
     assert tracer.usage.counts["model.featurize_calls"] == sum(fits)
@@ -117,3 +117,35 @@ def test_traced_shared_groups_time_every_cell(tmp_path, workers):
     tracer.harvest(result.scores + result.failures)
     assert sum(span[0] == "experiment.cell" for span in tracer.spans) == 3 * 2 * 2
     assert tracer.twin_mismatches == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_traced_grid_scores_each_cell_over_the_shared_test_inputs(tmp_path, workers):
+    """A grid builds its test inputs before its first cell, and each cell
+    still reaches every layer and makes the score calls it made alone: one
+    per batch of at most 64 entail candidates, one per multiclass test set.
+    Each traced cell equals its untraced twin."""
+    tracing = load_tracing()
+    config = experiment.ExperimentConfig.from_dict({
+        "name": "contract-inputs",
+        "data": {"synth": {"preset": "retail_shift", "overrides": {"n_per_topic": 10}}},
+        "methods": [{"kind": "entail", "catalog_id": "en-retail"}, {"kind": "finetuned"}],
+        "budgets": [5, 10],
+        "seeds": 2,
+        "train": {"epochs": 2},
+        "output_dir": str(tmp_path),
+    })
+    test = experiment.prepare_data(config).test
+    with tracing.Tracer().installed() as tracer:
+        result = experiment.run_experiment(config, workers=workers)
+    tracer.harvest(result.scores + result.failures)
+    assert len(result.scores) == 2 * 2 * 2 and not result.failures
+    assert tracer.missing == [] and tracer.twin_mismatches == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"corpus.prepare_data", "corpus.budget_subset", "synth.generate", "stats",
+            "methods.run_method", "reformulate.augment", "reformulate.predict",
+            "model.featurize", "model.train", "model.score",
+            "experiment.run_experiment", "experiment.cell"} <= names
+    cells = 2 * 2
+    per_entail_cell = math.ceil(len(test) * len(test.post_labels) / 64)
+    assert tracer.usage.counts["model.score_calls"] == cells * per_entail_cell + cells

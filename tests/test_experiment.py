@@ -5,13 +5,14 @@ import copy
 import csv
 import io
 import json
+import os
 import re
 from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
-from entailshift import experiment, methods
+from entailshift import experiment, methods, model
 from entailshift.corpus import ShiftSpec
 from entailshift.experiment import (
     Aggregate,
@@ -34,7 +35,7 @@ from entailshift.experiment import (
 from entailshift.model import FeaturizerConfig, TrainConfig
 from entailshift.prompts import builtin_catalog, save_catalog
 from entailshift.seeding import derive_seed
-from entailshift.stats import RunScore, aggregate, mann_whitney_u
+from entailshift.stats import RunScore, aggregate, confusion_from_predictions, mann_whitney_u, per_class_f1
 
 
 def base_raw(**overrides) -> dict:
@@ -189,6 +190,13 @@ class TestConfigParsing:
          r"data\.synth\.overrides: topic 'exact': vocabulary must be a list of words, got \[1, 2\]"),
         ({"data": {"synth": {"preset": "retail_shift", "overrides": {"noise_rate": False}}}},
          r"data\.synth\.overrides: noise_rate must be a number in \[0, 0\.5\), got False"),
+        ({"data": {"synth": {"preset": "total_flip", "overrides": {"anchor_by_topic": ""}}}},
+         r"data\.synth\.overrides: anchor_by_topic must map topic names to strings, got ''"),
+        ({"data": {"synth": {"preset": "total_flip", "overrides": {"anchor_by_topic": []}}}},
+         r"data\.synth\.overrides: anchor_by_topic must map topic names to strings, got \[\]"),
+        ({"data": {"synth": {"preset": "retail_shift",
+                             "overrides": {"pre_label_by_topic": [["exact", "irrelevant"]]}}}},
+         r"data\.synth\.overrides: pre_label_by_topic must map topic names to strings, got \[\["),
     ])
     def test_invalid_configs_rejected(self, broken, message):
         with pytest.raises(ConfigError, match=message):
@@ -483,12 +491,15 @@ class TestGridExecution:
             (m, b, seed) for m in config.method_ids for b in config.budget_labels for seed in (0, 1)]
 
     def test_pool_starts_no_more_workers_than_groups(self, monkeypatch):
-        """A stand-in pool that records its size and runs the groups in process."""
+        """A stand-in pool that records its size, runs its initializer once and
+        runs the groups in process."""
         sizes: list[int] = []
+        monkeypatch.setattr(experiment, "_worker_plan", None)   # the stand-in sets it here
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 sizes.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -559,6 +570,110 @@ class TestGridExecution:
             for other, p in sig.p_values:
                 expected = mann_whitney_u(best, result.cell_scores(other, sig.budget))
                 assert p == expected.p_two_sided
+
+
+class TestSharedTestInputs:
+    """A grid featurizes each test input set once, before its first cell, and
+    every cell scores its own model over it, as that cell run alone would."""
+
+    METHODS = [{"kind": "entail", "catalog_id": "en-retail"},
+               {"kind": "entail", "catalog_id": "en-retail", "prompt_variant": "random"},
+               {"kind": "finetuned"}, {"kind": "pre_shift_only"}]
+
+    def config(self) -> ExperimentConfig:
+        return base_config(methods=self.METHODS, budgets=[8, "full"], seeds=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_featurizer_runs_once_per_test_set(self, monkeypatch, workers):
+        """One call per (featurizer, catalog) set, all in the process that
+        runs the grid: a call in a pool worker would fail its cell."""
+        calls = []
+        original = methods._featurize_packed
+        parent = os.getpid()
+
+        def counted(inputs, config):
+            if os.getpid() != parent:
+                raise AssertionError("a pool worker featurized a test set again")
+            calls.append((len(inputs), config))
+            return original(inputs, config)
+
+        monkeypatch.setattr(methods, "_featurize_packed", counted)
+        config = self.config()
+        result = run_experiment(config, workers=workers)
+        assert not result.failures and len(result.scores) == 4 * 2 * 2
+        n = len(prepare_data(config).test)
+        assert calls == [(4 * n, FeaturizerConfig(dim=4096))] * 2 + [(n, FeaturizerConfig(dim=4096))]
+
+    def test_each_cell_scores_as_run_method_alone(self):
+        config = self.config()
+        data = prepare_data(config)
+        result = run_experiment(config)
+        assert len(result.scores) == 4 * 2 * 2
+        for cell in result.scores:
+            spec = next(s for s in config.method_specs if s.method_id == cell.method)
+            budget = next(b for b in config.budgets if str(b) == cell.budget)
+            pre_shift = None
+            if spec.kind in methods.PRE_SHIFT_KINDS:
+                pre_shift = methods.fit_pre_shift(
+                    spec.with_seed(derive_seed(7, "pre_shift", cell.seed)), data.train)
+            alone = methods.run_method(
+                spec.with_seed(derive_seed(7, cell.method, cell.budget, cell.seed)), data.train,
+                budget_subset(data.train, budget, 7, cell.seed), data.test, pre_shift)
+            gold = [ex.post_label for ex in data.test]
+            f1s = per_class_f1(confusion_from_predictions(
+                gold, [alone[ex.id] for ex in data.test], data.test.post_labels))
+            assert cell.per_class_f1 == tuple(float(v) for v in f1s), cell
+
+    def test_entail_alone_featurizes_one_candidate_batch_at_a_time(self, monkeypatch):
+        """Without a set handed in, entail builds none: each batch of at most
+        64 candidates goes through the block featurizer as its score call
+        needs it, and the predictions equal those over a prebuilt set."""
+        config = self.config()
+        data = prepare_data(config)
+        spec = config.method_specs[0]
+        post_train = budget_subset(data.train, 8, 7, 0)
+        held = methods.run_method(spec, data.train, post_train, data.test,
+                                  inputs=methods.build_inputs(spec, data.test))
+        sizes = []
+        original = model._featurize_packed
+
+        def counted(inputs, featurizer):
+            sizes.append(len(inputs))
+            return original(inputs, featurizer)
+
+        def refuse(spec, test):
+            raise AssertionError("a lone entail call built a whole test input set")
+
+        monkeypatch.setattr(model, "_featurize_packed", counted)
+        monkeypatch.setattr(methods, "build_inputs", refuse)
+        alone = methods.run_method(spec, data.train, post_train, data.test)
+        assert alone == held
+        n = len(data.test) * len(data.test.post_labels)
+        assert sizes == [64] * (n // 64) + [n % 64] * (n % 64 > 0)
+
+    def test_failed_test_set_fails_its_readers_only(self, monkeypatch):
+        def refuse(spec, test):
+            if spec.kind == "entail":
+                raise RuntimeError("candidates exploded")
+            return original(spec, test)
+
+        original = methods.build_inputs
+        monkeypatch.setattr(experiment, "build_inputs", refuse)
+        result = run_experiment(base_config(methods=[{"kind": "majority"}, *self.METHODS[::2]]))
+        assert {f.method for f in result.failures} == {"entail_informative"}
+        assert {f.error for f in result.failures} == {"RuntimeError: candidates exploded"}
+        assert len(result.failures) == 2 * 2 and len(result.scores) == 2 * 2 * 2
+
+    def test_inputs_of_another_method_or_test_set_refused(self):
+        config = self.config()
+        data = prepare_data(config)
+        entail, _, finetuned, _ = config.method_specs
+        rows = methods.build_inputs(finetuned, data.test)
+        with pytest.raises(ValueError, match="cannot serve entail_informative"):
+            methods.run_method(entail, data.train, data.train, data.test, inputs=rows)
+        other = replace(data.test, examples=data.test.examples[:-1])
+        with pytest.raises(ValueError, match="built from another test set"):
+            methods.run_method(finetuned, data.train, data.train, other, inputs=rows)
 
 
 # A two-seed grid with seed 0 scored; the malformed cases each add one row.

@@ -642,6 +642,91 @@ class TestCompactScore:
         assert model._slots is slots
 
 
+class TestPackedInputs:
+    """The block featurizer writes rows straight into one packed set, and
+    ``score`` reads row slices of it as they are: each slice scores as its
+    rows featurized one vector at a time, bit for bit, and the set is never
+    rewritten."""
+
+    # 150 rows: two full blocks of 64 and a partial last block of 22; rows
+    # 7 and 140 have no features, and rows repeat across blocks.
+    INPUTS = [("changed to exact match", f"item {i % 50} red mixer bowl") for i in range(150)]
+    INPUTS[7] = INPUTS[140] = ("", "")
+
+    def models(self):
+        rng = np.random.default_rng(12)
+        columns = np.sort(rng.choice(SMALL.dim, size=SMALL.dim // 2, replace=False))
+        yield Model(columns=columns, weights=rng.normal(size=(1, columns.size)),
+                    bias=np.array([0.2]), featurizer=SMALL)
+        yield Model(columns=columns, weights=rng.normal(size=(4, columns.size)),
+                    bias=rng.normal(size=4), featurizer=SMALL)
+
+    def test_packed_rows_equal_packed_vectors(self):
+        packed = model_module._featurize_packed(self.INPUTS, SMALL)
+        expected = _pack([featurize(x, SMALL) for x in self.INPUTS], SMALL)
+        assert packed.featurizer == SMALL and packed.indptr[8] == packed.indptr[7]
+        for name in ("indptr", "indices", "values"):
+            a, b = getattr(packed, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @pytest.mark.parametrize("head", ["binary", "multiclass"])
+    def test_row_slices_score_as_featurized_rows(self, head):
+        model = list(self.models())[head == "multiclass"]
+        packed = model_module._featurize_packed(self.INPUTS, SMALL)
+        held = [getattr(packed, name).copy() for name in ("indptr", "indices", "values")]
+        expected = score(model, featurize_batch(self.INPUTS, SMALL))
+        n = len(self.INPUTS)
+        slices = [score(model, packed.rows(a, min(a + 64, n))) for a in range(0, n, 64)]
+        assert np.concatenate(slices).tobytes() == expected.tobytes()
+        assert score(model, packed).tobytes() == expected.tobytes()
+        assert score(model, packed.rows(7, 8)).tobytes() == score(model, [featurize("", SMALL)]).tobytes()
+        assert score(model, packed.rows(5, 5)).shape == expected[:0].shape
+        for name, before in zip(("indptr", "indices", "values"), held):
+            assert getattr(packed, name).tobytes() == before.tobytes(), name
+
+    def test_packed_rows_of_another_space_refused(self):
+        packed = model_module._featurize_packed(self.INPUTS[:3], FeaturizerConfig(dim=2**13))
+        with pytest.raises(ValueError, match=re.escape(
+                f"feature rows were made by {FeaturizerConfig(dim=2**13)}, not {SMALL}")):
+            score(next(self.models()), packed)
+
+
+class TestPackedWriter:
+    """A sized input reserves its packed arrays from its first block and
+    grows only where that estimate falls short; every input trims at the end."""
+
+    @staticmethod
+    def add(writer, lengths):
+        parts = [np.arange(n, dtype=np.int64) for n in lengths]
+        writer.add(list(lengths), parts, [p.astype(np.float64) for p in parts], 2**6)
+
+    def test_first_block_reserves_for_every_row(self):
+        writer = model_module._PackedWriter(6)
+        self.add(writer, [3, 3])
+        assert writer.indices.size == writer.values.size == 18
+        self.add(writer, [1, 1, 2, 2])
+        assert writer.indices.size == 18
+        packed = writer.packed(SMALL)
+        assert packed.indices.size == 12 and packed.indptr.tolist() == [0, 3, 6, 7, 8, 10, 12]
+        assert packed.indices.tolist() == [0, 1, 2, 0, 1, 2, 0, 0, 0, 1, 0, 1]
+
+    def test_shortfall_reestimates_from_every_row(self):
+        writer = model_module._PackedWriter(4)
+        self.add(writer, [1, 1])
+        assert writer.indices.size == 4
+        self.add(writer, [5])
+        assert writer.indices.size == 10   # 7 entries over 3 rows, for 4 rows
+        self.add(writer, [2])
+        assert writer.packed(SMALL).indices.size == 9
+
+    def test_unsized_input_keeps_an_eighth_spare_after_a_full_block(self):
+        writer = model_module._PackedWriter(None)
+        self.add(writer, [1] * model_module._CHUNK_ROWS)
+        assert writer.indices.size == model_module._CHUNK_ROWS * 9 // 8
+        self.add(writer, [1])
+        assert writer.packed(SMALL).indices.size == model_module._CHUNK_ROWS + 1
+
+
 class TestModelColumns:
     """``Model`` refuses columns and parameters it could not score through."""
 

@@ -182,6 +182,18 @@ class TestOverrideValidation:
         ({"anchor_repeats": 0}, "anchor_repeats must be at least 1"),
         ({"n_per_topic": 0}, "n_per_topic must be positive"),
         ({"tokens_per_text": 1}, "tokens_per_text must be at least 2"),
+        # Once read through dict(): "" and [] as no anchors, pairs as a mapping.
+        ({"anchor_by_topic": ""}, "anchor_by_topic must map topic names to strings, got ''"),
+        ({"anchor_by_topic": []}, r"anchor_by_topic must map topic names to strings, got \[\]"),
+        ({"anchor_by_topic": [("hot", "ember")]},
+         r"anchor_by_topic must map topic names to strings, got \[\('hot', 'ember'\)\]"),
+        ({"anchor_by_topic": {"hot": ["ember"]}}, r"anchor_by_topic must map .*\['ember'\]"),
+        ({"pre_label_by_topic": ""}, "pre_label_by_topic must map topic names to strings, got ''"),
+        ({"pre_label_by_topic": []}, r"pre_label_by_topic must map topic names to strings, got \[\]"),
+        ({"pre_label_by_topic": [("hot", "relevant"), ("cold", "irrelevant")]},
+         r"pre_label_by_topic must map topic names to strings, got \[\('hot'"),
+        ({"pre_label_by_topic": {"hot": "relevant", "cold": 1}}, r"pre_label_by_topic must map .*'cold': 1"),
+        ({"pre_label_by_topic": {1: "relevant"}}, r"pre_label_by_topic must map .*\{1: 'relevant'\}"),
     ])
     def test_rejected_at_construction(self, overrides, message):
         with pytest.raises(ValueError, match=message):
