@@ -5,25 +5,24 @@ few-shot post-shift training set, runs one method, and scores macro-F1 on a
 fixed test set. Cells are individually deterministic, so the grid can run in
 parallel and adding a method never perturbs existing cells.
 
-The test set is fixed, so a grid featurizes each of its test input sets
-once (``_GridPlan``): the test rows per featurizer for the multiclass heads,
-and the test candidates per (featurizer, catalog) for entail
-(``methods.input_key``). Every cell scores its own model over row slices of
-the set it reads. A serial grid builds each set as the first group that
-reads it starts and drops it once the last has run, so it holds about one
-set at a time; a pool grid builds every set before the pool starts, and
-each worker is handed the whole plan once, through the pool initializer,
-and holds it for its life. A set that fails to build fails each cell that
-reads it, and the grid goes on. Training rows stay each cell's own and are
-featurized as its fit reads them.
-
-The pre-shift model never sees the few-shot set, so it is one model per seed:
-it trains under the ``(master_seed, "pre_shift", seed_index)`` substream, and
-the ``pre_shift_only`` and ``finetuned`` cells of one seed whose ``train`` and
-``featurizer`` settings are equal form one group that fits it once and runs
-each of its cells with it, at every budget. Every other cell is a group of
-one. The model lives only while its group runs, and a fit that raises fails
-each cell of its group alone.
+One plan (``_GridPlan``) builds, holds and drops every value that cells
+share. A cell reads at most two, each under one key: the test inputs of its
+``methods.input_key`` (the test rows per featurizer for the multiclass
+heads, the test candidates per (featurizer, catalog) for entail), over row
+slices of which it scores its own model; and, for a ``pre_shift_only`` or
+``finetuned`` cell, the pre-shift model of its (seed, train, featurizer)
+settings. That model never sees the few-shot set, so every budget shares
+it; it trains under the ``(master_seed, "pre_shift", seed_index)``
+substream. The cells that read one pre-shift model form one group, and every
+other cell is a group of one. Each group builds each value it reads that is
+not held, runs its cells, then drops every value no later group reads, so a
+serial grid holds about one test input set and at most one pre-shift model
+at a time. A pool grid builds its test inputs before the pool starts, so its
+workers share one build; each worker is handed the plan once, through the
+pool initializer, and runs its groups through the same step. A value that
+fails to build is held as its error: each cell that reads it fails with it,
+and the grid goes on. Training rows stay each cell's own and are featurized
+as its fit reads them.
 
 A result holds only what the grid produced; its per-cell aggregates, per-budget
 ranking and significance marks are derived from its scores in one place.
@@ -48,7 +47,6 @@ from .corpus import Dataset, ShiftSpec, apply_shift, fewshot_sample, load_datase
 from .jsonfiles import read_json, typed_field
 from .methods import (
     PRE_SHIFT_KINDS,
-    InputSet,
     MethodSpec,
     build_inputs,
     check_inputs,
@@ -56,7 +54,7 @@ from .methods import (
     input_key,
     run_method,
 )
-from .model import FeaturizerConfig, Model, TrainConfig
+from .model import FeaturizerConfig, TrainConfig
 from .seeding import derive_seed
 from .stats import Aggregate, RunScore, aggregate, confusion_from_predictions, mann_whitney_u, per_class_f1
 from .synth import PRESETS, SynthConfig, preset_config, synth_generate
@@ -389,33 +387,70 @@ class ExperimentResult:
         return tuple(tests)
 
 
-# (spec, master seed, budget, seed index, data, the spec's test inputs or the error
-# building them raised; None for a method that reads none)
-CellTask = tuple[MethodSpec, int, int | str, int, PreparedData, InputSet | Exception | None]
+@dataclass(frozen=True)
+class _GridPlan:
+    """A grid's cells, (spec, budget, seed index) in grid order, and the values they share.
 
-
-def _pre_shift_model(task: CellTask) -> Model:
-    """The pre-shift model of a cell's seed, whatever its method and budget."""
-    spec, master_seed, _, seed_index, data, _ = task
-    return fit_pre_shift(spec.with_seed(derive_seed(master_seed, "pre_shift", seed_index)), data.train)
-
-
-def _run_cell(task: CellTask, pre_shift: Model | Exception | None = None) -> RunScore | CellFailure:
-    """One cell's score; ``pre_shift`` is its group's model, or the error that fitting it raised.
-
-    A ``PRE_SHIFT_KINDS`` cell handed no model fits its seed's own. The cell
-    only reads its test inputs, so it may run again on the same task.
+    ``held`` holds each shared value that is built and not yet dropped, under
+    its key in ``reads``, or the error building it raised.
     """
-    spec, master_seed, budget, seed_index, data, inputs = task
+
+    master_seed: int
+    data: PreparedData
+    cells: tuple[tuple[MethodSpec, int | str, int], ...]
+    held: dict[tuple, Any] = field(default_factory=dict)
+
+    def reads(self, i: int) -> tuple[tuple | None, tuple | None]:
+        """The keys of cell ``i``'s test inputs and pre-shift model; None for a value it does not read."""
+        spec, _, seed_index = self.cells[i]
+        model = ("pre_shift", seed_index, spec.train_config, spec.featurizer)
+        return input_key(spec), model if spec.kind in PRE_SHIFT_KINDS else None
+
+    @functools.cached_property
+    def groups(self) -> list[list[int]]:
+        """Cell indices by pre-shift key, in the grid order of each group's first cell;
+        a cell that reads no pre-shift model is a group of one."""
+        groups: dict[Any, list[int]] = {}
+        for i in range(len(self.cells)):
+            groups.setdefault(self.reads(i)[1] or i, []).append(i)
+        return list(groups.values())
+
+    @functools.cached_property
+    def last(self) -> dict[tuple, int]:
+        """The index of the last group that reads each key."""
+        return {key: g for g, group in enumerate(self.groups) for i in group for key in self.reads(i) if key}
+
+    def build(self, i: int, keys: Iterable[tuple | None]) -> None:
+        """Hold each value of cell ``i`` under ``keys`` that is not held, or the error building it raised."""
+        spec, _, seed_index = self.cells[i]
+        for key in keys:
+            if key is None or key in self.held:
+                continue
+            try:
+                if key[0] == "pre_shift":
+                    pre = spec.with_seed(derive_seed(self.master_seed, "pre_shift", seed_index))
+                    self.held[key] = fit_pre_shift(pre, self.data.train)
+                else:
+                    self.held[key] = build_inputs(spec, self.data.test)
+            except Exception as exc:  # every cell that reads it fails with it, the grid goes on
+                self.held[key] = exc
+
+
+def _run_cell(plan: _GridPlan, i: int) -> RunScore | CellFailure:
+    """Cell ``i``'s score over the shared values it reads, or its failure.
+
+    The cell only reads the plan, so it may run again on the same plan.
+    """
+    spec, budget, seed_index = plan.cells[i]
     label = str(budget)
     try:
+        inputs, pre_shift = (None if key is None else plan.held[key] for key in plan.reads(i))
         for error in (pre_shift, inputs):
             if isinstance(error, Exception):
                 raise error
-        cell_seed = derive_seed(master_seed, spec.method_id, label, seed_index)
-        post_train = budget_subset(data.train, budget, master_seed, seed_index)
-        if pre_shift is None and spec.kind in PRE_SHIFT_KINDS:
-            pre_shift = _pre_shift_model(task)
+        data = plan.data
+        cell_seed = derive_seed(plan.master_seed, spec.method_id, label, seed_index)
+        post_train = budget_subset(data.train, budget, plan.master_seed, seed_index)
         predictions = run_method(
             spec.with_seed(cell_seed), data.train, post_train, data.test, pre_shift, inputs)
         gold = [ex.post_label for ex in data.test]
@@ -434,73 +469,16 @@ def _run_cell(task: CellTask, pre_shift: Model | Exception | None = None) -> Run
                            error=f"{type(exc).__name__}: {exc}")
 
 
-@dataclass(frozen=True)
-class _GridPlan:
-    """A grid's cells, (spec, budget, seed index) in grid order, and what they share.
-
-    ``inputs`` holds the test inputs of each ``input_key`` that is built and
-    not yet dropped, or the error building them raised: every cell that
-    reads it fails with that error, and the grid goes on.
-    """
-
-    master_seed: int
-    data: PreparedData
-    cells: tuple[tuple[MethodSpec, int | str, int], ...]
-    inputs: dict[tuple, InputSet | Exception] = field(default_factory=dict)
-
-    def task(self, i: int) -> CellTask:
-        spec, budget, seed_index = self.cells[i]
-        return (spec, self.master_seed, budget, seed_index, self.data, self.inputs.get(input_key(spec)))
-
-    def build_inputs(self, spec: MethodSpec) -> None:
-        """Build the test inputs ``spec`` reads, unless its ``input_key`` reads none or is held."""
-        key = input_key(spec)
-        if key is None or key in self.inputs:
-            return
-        try:
-            self.inputs[key] = build_inputs(spec, self.data.test)
-        except Exception as exc:  # the cells that read it fail with it, the grid goes on
-            self.inputs[key] = exc
-
-
-def _run_group(plan: _GridPlan, group: Sequence[int]) -> list[RunScore | CellFailure]:
-    """Each cell of a group through ``_run_cell``; a group of several shares one pre-shift fit.
-
-    A fit that raises is handed to every cell too, so each outcome, a failure
-    included, comes from ``_run_cell``.
-    """
-    tasks = [plan.task(i) for i in group]
-    pre_shift: Model | Exception | None = None
-    if len(tasks) > 1:
-        try:
-            pre_shift = _pre_shift_model(tasks[0])
-        except Exception as exc:  # every cell of the group fails with it, the grid goes on
-            pre_shift = exc
-    return [_run_cell(task, pre_shift) for task in tasks]
-
-
-def _group_tasks(cells: Sequence[tuple[MethodSpec, int | str, int]]) -> list[list[int]]:
-    """Cell indices by shared pre-shift model, in the grid order of each group's first cell."""
-    groups: dict[Any, list[int]] = {}
-    for i, (spec, _, seed_index) in enumerate(cells):
-        shares = spec.kind in PRE_SHIFT_KINDS
-        key = (seed_index, spec.train_config, spec.featurizer) if shares else i
-        groups.setdefault(key, []).append(i)
-    return list(groups.values())
-
-
-def _run_serially(plan: _GridPlan, groups: Sequence[Sequence[int]]) -> list[list[RunScore | CellFailure]]:
-    """Each group in turn. A test input set is built as the first group that reads it starts
-    and dropped once the last has run, so sets that no group shares are not held together."""
-    last = {input_key(plan.cells[i][0]): g for g, group in enumerate(groups) for i in group}
-    ran = []
-    for g, group in enumerate(groups):
-        for i in group:
-            plan.build_inputs(plan.cells[i][0])
-        ran.append(_run_group(plan, group))
-        for key in [key for key, at in last.items() if at == g and key is not None]:
-            del plan.inputs[key]
-    return ran
+def _run_group(plan: _GridPlan, g: int) -> list[RunScore | CellFailure]:
+    """Group ``g``'s outcomes: build each value its cells read that is not held, run
+    each cell, then drop every held value that no later group reads."""
+    group = plan.groups[g]
+    for i in group:
+        plan.build(i, plan.reads(i))
+    outcomes = [_run_cell(plan, i) for i in group]
+    for key in [key for key in plan.held if plan.last[key] <= g]:
+        del plan.held[key]
+    return outcomes
 
 
 # The plan of the grid whose groups a pool worker runs. Only a worker sets it,
@@ -514,16 +492,19 @@ def _start_worker(plan: _GridPlan) -> None:
     _worker_plan = plan
 
 
-def _run_worker_group(group: Sequence[int]) -> list[RunScore | CellFailure]:
-    return _run_group(_worker_plan, group)
+def _run_worker_group(g: int) -> list[RunScore | CellFailure]:
+    return _run_group(_worker_plan, g)
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Execute the full (method, budget, seed) grid; a method unfit for the data fails first.
+    """Execute the full (method, budget, seed) grid on ``workers`` processes; a method unfit
+    for the data fails first.
 
-    Each test input set is built once, and every cell that reads it scores
-    its own model over it.
+    Each shared value is built once per process that reads it, and every cell
+    that reads it runs over it.
     """
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"workers must be a positive int, got {workers!r}")
     data = prepare_data(config)
     for i, spec in enumerate(config.method_specs):
         try:
@@ -533,19 +514,18 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     cells = tuple((spec, budget, seed_index) for spec in config.method_specs
                   for budget in config.budgets for seed_index in config.seed_indices)
     plan = _GridPlan(config.master_seed, data, cells)
-    groups = _group_tasks(cells)
     # The pool starts all its workers at once under fork: start no more than there are groups.
-    workers = min(workers, len(groups))
+    workers = min(workers, len(plan.groups))
     if workers > 1:
-        for spec in config.method_specs:
-            plan.build_inputs(spec)
+        for i in range(len(cells)):   # the workers share one build of the test inputs
+            plan.build(i, plan.reads(i)[:1])
         with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
                                  initargs=(plan,)) as pool:
-            ran = list(pool.map(_run_worker_group, groups, chunksize=1))
+            ran = list(pool.map(_run_worker_group, range(len(plan.groups)), chunksize=1))
     else:
-        ran = _run_serially(plan, groups)
-    by_cell = {i: outcome for group, outcomes in zip(groups, ran) for i, outcome in zip(group, outcomes)}
-    outcomes = [by_cell[i] for i in range(len(plan.cells))]
+        ran = [_run_group(plan, g) for g in range(len(plan.groups))]
+    by_cell = {i: outcome for group, outcomes in zip(plan.groups, ran) for i, outcome in zip(group, outcomes)}
+    outcomes = [by_cell[i] for i in range(len(cells))]
 
     return ExperimentResult(
         name=config.name,

@@ -59,10 +59,12 @@ what lets a pre-shift head be fine-tuned on post-shift classes without
 surgery. ``finetuned`` warm-starts from the ``pre_shift_only`` model; an
 empty pre-shift set skips it, reducing ``finetuned`` to
 ``finetuned_post_only``. ``run_method`` fits that model with the method's own
-``train_config`` unless it is handed one already trained: an experiment grid
-fits it once per seed and hands it to every ``pre_shift_only`` and
-``finetuned`` cell of that seed at every budget, since it never sees the
-few-shot set.
+``train_config`` unless it is handed one already trained. An experiment
+grid's plan builds every value its cells share once and hands each cell
+what it reads: its ``build_inputs`` set through ``inputs`` and, for a
+``pre_shift_only`` or ``finetuned`` cell, the pre-shift model of its seed,
+train and featurizer settings through ``pre_shift``, at every budget, since
+that model never sees the few-shot set.
 """
 from __future__ import annotations
 
@@ -289,17 +291,13 @@ def input_key(spec: MethodSpec) -> tuple | None:
     return ("multiclass", spec.featurizer)
 
 
-def _test_rows(test: Dataset, featurizer: FeaturizerConfig) -> _Packed:
-    return _featurize_packed([ex.segments for ex in test], featurizer)
-
-
 def build_inputs(spec: MethodSpec, test: Dataset) -> InputSet:
     """The ``InputSet`` every method of ``spec``'s ``input_key`` scores ``test`` over."""
     key = input_key(spec)
     if key is None:
         raise ValueError(f"{spec.kind} reads no test inputs")
     if spec.kind != "entail":
-        return InputSet(key, test, _test_rows(test, spec.featurizer))
+        return InputSet(key, test, _featurize_packed([ex.segments for ex in test], spec.featurizer))
     pending = tuple(dataset_candidates(test, spec.catalog))
     return InputSet(key, test, _featurize_packed([c.segments for c in pending], spec.featurizer),
                     pending)
@@ -313,9 +311,9 @@ def _check_given_inputs(spec: MethodSpec, test: Dataset, inputs: InputSet) -> No
         raise ValueError("the test inputs were built from another test set")
 
 
-def _predict_multiclass(model: Model, test: Dataset, rows: _Packed | None = None) -> dict[str, str]:
-    """Labels of ``test`` from one ``score`` call over its packed rows, featurized here unless given."""
-    probs = _model.score(model, _test_rows(test, model.featurizer) if rows is None else rows)
+def _predict_multiclass(model: Model, test: Dataset, rows: _Packed) -> dict[str, str]:
+    """Labels of ``test`` from one ``score`` call over its packed rows."""
+    probs = _model.score(model, rows)
     labels = test.post_labels.labels
     return {ex.id: labels[k] for ex, k in zip(test, probs.argmax(axis=1))}
 

@@ -1,12 +1,14 @@
 """Experiment grid runner, aggregation, and report emission."""
 from __future__ import annotations
 
+import ast
 import copy
 import csv
 import io
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -408,6 +410,30 @@ class TestRuleFilesReadOnce:
         assert reads == ["en-retail", "en-retail"]
 
 
+def use_recording_pool(monkeypatch) -> list[int]:
+    """Swap the grid's process pool for a stand-in that records its size, runs
+    its initializer once and runs the groups in process; returns the sizes."""
+    sizes: list[int] = []
+    monkeypatch.setattr(experiment, "_worker_plan", None)   # the stand-in sets it here
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
 class TestGridExecution:
     def test_cardinality(self):
         result = run_experiment(base_config())
@@ -491,31 +517,17 @@ class TestGridExecution:
             (m, b, seed) for m in config.method_ids for b in config.budget_labels for seed in (0, 1)]
 
     def test_pool_starts_no_more_workers_than_groups(self, monkeypatch):
-        """A stand-in pool that records its size, runs its initializer once and
-        runs the groups in process."""
-        sizes: list[int] = []
-        monkeypatch.setattr(experiment, "_worker_plan", None)   # the stand-in sets it here
-
-        class RecordingPool:
-            def __init__(self, max_workers, initializer, initargs):
-                sizes.append(max_workers)
-                initializer(*initargs)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
         config = base_config(methods=self.SHARED)   # one group per seed: 2 groups
         serial = run_experiment(config, workers=1)
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+        sizes = use_recording_pool(monkeypatch)
         pooled = run_experiment(config, workers=8)
         assert sizes == [2]
         assert pooled.scores == serial.scores
+
+    @pytest.mark.parametrize("workers", [0, -3, True, 2.5, "2"])
+    def test_workers_must_be_a_positive_int(self, workers):
+        with pytest.raises(ValueError, match=r"^workers must be a positive int, got "):
+            run_experiment(base_config(), workers=workers)
 
     @pytest.mark.parametrize("methods_, budgets", [
         ([{"kind": "majority"}, {"kind": "finetuned"}, {"kind": "pre_shift_only"}], [8, "full"]),
@@ -664,6 +676,43 @@ class TestSharedTestInputs:
         assert {f.error for f in result.failures} == {"RuntimeError: candidates exploded"}
         assert len(result.failures) == 2 * 2 and len(result.scores) == 2 * 2 * 2
 
+    @pytest.mark.parametrize("pool", [False, True], ids=["serial", "pool"])
+    def test_each_shared_value_lives_from_its_first_reader_to_its_last(self, monkeypatch, pool):
+        """Each test input set and pre-shift model is built once, held from the
+        first group that reads it through the last, then dropped. A pool builds
+        its test inputs before it starts, so they are held from its first group."""
+        builds = Counter()
+        build_inputs, fit_pre_shift = experiment.build_inputs, experiment.fit_pre_shift
+        monkeypatch.setattr(experiment, "build_inputs", lambda spec, test: (
+            builds.update([methods.input_key(spec)]) or build_inputs(spec, test)))
+        monkeypatch.setattr(experiment, "fit_pre_shift", lambda spec, train: (
+            builds.update([("pre_shift", spec.train_config.seed)]) or fit_pre_shift(spec, train)))
+        runs = []   # (plan, cell index, the keys held as it runs)
+        run_cell = experiment._run_cell
+        monkeypatch.setattr(experiment, "_run_cell", lambda plan, i: (
+            runs.append((plan, i, set(plan.held))) or run_cell(plan, i)))
+        if pool:
+            use_recording_pool(monkeypatch)
+        result = run_experiment(self.config(), workers=2 if pool else 1)
+        assert not result.failures and len(result.scores) == 4 * 2 * 2
+        assert len(builds) == 3 + 2 and set(builds.values()) == {1}   # 3 test sets, 2 seeds
+
+        plan = runs[0][0]
+        assert all(p is plan for p, _, _ in runs) and plan.held == {}
+        group_of = {i: g for g, group in enumerate(plan.groups) for i in group}
+        held_in: dict[int, set] = {}
+        for _, i, held in runs:
+            assert held_in.setdefault(group_of[i], held) == held   # a group runs on one held set
+            assert sum(key[0] == "pre_shift" for key in held) <= 1
+        readers: dict[tuple, list[int]] = {}
+        for i, g in sorted(group_of.items()):
+            for key in filter(None, plan.reads(i)):
+                readers.setdefault(key, []).append(g)
+        assert len(readers) == 3 + 2
+        for key, groups in readers.items():
+            first = 0 if pool and key[0] != "pre_shift" else min(groups)
+            assert {g for g, held in held_in.items() if key in held} == set(range(first, max(groups) + 1))
+
     def test_inputs_of_another_method_or_test_set_refused(self):
         config = self.config()
         data = prepare_data(config)
@@ -674,6 +723,24 @@ class TestSharedTestInputs:
         other = replace(data.test, examples=data.test.examples[:-1])
         with pytest.raises(ValueError, match="built from another test set"):
             methods.run_method(finetuned, data.train, data.train, other, inputs=rows)
+
+
+def test_no_module_reads_the_environment():
+    """A grid takes no option through the environment: no package module
+    reads ``os.environ``, ``os.getenv`` or ``os.putenv``."""
+    names = {"environ", "getenv", "putenv"}
+    readers = {}
+    for path in sorted((Path(__file__).parents[1] / "src" / "entailshift").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+                used = {node.attr}
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                used = {alias.name for alias in node.names}
+            else:
+                continue
+            if used & names:
+                readers.setdefault(path.name, []).append(node.lineno)
+    assert readers == {}
 
 
 # A two-seed grid with seed 0 scored; the malformed cases each add one row.

@@ -300,14 +300,14 @@ class TestLazyTrainingRows:
         model = fit_pre_shift(spec, train_ds)
         nnz = sum(fv.nnz for fv in featurize_batch([ex.segments for ex in ds], model.featurizer))
         # Untraced first: this builds the model's index lookup, which outlives the call.
-        expected = methods._predict_multiclass(model, ds)
+        expected = methods._predict_multiclass(model, ds, methods.build_inputs(spec, ds).rows)
         calls = []
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr("entailshift.model.score",
                           lambda *args: calls.append(args) or score(*args))
             tracemalloc.start()
             try:
-                predictions = methods._predict_multiclass(model, ds)
+                predictions = methods._predict_multiclass(model, ds, methods.build_inputs(spec, ds).rows)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
